@@ -204,6 +204,18 @@ grep -Eq "errors +0" results/ci_smoke_serve_load_threads.txt
 grep -q "threads driver" results/ci_smoke_serve_daemon_threads.txt
 test ! -e "$SERVE_SOCK"
 
+echo "== benchmark/: build, --quick, its own tests =="
+# The instrument BENCHMARK.json declares is a standalone package (own
+# workspace and lock file); keep it building and self-consistent. --quick
+# runs all five workloads in both modes against the embedded
+# BENCHMARK.json and exits nonzero on any failed operation, digest
+# mismatch or invariant failure; numbers from it are smoke, not results.
+cargo build --offline --release -q --manifest-path benchmark/Cargo.toml
+cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- --quick \
+  > results/ci_smoke_benchmark_quick.txt
+test -s results/ci_smoke_benchmark_quick.txt
+(cd benchmark && cargo test --offline -q)
+
 echo "== report schema check =="
 # Every committed results/BENCH_*.json must parse and carry report_version.
 cargo test --release -q -p envy-bench --test report_schema

@@ -145,16 +145,13 @@ impl BTree {
         let mut addr = self.root;
         loop {
             let node = Node::load(mem, addr)?;
-            if node.leaf {
-                return Ok(match node.leaf_search(key) {
-                    Ok(i) => Some(node.entries[i].1),
-                    Err(_) => None,
-                });
+            if node.is_leaf() {
+                return Ok(node.leaf_search(key).ok().map(|i| node.value(i)));
             }
-            if node.entries.is_empty() {
+            if node.is_empty() {
                 return Ok(None);
             }
-            addr = node.entries[node.child_index(key)].1;
+            addr = node.value(node.child_index(key));
         }
     }
 
@@ -224,77 +221,77 @@ impl BTree {
         key: u64,
         value: u64,
     ) -> Result<Option<u64>, BTreeError> {
+        // One pass: each node is read once. The child loaded for the
+        // fullness check becomes the next level's node, and a split hands
+        // back both halves, so nothing is re-read on the way down.
+        let mut addr = self.root;
+        let mut node = Node::load(mem, addr)?;
         // Preemptive root split keeps the descent simple: every parent we
         // descend from has room for a promoted separator.
-        let root_node = Node::load(mem, self.root)?;
-        if root_node.is_full() {
-            let (sep, right_addr) = self.split_node(mem, self.root, &root_node)?;
-            let left_first = root_node.entries[0].0;
+        if node.is_full() {
+            let left_first = node.key(0);
+            let (sep, right_addr, _) = self.split_node(mem, addr, &mut node)?;
             let new_root_addr = self.alloc(mem)?;
-            let mut new_root = Node::new_internal();
-            new_root.entries.push((left_first, self.root));
-            new_root.entries.push((sep, right_addr));
+            let new_root = Node::with_entries(false, &[(left_first, addr), (sep, right_addr)]);
             new_root.store(mem, new_root_addr)?;
             self.root = new_root_addr;
             self.write_header(mem)?;
+            addr = new_root_addr;
+            node = new_root;
         }
-        let mut addr = self.root;
         loop {
-            let mut node = Node::load(mem, addr)?;
-            if node.leaf {
-                match node.leaf_search(key) {
+            if node.is_leaf() {
+                let old = match node.leaf_search(key) {
                     Ok(i) => {
-                        let old = node.entries[i].1;
-                        node.entries[i].1 = value;
-                        node.store(mem, addr)?;
-                        return Ok(Some(old));
+                        let old = node.value(i);
+                        node.set_value(i, value);
+                        Some(old)
                     }
                     Err(i) => {
-                        node.entries.insert(i, (key, value));
-                        node.store(mem, addr)?;
-                        return Ok(None);
+                        node.insert(i, (key, value));
+                        None
                     }
-                }
+                };
+                node.store(mem, addr)?;
+                return Ok(old);
             }
             let idx = node.child_index(key);
-            let child_addr = node.entries[idx].1;
-            let child = Node::load(mem, child_addr)?;
+            let child_addr = node.value(idx);
+            let mut child = Node::load(mem, child_addr)?;
             if child.is_full() {
-                let (sep, right_addr) = self.split_node(mem, child_addr, &child)?;
-                node.entries.insert(idx + 1, (sep, right_addr));
+                let (sep, right_addr, right) = self.split_node(mem, child_addr, &mut child)?;
+                node.insert(idx + 1, (sep, right_addr));
                 // Descending into the leftmost child with a smaller key
                 // than any separator: keep the separator exact.
-                if key < node.entries[idx].0 {
-                    node.entries[idx].0 = node.entries[idx].0.min(key);
-                }
+                node.set_key(idx, node.key(idx).min(key));
                 node.store(mem, addr)?;
-                addr = if key >= sep { right_addr } else { child_addr };
+                (addr, node) = if key >= sep {
+                    (right_addr, right)
+                } else {
+                    (child_addr, child)
+                };
             } else {
                 addr = child_addr;
+                node = child;
             }
         }
     }
 
-    /// Split `node` (stored at `addr`) in half; the upper half moves to a
-    /// new node. Returns the separator key and the new node's address.
+    /// Split `node` (stored at `addr`) in half: it keeps the lower half,
+    /// the upper half moves to a new node. Both are stored. Returns the
+    /// separator key and the new node with its address.
     fn split_node<M: Memory>(
         &mut self,
         mem: &mut M,
         addr: u64,
-        node: &Node,
-    ) -> Result<(u64, u64), BTreeError> {
-        let mid = node.entries.len() / 2;
+        node: &mut Node,
+    ) -> Result<(u64, u64, Node), BTreeError> {
         let right_addr = self.alloc(mem)?;
-        let mut left = node.clone();
-        let right_entries = left.entries.split_off(mid);
-        let sep = right_entries[0].0;
-        let right = Node {
-            leaf: node.leaf,
-            entries: right_entries,
-        };
-        left.store(mem, addr)?;
+        let right = node.split_off(node.len() / 2);
+        let sep = right.key(0);
+        node.store(mem, addr)?;
         right.store(mem, right_addr)?;
-        Ok((sep, right_addr))
+        Ok((sep, right_addr, right))
     }
 
     /// Update an existing key's value in place — exactly one 8-byte write
@@ -307,7 +304,7 @@ impl BTree {
         let mut addr = self.root;
         loop {
             let node = Node::load(mem, addr)?;
-            if node.leaf {
+            if node.is_leaf() {
                 return match node.leaf_search(key) {
                     Ok(i) => {
                         let value_addr = addr + (HEADER_BYTES + i * ENTRY_BYTES + 8) as u64;
@@ -317,10 +314,10 @@ impl BTree {
                     Err(_) => Ok(false),
                 };
             }
-            if node.entries.is_empty() {
+            if node.is_empty() {
                 return Ok(false);
             }
-            addr = node.entries[node.child_index(key)].1;
+            addr = node.value(node.child_index(key));
         }
     }
 
@@ -343,20 +340,20 @@ impl BTree {
         let mut addr = self.root;
         loop {
             let mut node = Node::load(mem, addr)?;
-            if node.leaf {
+            if node.is_leaf() {
                 return match node.leaf_search(key) {
                     Ok(i) => {
-                        let (_, old) = node.entries.remove(i);
+                        let (_, old) = node.remove(i);
                         node.store(mem, addr)?;
                         Ok(Some(old))
                     }
                     Err(_) => Ok(None),
                 };
             }
-            if node.entries.is_empty() {
+            if node.is_empty() {
                 return Ok(None);
             }
-            addr = node.entries[node.child_index(key)].1;
+            addr = node.value(node.child_index(key));
         }
     }
 
@@ -395,33 +392,25 @@ impl BTree {
         out: &mut Vec<(u64, u64)>,
     ) -> Result<(), BTreeError> {
         let node = Node::load(mem, addr)?;
-        if node.leaf {
+        if node.is_leaf() {
             let from = match node.leaf_search(start) {
                 Ok(i) | Err(i) => i,
             };
-            for &(k, v) in &node.entries[from..] {
-                if out.len() == limit {
-                    break;
-                }
-                out.push((k, v));
-            }
+            let room = limit - out.len();
+            out.extend(node.entries().skip(from).take(room));
             return Ok(());
         }
-        for i in 0..node.entries.len() {
+        for i in 0..node.len() {
             if out.len() == limit {
                 break;
             }
             // Subtree i only holds keys < separator i+1: child_index
             // routes any key >= that separator further right. If that
             // bound is <= start the whole subtree is below the range.
-            if node
-                .entries
-                .get(i + 1)
-                .is_some_and(|&(sep, _)| sep <= start)
-            {
+            if i + 1 < node.len() && node.key(i + 1) <= start {
                 continue;
             }
-            self.scan_node(mem, node.entries[i].1, start, limit, out)?;
+            self.scan_node(mem, node.value(i), start, limit, out)?;
         }
         Ok(())
     }
@@ -462,13 +451,13 @@ impl BTree {
             if current.is_full() {
                 let addr = tree.alloc_quiet()?;
                 current.store(mem, addr)?;
-                level.push((current.entries[0].0, addr));
+                level.push((current.key(0), addr));
                 current = Node::new_leaf();
             }
-            current.entries.push((key, value));
+            current.push((key, value));
         }
         let addr = tree.alloc_quiet()?;
-        let first = current.entries.first().map_or(0, |e| e.0);
+        let first = current.entries().next().map_or(0, |e| e.0);
         current.store(mem, addr)?;
         level.push((first, addr));
 
@@ -477,11 +466,7 @@ impl BTree {
             let mut next: Vec<(u64, u64)> = Vec::new();
             for chunk in level.chunks(FANOUT) {
                 let addr = tree.alloc_quiet()?;
-                let node = Node {
-                    leaf: false,
-                    entries: chunk.to_vec(),
-                };
-                node.store(mem, addr)?;
+                Node::with_entries(false, chunk).store(mem, addr)?;
                 next.push((chunk[0].0, addr));
             }
             level = next;
@@ -510,11 +495,11 @@ impl BTree {
         let mut addr = self.root;
         loop {
             let node = Node::load(mem, addr)?;
-            if node.leaf || node.entries.is_empty() {
+            if node.is_leaf() || node.is_empty() {
                 return Ok(d);
             }
             d += 1;
-            addr = node.entries[0].1;
+            addr = node.value(0);
         }
     }
 }

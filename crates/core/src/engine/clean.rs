@@ -14,7 +14,7 @@ use crate::engine::recovery::CleanJournal;
 use crate::engine::{Engine, InjectionPoint, POS_NONE};
 use crate::error::EnvyError;
 use crate::timing::{BgBatcher, BgKind, BgOp};
-use envy_flash::FlashError;
+use envy_flash::{FlashError, PageData};
 use envy_sim::time::Ns;
 
 impl Engine {
@@ -179,7 +179,7 @@ impl Engine {
     /// repoint the page table).
     ///
     /// Injected program faults are retried on the next erased page of
-    /// the destination (see [`Engine::program_scratch_retrying`]). When
+    /// the destination (see [`Engine::program_retrying`]). When
     /// `torn` names an armed injection point the program is cut
     /// mid-transfer and [`EnvyError::PowerLoss`] returned: the source
     /// stays valid and mapped, so recovery merely scavenges the torn
@@ -191,22 +191,20 @@ impl Engine {
         lp: LogicalPage,
         torn: Option<InjectionPoint>,
     ) -> Result<Ns, EnvyError> {
-        if self.flash.stores_data() {
-            self.flash
-                .read_page(from.segment, from.page, Some(&mut self.scratch))?;
-        } else {
-            self.flash.read_page(from.segment, from.page, None)?;
-        }
+        self.flash.read_page(from.segment, from.page, None)?;
+        let data = PageData::Page {
+            segment: from.segment,
+            page: from.page,
+        };
         if let Some(point) = torn {
             if self.crash_armed(point) {
                 let chips = self.torn_chips();
                 let page = self.write_cursor(to_seg);
-                let data = self.flash.stores_data().then_some(&self.scratch[..]);
                 self.flash.program_page_torn(to_seg, page, data, chips)?;
                 return Err(EnvyError::PowerLoss);
             }
         }
-        let (t, to_page) = self.program_scratch_retrying(to_seg)?;
+        let (t, to_page) = self.program_retrying(to_seg, data)?;
         self.flash.invalidate_page(from.segment, from.page)?;
         self.page_table.map_flash(
             lp,
@@ -219,9 +217,9 @@ impl Engine {
         Ok(t)
     }
 
-    /// Program the scratch buffer (or a stateless page when payloads are
-    /// not stored) into the first erased page of `seg`, retrying on the
-    /// next erased page after an injected verify failure. Returns the
+    /// Program `data` (the Flash page being copied; ignored when payloads
+    /// are not stored) into the first erased page of `seg`, retrying on
+    /// the next erased page after an injected verify failure. Returns the
     /// program time and the page that finally took the data.
     ///
     /// # Errors
@@ -230,13 +228,16 @@ impl Engine {
     /// erased pages — copy destinations are sized for the fault-free
     /// case, so a cleaning destination can in principle overflow under
     /// heavy injected faults; callers surface the error.
-    pub(crate) fn program_scratch_retrying(&mut self, seg: u32) -> Result<(Ns, u32), EnvyError> {
+    pub(crate) fn program_retrying(
+        &mut self,
+        seg: u32,
+        data: PageData<'_>,
+    ) -> Result<(Ns, u32), EnvyError> {
         loop {
             if !self.has_space(seg) {
                 return Err(EnvyError::ArrayFull);
             }
             let page = self.write_cursor(seg);
-            let data = self.flash.stores_data().then_some(&self.scratch[..]);
             match self.flash.program_page(seg, page, data) {
                 Ok(t) => return Ok((t, page)),
                 Err(FlashError::ProgramFailed { .. }) => {
@@ -285,23 +286,21 @@ impl Engine {
         // Relocate transaction shadow copies (§6). They are invalid pages
         // in the array but their contents must survive the erase.
         for (page, lp) in self.shadows.residents_of(victim) {
-            if self.flash.stores_data() {
-                self.flash
-                    .read_page(victim, page, Some(&mut self.scratch))?;
-            } else {
-                self.flash.read_page(victim, page, None)?;
-            }
+            self.flash.read_page(victim, page, None)?;
+            let data = PageData::Page {
+                segment: victim,
+                page,
+            };
             if self.crash_armed(InjectionPoint::CleanDuringShadowCopy) {
                 // Torn shadow relocation: the original shadow survives in
                 // the victim; the torn destination page becomes garbage
                 // for recovery to scavenge.
                 let chips = self.torn_chips();
                 let to_page = self.write_cursor(dest);
-                let data = self.flash.stores_data().then_some(&self.scratch[..]);
                 self.flash.program_page_torn(dest, to_page, data, chips)?;
                 return Err(EnvyError::PowerLoss);
             }
-            let (t, to_page) = self.program_scratch_retrying(dest)?;
+            let (t, to_page) = self.program_retrying(dest, data)?;
             // The shadow is not live data: return it to the invalid state
             // and update the shadow directory.
             self.flash.invalidate_page(dest, to_page)?;

@@ -4,7 +4,7 @@ use crate::addr::FlashLocation;
 use crate::engine::{Engine, InjectionPoint};
 use crate::error::EnvyError;
 use crate::timing::{BgKind, BgOp};
-use envy_flash::FlashError;
+use envy_flash::{FlashError, PageData};
 
 impl Engine {
     /// Flush from the tail until the buffer is back at the threshold
@@ -54,7 +54,6 @@ impl Engine {
         };
         let origin = tail.origin;
         let logical = tail.logical;
-        let stores = self.buffer.stores_data();
         // Resolve the destination first — it may trigger a clean, which
         // never touches the buffer.
         let pos = self.policy_flush_target(origin, ops)?;
@@ -66,15 +65,12 @@ impl Engine {
             // of record; recovery scavenges the orphan.
             let chips = self.torn_chips();
             let pg = self.write_cursor(phys);
-            // Stage the tail payload through the controller scratch: the
-            // program call needs a plain slice, and the buffered frame
-            // (shared with concurrent readers) stays live until the pop.
-            if stores {
-                self.buffer
-                    .read_into(logical, 0, &mut self.scratch)
-                    .expect("tail page is buffered");
-            }
-            let data = stores.then_some(self.scratch.as_slice());
+            // The frame itself is the program's source: it stays live
+            // (and visible to concurrent readers) until the pop.
+            let data = self
+                .buffer
+                .frame_span(logical)
+                .map_or(PageData::None, PageData::Span);
             self.flash.program_page_torn(phys, pg, data, chips)?;
             return Err(EnvyError::PowerLoss);
         }
@@ -92,14 +88,10 @@ impl Engine {
                     .emit(crate::trace::TraceEvent::Remap { segment: exhausted });
             }
             let pg = self.write_cursor(phys);
-            // Re-stage each attempt: target re-resolution above may have
-            // cleaned, and cleaning shares the scratch page.
-            if stores {
-                self.buffer
-                    .read_into(logical, 0, &mut self.scratch)
-                    .expect("tail page is buffered");
-            }
-            let data = stores.then_some(self.scratch.as_slice());
+            let data = self
+                .buffer
+                .frame_span(logical)
+                .map_or(PageData::None, PageData::Span);
             match self.flash.program_page(phys, pg, data) {
                 Ok(t) => break (t, pg),
                 Err(FlashError::ProgramFailed { .. }) => {

@@ -85,7 +85,7 @@ impl Engine {
             }
             Location::Flash(loc) => {
                 // Zero-copy: the sub-page range lands straight in the
-                // caller's slice instead of round-tripping through scratch.
+                // caller's slice, not a page-sized staging buffer.
                 self.flash
                     .read_page_into(loc.segment, loc.page, offset, buf)?;
                 Ok(ReadSource::Flash {
@@ -183,24 +183,20 @@ impl Engine {
                 }
                 let origin = self.pos_of[loc.segment as usize];
                 debug_assert_ne!(origin, crate::engine::POS_NONE, "live data in the spare");
-                // One probe claims the SRAM frame; the Flash original is
-                // staged through the controller's scratch page with the
-                // host bytes applied on top, then lands in the shared
-                // frame arena as one whole-page store.
-                match self
+                // One probe claims the SRAM frame; the Flash original
+                // moves into it arena to arena (the wide datapath), then
+                // the host bytes land on top.
+                let frame = self
                     .buffer
                     .insert_frame(lp, Some(origin))
-                    .expect("buffer has space after flushing")
-                {
-                    Some(mut frame) => {
-                        self.flash
-                            .read_page_into(loc.segment, loc.page, 0, &mut self.scratch)?;
-                        self.scratch[offset..offset + bytes.len()].copy_from_slice(bytes);
-                        frame.copy_from_slice(&self.scratch);
+                    .expect("buffer has space after flushing");
+                let original = self.flash.read_page_span(loc.segment, loc.page)?;
+                if let Some(mut frame) = frame {
+                    match original {
+                        Some(original) => frame.copy_from_span(original),
+                        None => frame.fill(0xFF),
                     }
-                    None => {
-                        self.flash.read_page(loc.segment, loc.page, None)?;
-                    }
+                    frame.write(offset, bytes);
                 }
                 // §6: the invalidated original is a free shadow copy —
                 // pinned only for a *transactional* writer. A plain write

@@ -40,7 +40,7 @@ use crate::error::EnvyError;
 use crate::mmu::Mmu;
 use crate::page_table::PageTable;
 use crate::stats::EnvyStats;
-use envy_flash::FlashArray;
+use envy_flash::{FlashArray, PageData};
 use envy_sram::WriteBuffer;
 
 /// Marker for "this physical segment has no position" (it is the spare).
@@ -104,8 +104,6 @@ pub struct Engine {
     /// `pages_flushed` statistic it is never reset (see [`Engine::fork`]),
     /// so it stays coherent with `seg_last_write`.
     pub(crate) flush_clock: u64,
-    /// Scratch page buffer reused by copies.
-    pub(crate) scratch: Vec<u8>,
     /// Persistent resident-scan buffer reused by cleaning and wear
     /// leveling, so a paper-scale clean does not allocate a fresh list of
     /// up to 65 536 residents per victim.
@@ -146,7 +144,6 @@ impl Engine {
         let policy = PolicyState::new(&config, positions);
         Ok(Engine {
             addr_map: AddrMap::new(geo.page_bytes()),
-            scratch: vec![0xFF; geo.page_bytes() as usize],
             resident_scan: Vec::new(),
             config,
             flash,
@@ -314,7 +311,8 @@ impl Engine {
                     break 'outer;
                 }
                 let page = self.write_cursor(phys);
-                self.flash.program_page(phys, page, erased.as_deref())?;
+                let data = erased.as_deref().map_or(PageData::None, PageData::Bytes);
+                self.flash.program_page(phys, page, data)?;
                 self.page_table.map_flash(
                     lp,
                     crate::addr::FlashLocation {

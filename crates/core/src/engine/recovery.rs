@@ -5,8 +5,8 @@
 //! and page table, the transaction state, and the cleaning journal
 //! (§3.4: "The state of the cleaning process is kept in persistent
 //! memory so the controller can recover quickly after a failure").
-//! Volatile state — the MMU mapping cache, the copy scratch buffer, and
-//! in-flight background-operation timing — is discarded by
+//! Volatile state — the MMU mapping cache and in-flight
+//! background-operation timing — is discarded by
 //! [`Engine::power_failure`] and rebuilt here.
 //!
 //! [`Engine::recover`] restores the invariants in five steps, each
@@ -81,14 +81,13 @@ impl Engine {
     /// battery-backed buffer, page table, transaction ids and clean
     /// journal survive.
     ///
-    /// Volatile state means the MMU mapping cache, the controller's copy
-    /// scratch buffer (poisoned, so recovery cannot silently rely on
-    /// mid-operation contents), and the in-progress flag of a wear swap.
+    /// Volatile state means the MMU mapping cache and the in-progress
+    /// flag of a wear swap (page copies move arena to arena, so the
+    /// controller holds no copy buffer to lose).
     /// Callers holding un-replayed [`BgOp`]s must drop them — the timed
     /// store does this in [`crate::store::EnvyStore::power_failure`].
     pub fn power_failure(&mut self) {
         self.mmu.invalidate_all();
-        self.scratch.fill(0xA5);
         self.wear_in_progress = false;
     }
 

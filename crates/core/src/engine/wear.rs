@@ -147,12 +147,12 @@ impl Engine {
             return Err(e);
         }
         for (page, lp) in self.shadows.residents_of(from) {
-            if self.flash.stores_data() {
-                self.flash.read_page(from, page, Some(&mut self.scratch))?;
-            } else {
-                self.flash.read_page(from, page, None)?;
-            }
-            let (t, to_page) = self.program_scratch_retrying(to)?;
+            self.flash.read_page(from, page, None)?;
+            let data = envy_flash::PageData::Page {
+                segment: from,
+                page,
+            };
+            let (t, to_page) = self.program_retrying(to, data)?;
             self.flash.invalidate_page(to, to_page)?;
             self.shadows.relocate(
                 lp,

@@ -821,7 +821,7 @@ impl EnvyStore {
 
     /// Simulate a power failure (volatile state lost).
     ///
-    /// Besides the engine's volatile state (MMU cache, copy scratch),
+    /// Besides the engine's volatile state (MMU cache, wear-swap flag),
     /// the store drops its own: queued-but-unexecuted background
     /// operations and the in-flight timing of the devices. The simulated
     /// clock is kept — it models wall time, which a power cut does not

@@ -12,7 +12,7 @@ use crate::error::FlashError;
 use crate::geometry::{FlashGeometry, FlashTimings};
 use envy_sim::stats::Counter;
 use envy_sim::time::Ns;
-use envy_sync::{ArenaView, SharedArena};
+use envy_sync::{ArenaSpan, ArenaView, SharedArena};
 
 /// Lifecycle state of one Flash page.
 ///
@@ -28,6 +28,31 @@ pub enum PageState {
     Valid,
     /// Holds stale data awaiting cleaning.
     Invalid,
+}
+
+/// Where the payload of a page being programmed comes from.
+///
+/// The last two variants name bytes that already live in a payload arena,
+/// so the program moves them arena to arena in one pass — the model of the
+/// paper's wide datapath — instead of staging them in a caller buffer.
+#[derive(Debug, Clone, Copy)]
+pub enum PageData<'a> {
+    /// No payload: the page becomes valid with unspecified contents
+    /// (state-only simulations).
+    None,
+    /// Page-sized caller bytes.
+    Bytes(&'a [u8]),
+    /// A page-sized span of another arena (an SRAM buffer frame being
+    /// flushed).
+    Span(ArenaSpan<'a>),
+    /// Another page of this array (cleaning, wear-leveling and shadow
+    /// relocation copies). Must not be the page being programmed.
+    Page {
+        /// Source segment.
+        segment: u32,
+        /// Source page within the segment.
+        page: u32,
+    },
 }
 
 /// Operation counters for the array.
@@ -114,12 +139,12 @@ impl Segment {
 /// # Example
 ///
 /// ```
-/// use envy_flash::{FlashArray, FlashGeometry, FlashTimings};
+/// use envy_flash::{FlashArray, FlashGeometry, FlashTimings, PageData};
 ///
 /// # fn main() -> Result<(), envy_flash::FlashError> {
 /// let geo = FlashGeometry::new(1, 4, 8, 64)?;
 /// let mut a = FlashArray::new(geo, FlashTimings::paper(), false);
-/// a.program_page(2, 0, None)?;
+/// a.program_page(2, 0, PageData::None)?;
 /// assert_eq!(a.valid_pages(2), 1);
 /// a.invalidate_page(2, 0)?;
 /// a.erase_segment(2)?;
@@ -143,6 +168,51 @@ pub struct FlashArray {
     faults: Option<Box<FlashFaults>>,
 }
 
+/// Byte offset of a page's payload within the flat arena.
+#[inline]
+fn page_base(geo: &FlashGeometry, segment: u32, page: u32) -> usize {
+    (segment as usize * geo.pages_per_segment() as usize + page as usize)
+        * geo.page_bytes() as usize
+}
+
+impl PageData<'_> {
+    /// Validate the source against the geometry: bytes and spans must be
+    /// page-sized, a source page must exist.
+    fn check(&self, geo: &FlashGeometry) -> Result<(), FlashError> {
+        let expected = geo.page_bytes() as usize;
+        match *self {
+            PageData::None => Ok(()),
+            PageData::Bytes(bytes) if bytes.len() != expected => Err(FlashError::BadBufferLength {
+                expected,
+                actual: bytes.len(),
+            }),
+            PageData::Span(span) if span.len() != expected => Err(FlashError::BadBufferLength {
+                expected,
+                actual: span.len(),
+            }),
+            PageData::Page { segment, page }
+                if segment >= geo.segments() || page >= geo.pages_per_segment() =>
+            {
+                Err(FlashError::OutOfRange { segment, page })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Land the first `len` bytes of the (checked) source at `base` of
+    /// the payload arena.
+    fn store(self, geo: &FlashGeometry, payload: &mut SharedArena, base: usize, len: usize) {
+        match self {
+            PageData::None => {}
+            PageData::Bytes(bytes) => payload.write_bytes(base, &bytes[..len]),
+            PageData::Span(span) => payload.copy_from(base, span.prefix(len)),
+            PageData::Page { segment, page } => {
+                payload.copy_within(page_base(geo, segment, page), base, len);
+            }
+        }
+    }
+}
+
 impl FlashArray {
     /// Create an array, fully erased.
     pub fn new(geo: FlashGeometry, timings: FlashTimings, store_data: bool) -> FlashArray {
@@ -161,13 +231,6 @@ impl FlashArray {
             stats: FlashStats::default(),
             faults: None,
         }
-    }
-
-    /// Byte offset of a page's payload within the flat arena.
-    #[inline]
-    fn page_base(&self, segment: u32, page: u32) -> usize {
-        (segment as usize * self.geo.pages_per_segment() as usize + page as usize)
-            * self.geo.page_bytes() as usize
     }
 
     /// Reader handle to the payload arena (if payload storage is enabled),
@@ -263,7 +326,7 @@ impl FlashArray {
                 });
             }
             if let Some(data) = &self.payload {
-                data.read_bytes(self.page_base(segment, page), buf);
+                data.read_bytes(page_base(&self.geo, segment, page), buf);
             } else {
                 buf.fill(0xFF);
             }
@@ -301,7 +364,7 @@ impl FlashArray {
             });
         }
         if let Some(data) = &self.payload {
-            data.read_bytes(self.page_base(segment, page) + offset, buf);
+            data.read_bytes(page_base(&self.geo, segment, page) + offset, buf);
         } else {
             buf.fill(0xFF);
         }
@@ -309,12 +372,35 @@ impl FlashArray {
         Ok(self.timings.read)
     }
 
+    /// Read a page as the source of an arena-to-arena copy (the
+    /// copy-on-write into an SRAM frame): instead of copying the payload
+    /// out, lend it. `None` when payload storage is disabled.
+    ///
+    /// Counts exactly like [`FlashArray::read_page`].
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::OutOfRange`].
+    pub fn read_page_span(
+        &mut self,
+        segment: u32,
+        page: u32,
+    ) -> Result<Option<ArenaSpan<'_>>, FlashError> {
+        self.check(segment, page)?;
+        self.stats.page_reads.incr();
+        let geo = &self.geo;
+        Ok(self
+            .payload
+            .as_ref()
+            .map(|data| data.span(page_base(geo, segment, page), geo.page_bytes() as usize)))
+    }
+
     /// Program a page (one wide-bus transfer plus the Flash program time).
     ///
     /// The page must be erased — Flash cannot update in place. If payload
-    /// storage is enabled and `data` is provided it is written; programming
-    /// with `None` marks the page valid with unspecified contents (used by
-    /// state-only simulations).
+    /// storage is enabled the bytes `data` names are written; programming
+    /// with [`PageData::None`] marks the page valid with unspecified
+    /// contents (used by state-only simulations).
     ///
     /// Returns the device program time (subject to wear degradation).
     ///
@@ -326,11 +412,11 @@ impl FlashArray {
         &mut self,
         segment: u32,
         page: u32,
-        data: Option<&[u8]>,
+        data: PageData<'_>,
     ) -> Result<Ns, FlashError> {
         // Locate the segment with a single bounds probe; the no-data path
         // (state-only simulations) then touches nothing but the page-state
-        // slot — no buffer-length or payload branches.
+        // slot — beyond a tag test of `data`, no payload work.
         let pps = self.geo.pages_per_segment();
         let Some(seg) = self.segments.get_mut(segment as usize) else {
             return Err(FlashError::OutOfRange {
@@ -341,13 +427,7 @@ impl FlashArray {
         if page >= pps {
             return Err(FlashError::OutOfRange { segment, page });
         }
-        let pb = self.geo.page_bytes() as usize;
-        if data.is_some_and(|d| d.len() != pb) {
-            return Err(FlashError::BadBufferLength {
-                expected: pb,
-                actual: data.map_or(0, <[u8]>::len),
-            });
-        }
+        data.check(&self.geo)?;
         let state = &mut seg.pages[page as usize];
         if *state != PageState::Erased {
             return Err(FlashError::ProgramToNonErased { segment, page });
@@ -365,9 +445,9 @@ impl FlashArray {
         }
         *state = PageState::Valid;
         seg.valid += 1;
-        if let (Some(store), Some(data)) = (&self.payload, data) {
-            let base = (segment as usize * pps as usize + page as usize) * pb;
-            store.write_bytes(base, data);
+        if let Some(payload) = &mut self.payload {
+            let base = page_base(&self.geo, segment, page);
+            data.store(&self.geo, payload, base, self.geo.page_bytes() as usize);
         }
         let cost = self.timings.program_at(seg.erase_cycles);
         self.stats.page_programs.incr();
@@ -392,17 +472,11 @@ impl FlashArray {
         &mut self,
         segment: u32,
         page: u32,
-        data: Option<&[u8]>,
+        data: PageData<'_>,
         chips_programmed: u32,
     ) -> Result<(), FlashError> {
         self.check(segment, page)?;
-        let pb = self.geo.page_bytes() as usize;
-        if data.is_some_and(|d| d.len() != pb) {
-            return Err(FlashError::BadBufferLength {
-                expected: pb,
-                actual: data.map_or(0, <[u8]>::len),
-            });
-        }
+        data.check(&self.geo)?;
         let seg = &mut self.segments[segment as usize];
         let state = &mut seg.pages[page as usize];
         if *state != PageState::Erased {
@@ -413,11 +487,10 @@ impl FlashArray {
         // scavenger can find and invalidate it.
         *state = PageState::Valid;
         seg.valid += 1;
-        if let (Some(store), Some(data)) = (&self.payload, data) {
-            let torn = (chips_programmed as usize).min(pb);
-            let pps = self.geo.pages_per_segment() as usize;
-            let base = (segment as usize * pps + page as usize) * pb;
-            store.write_bytes(base, &data[..torn]);
+        if let Some(payload) = &mut self.payload {
+            let torn = (chips_programmed as usize).min(self.geo.page_bytes() as usize);
+            let base = page_base(&self.geo, segment, page);
+            data.store(&self.geo, payload, base, torn);
         }
         Ok(())
     }
@@ -443,7 +516,7 @@ impl FlashArray {
         }
         seg.pages.fill(PageState::Invalid);
         seg.invalid = pps;
-        if let Some(data) = &self.payload {
+        if let Some(data) = &mut self.payload {
             let len = pps as usize * self.geo.page_bytes() as usize;
             data.fill(segment as usize * len, len, 0x00);
         }
@@ -515,7 +588,7 @@ impl FlashArray {
                 // indeterminate until a successful erase.
                 seg.pages.fill(PageState::Invalid);
                 seg.invalid = pps;
-                if let Some(data) = &self.payload {
+                if let Some(data) = &mut self.payload {
                     let len = pps as usize * self.geo.page_bytes() as usize;
                     data.fill(segment as usize * len, len, 0x00);
                 }
@@ -525,7 +598,7 @@ impl FlashArray {
         seg.pages.fill(PageState::Erased);
         seg.invalid = 0;
         seg.erase_cycles += 1;
-        if let Some(data) = &self.payload {
+        if let Some(data) = &mut self.payload {
             let len = pps as usize * self.geo.page_bytes() as usize;
             data.fill(segment as usize * len, len, 0xFF);
         }
@@ -620,7 +693,7 @@ mod tests {
     fn program_read_roundtrip() {
         let mut a = small();
         let data: Vec<u8> = (0..16).collect();
-        let cost = a.program_page(1, 3, Some(&data)).unwrap();
+        let cost = a.program_page(1, 3, PageData::Bytes(&data)).unwrap();
         assert_eq!(cost, Ns::from_micros(4));
         assert_eq!(a.page_state(1, 3), PageState::Valid);
         let mut out = vec![0; 16];
@@ -632,8 +705,8 @@ mod tests {
     #[test]
     fn program_twice_fails() {
         let mut a = small();
-        a.program_page(0, 0, None).unwrap();
-        let err = a.program_page(0, 0, None).unwrap_err();
+        a.program_page(0, 0, PageData::None).unwrap();
+        let err = a.program_page(0, 0, PageData::None).unwrap_err();
         assert_eq!(
             err,
             FlashError::ProgramToNonErased {
@@ -646,9 +719,9 @@ mod tests {
     #[test]
     fn program_invalid_page_fails() {
         let mut a = small();
-        a.program_page(0, 0, None).unwrap();
+        a.program_page(0, 0, PageData::None).unwrap();
         a.invalidate_page(0, 0).unwrap();
-        assert!(a.program_page(0, 0, None).is_err());
+        assert!(a.program_page(0, 0, PageData::None).is_err());
     }
 
     #[test]
@@ -662,7 +735,7 @@ mod tests {
                 page: 5
             }
         );
-        a.program_page(0, 5, None).unwrap();
+        a.program_page(0, 5, PageData::None).unwrap();
         a.invalidate_page(0, 5).unwrap();
         // Double invalidate also fails.
         assert!(a.invalidate_page(0, 5).is_err());
@@ -671,8 +744,8 @@ mod tests {
     #[test]
     fn erase_requires_no_live_data() {
         let mut a = small();
-        a.program_page(2, 0, None).unwrap();
-        a.program_page(2, 1, None).unwrap();
+        a.program_page(2, 0, PageData::None).unwrap();
+        a.program_page(2, 1, PageData::None).unwrap();
         let err = a.erase_segment(2).unwrap_err();
         assert_eq!(
             err,
@@ -693,10 +766,10 @@ mod tests {
     fn erase_resets_data_to_ff() {
         let mut a = small();
         let data = vec![0u8; 16];
-        a.program_page(0, 0, Some(&data)).unwrap();
+        a.program_page(0, 0, PageData::Bytes(&data)).unwrap();
         a.invalidate_page(0, 0).unwrap();
         a.erase_segment(0).unwrap();
-        a.program_page(0, 0, None).unwrap(); // valid, contents unspecified
+        a.program_page(0, 0, PageData::None).unwrap(); // valid, contents unspecified
         let mut out = vec![0; 16];
         a.read_page(0, 0, Some(&mut out)).unwrap();
         assert_eq!(out, vec![0xFF; 16]);
@@ -705,9 +778,9 @@ mod tests {
     #[test]
     fn counts_track_state_transitions() {
         let mut a = small();
-        a.program_page(3, 0, None).unwrap();
-        a.program_page(3, 1, None).unwrap();
-        a.program_page(3, 2, None).unwrap();
+        a.program_page(3, 0, PageData::None).unwrap();
+        a.program_page(3, 1, PageData::None).unwrap();
+        a.program_page(3, 2, PageData::None).unwrap();
         a.invalidate_page(3, 1).unwrap();
         assert_eq!(a.valid_pages(3), 2);
         assert_eq!(a.invalid_pages(3), 1);
@@ -718,7 +791,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut a = small();
-        a.program_page(0, 0, None).unwrap();
+        a.program_page(0, 0, PageData::None).unwrap();
         a.read_page(0, 0, None).unwrap();
         a.invalidate_page(0, 0).unwrap();
         a.erase_segment(0).unwrap();
@@ -733,7 +806,7 @@ mod tests {
     fn revalidate_restores_shadow_copy() {
         let mut a = small();
         let data: Vec<u8> = (100..116).collect();
-        a.program_page(0, 0, Some(&data)).unwrap();
+        a.program_page(0, 0, PageData::Bytes(&data)).unwrap();
         a.invalidate_page(0, 0).unwrap();
         a.revalidate_page(0, 0).unwrap();
         assert_eq!(a.page_state(0, 0), PageState::Valid);
@@ -749,15 +822,15 @@ mod tests {
     fn revalidate_requires_invalid() {
         let mut a = small();
         assert!(a.revalidate_page(0, 0).is_err()); // erased
-        a.program_page(0, 0, None).unwrap();
+        a.program_page(0, 0, PageData::None).unwrap();
         assert!(a.revalidate_page(0, 0).is_err()); // valid
     }
 
     #[test]
     fn out_of_range_checks() {
         let mut a = small();
-        assert!(a.program_page(4, 0, None).is_err());
-        assert!(a.program_page(0, 8, None).is_err());
+        assert!(a.program_page(4, 0, PageData::None).is_err());
+        assert!(a.program_page(0, 8, PageData::None).is_err());
         assert!(a.read_page(9, 0, None).is_err());
         assert!(a.erase_segment(11).is_err());
     }
@@ -767,7 +840,7 @@ mod tests {
         let mut a = small();
         let short = vec![0u8; 3];
         assert!(matches!(
-            a.program_page(0, 0, Some(&short)),
+            a.program_page(0, 0, PageData::Bytes(&short)),
             Err(FlashError::BadBufferLength {
                 expected: 16,
                 actual: 3
@@ -781,7 +854,7 @@ mod tests {
     fn read_page_into_subrange() {
         let mut a = small();
         let data: Vec<u8> = (0..16).collect();
-        a.program_page(1, 2, Some(&data)).unwrap();
+        a.program_page(1, 2, PageData::Bytes(&data)).unwrap();
         let mut out = [0u8; 5];
         let cost = a.read_page_into(1, 2, 3, &mut out).unwrap();
         assert_eq!(cost, Ns::from_nanos(100));
@@ -799,7 +872,7 @@ mod tests {
         // Stateless arrays fill erased bytes.
         let geo = FlashGeometry::new(1, 1, 4, 8).unwrap();
         let mut s = FlashArray::new(geo, FlashTimings::paper(), false);
-        s.program_page(0, 0, None).unwrap();
+        s.program_page(0, 0, PageData::None).unwrap();
         let mut out = [0u8; 4];
         s.read_page_into(0, 0, 2, &mut out).unwrap();
         assert_eq!(out, [0xFF; 4]);
@@ -810,7 +883,7 @@ mod tests {
         let geo = FlashGeometry::new(1, 1, 4, 8).unwrap();
         let mut a = FlashArray::new(geo, FlashTimings::paper(), false);
         assert!(!a.stores_data());
-        a.program_page(0, 0, None).unwrap();
+        a.program_page(0, 0, PageData::None).unwrap();
         let mut out = vec![0; 8];
         a.read_page(0, 0, Some(&mut out)).unwrap();
         assert_eq!(out, vec![0xFF; 8]);
@@ -833,7 +906,7 @@ mod tests {
         let mut a = small();
         // 32 pages total; fill 8.
         for p in 0..8 {
-            a.program_page(0, p, None).unwrap();
+            a.program_page(0, p, PageData::None).unwrap();
         }
         assert!((a.array_utilization() - 0.25).abs() < 1e-12);
         assert_eq!(a.total_valid_pages(), 8);
@@ -859,7 +932,7 @@ mod tests {
         let mut a = FlashArray::new(geo, timings, false);
         a.erase_segment(0).unwrap();
         a.erase_segment(0).unwrap(); // cycles = 2 = rated
-        let cost = a.program_page(0, 0, None).unwrap();
+        let cost = a.program_page(0, 0, PageData::None).unwrap();
         assert_eq!(cost, Ns::from_micros(8));
     }
 
@@ -867,8 +940,8 @@ mod tests {
     fn injected_program_fault_fires_on_nth_op_and_kills_the_page() {
         let mut a = small();
         a.set_faults(Some(FlashFaults::fail_programs([2])));
-        a.program_page(0, 0, None).unwrap(); // op 1: fine
-        let err = a.program_page(0, 1, None).unwrap_err(); // op 2: fails
+        a.program_page(0, 0, PageData::None).unwrap(); // op 1: fine
+        let err = a.program_page(0, 1, PageData::None).unwrap_err(); // op 2: fails
         assert_eq!(
             err,
             FlashError::ProgramFailed {
@@ -878,15 +951,15 @@ mod tests {
         );
         // The failed page is dead until erase; the next page still works.
         assert_eq!(a.page_state(0, 1), PageState::Invalid);
-        assert!(a.program_page(0, 1, None).is_err());
-        a.program_page(0, 2, None).unwrap(); // op 3: schedule exhausted
+        assert!(a.program_page(0, 1, PageData::None).is_err());
+        a.program_page(0, 2, PageData::None).unwrap(); // op 3: schedule exhausted
         assert!(a.faults().unwrap().exhausted());
     }
 
     #[test]
     fn injected_erase_fault_leaves_segment_unusable_until_retry() {
         let mut a = small();
-        a.program_page(1, 0, None).unwrap();
+        a.program_page(1, 0, PageData::None).unwrap();
         a.invalidate_page(1, 0).unwrap();
         a.set_faults(Some(FlashFaults::fail_erases([1])));
         let err = a.erase_segment(1).unwrap_err();
@@ -903,7 +976,7 @@ mod tests {
         let mut a = small();
         a.set_faults(Some(FlashFaults::fail_programs([1])));
         a.set_faults(None);
-        a.program_page(0, 0, None).unwrap();
+        a.program_page(0, 0, PageData::None).unwrap();
         assert!(a.faults().is_none());
     }
 
@@ -911,7 +984,8 @@ mod tests {
     fn torn_program_writes_prefix_lanes_only() {
         let mut a = small();
         let data = vec![0x00u8; 16];
-        a.program_page_torn(0, 0, Some(&data), 5).unwrap();
+        a.program_page_torn(0, 0, PageData::Bytes(&data), 5)
+            .unwrap();
         assert_eq!(a.page_state(0, 0), PageState::Valid);
         let mut out = vec![0u8; 16];
         a.read_page(0, 0, Some(&mut out)).unwrap();
@@ -919,13 +993,81 @@ mod tests {
         assert_eq!(&out[..5], &[0x00; 5]);
         assert_eq!(&out[5..], &[0xFF; 11]);
         // Write-once: the torn page cannot be programmed again.
-        assert!(a.program_page(0, 0, Some(&data)).is_err());
+        assert!(a.program_page(0, 0, PageData::Bytes(&data)).is_err());
+    }
+
+    /// The arena-sourced programs land the same bytes a caller slice
+    /// would: a page of this array, a span of another arena, and a torn
+    /// prefix of either.
+    #[test]
+    fn programs_from_a_page_and_from_a_span() {
+        let mut a = small();
+        let data: Vec<u8> = (1..=16).collect();
+        a.program_page(0, 0, PageData::Bytes(&data)).unwrap();
+        let src = PageData::Page {
+            segment: 0,
+            page: 0,
+        };
+        a.program_page(1, 3, src).unwrap();
+        a.program_page_torn(1, 4, src, 5).unwrap();
+
+        let frames = SharedArena::new(64, 0xAA);
+        let reads = a.stats().page_reads.get();
+        let lent = a.read_page_span(1, 3).unwrap().expect("payload stored");
+        let mut frame = SharedArena::new(16, 0);
+        frame.copy_from(0, lent);
+        assert_eq!(a.stats().page_reads.get(), reads + 1, "a span read counts");
+        a.program_page(2, 0, PageData::Span(frames.span(16, 16)))
+            .unwrap();
+        a.program_page(2, 1, PageData::Span(frame.span(0, 16)))
+            .unwrap();
+
+        let mut page = |segment, page| {
+            let mut out = vec![0u8; 16];
+            a.read_page(segment, page, Some(&mut out)).unwrap();
+            out
+        };
+        assert_eq!(page(1, 3), data);
+        assert_eq!(page(1, 4), [&data[..5], &[0xFF; 11]].concat());
+        assert_eq!(page(2, 0), [0xAA; 16]);
+        assert_eq!(page(2, 1), data);
+    }
+
+    #[test]
+    fn arena_sources_are_validated() {
+        let mut a = small();
+        let frames = SharedArena::new(64, 0);
+        assert!(matches!(
+            a.program_page(0, 0, PageData::Span(frames.span(0, 15))),
+            Err(FlashError::BadBufferLength {
+                expected: 16,
+                actual: 15
+            })
+        ));
+        for (segment, page) in [(4, 0), (0, 8)] {
+            assert!(matches!(
+                a.program_page(0, 0, PageData::Page { segment, page }),
+                Err(FlashError::OutOfRange { .. })
+            ));
+        }
+        assert!(a.read_page_span(4, 0).is_err());
+        // Nothing above programmed the page.
+        assert_eq!(a.page_state(0, 0), PageState::Erased);
+        // A stateless array lends nothing and ignores a page source.
+        let geo = FlashGeometry::new(2, 4, 8, 16).unwrap();
+        let mut s = FlashArray::new(geo, FlashTimings::paper(), false);
+        assert!(s.read_page_span(0, 0).unwrap().is_none());
+        let src = PageData::Page {
+            segment: 0,
+            page: 0,
+        };
+        s.program_page(1, 0, src).unwrap();
     }
 
     #[test]
     fn torn_erase_requires_reissue() {
         let mut a = small();
-        a.program_page(2, 0, None).unwrap();
+        a.program_page(2, 0, PageData::None).unwrap();
         a.invalidate_page(2, 0).unwrap();
         a.erase_segment_torn(2).unwrap();
         assert_eq!(a.erased_pages(2), 0);
@@ -934,7 +1076,7 @@ mod tests {
         a.erase_segment(2).unwrap();
         assert_eq!(a.erased_pages(2), 8);
         // A torn erase refuses segments with live data, like a real one.
-        a.program_page(3, 0, None).unwrap();
+        a.program_page(3, 0, PageData::None).unwrap();
         assert!(a.erase_segment_torn(3).is_err());
     }
 }

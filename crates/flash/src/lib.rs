@@ -22,14 +22,14 @@
 //! # Example
 //!
 //! ```
-//! use envy_flash::{FlashArray, FlashGeometry, FlashTimings};
+//! use envy_flash::{FlashArray, FlashGeometry, FlashTimings, PageData};
 //!
 //! # fn main() -> Result<(), envy_flash::FlashError> {
 //! let geo = FlashGeometry::new(2, 8, 16, 256)?; // 2 banks, 8 segments
 //! let mut array = FlashArray::new(geo, FlashTimings::paper(), true);
 //!
 //! let data = vec![0xAB; 256];
-//! array.program_page(0, 0, Some(&data))?;
+//! array.program_page(0, 0, PageData::Bytes(&data))?;
 //! let mut out = vec![0; 256];
 //! array.read_page(0, 0, Some(&mut out));
 //! assert_eq!(out, data);
@@ -42,7 +42,7 @@ pub mod chip;
 pub mod error;
 pub mod geometry;
 
-pub use array::{FlashArray, FlashFaults, FlashStats, PageState};
+pub use array::{FlashArray, FlashFaults, FlashStats, PageData, PageState};
 pub use chip::{ChipState, FlashChip};
 pub use error::FlashError;
 pub use geometry::{FlashGeometry, FlashTimings};

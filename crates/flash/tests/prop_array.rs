@@ -4,7 +4,7 @@
 //! valid/invalid/erased counts consistent with an explicit model, and
 //! illegal transitions must be rejected exactly when the model says so.
 
-use envy_flash::{FlashArray, FlashGeometry, FlashTimings, PageState};
+use envy_flash::{FlashArray, FlashGeometry, FlashTimings, PageData, PageState};
 use envy_sim::check::{cases, Gen};
 
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ fn array_matches_model() {
             match op {
                 Op::Program { seg, page } => {
                     let legal = model[seg as usize][page as usize] == PageState::Erased;
-                    let got = array.program_page(seg, page, None);
+                    let got = array.program_page(seg, page, PageData::None);
                     assert_eq!(got.is_ok(), legal, "{op:?}");
                     if legal {
                         model[seg as usize][page as usize] = PageState::Valid;
@@ -107,7 +107,7 @@ fn data_mode_preserves_last_programmed_bytes() {
             }
             if array.page_state(0, page) == PageState::Erased {
                 let data = [byte; 8];
-                array.program_page(0, page, Some(&data)).unwrap();
+                array.program_page(0, page, PageData::Bytes(&data)).unwrap();
                 let mut out = [0u8; 8];
                 array.read_page(0, page, Some(&mut out)).unwrap();
                 assert_eq!(out, data);

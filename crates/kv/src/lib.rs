@@ -283,10 +283,12 @@ impl KvStore {
             return Err(KvError::ValueTooLarge { len: value.len() });
         }
         let addr = self.arena.alloc(mem, RECORD_HEADER + value.len() as u64)?;
-        let mut record = Vec::with_capacity(RECORD_HEADER as usize + value.len());
-        record.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        record.extend_from_slice(value);
-        mem.write(addr, &record)?;
+        // Prefix and value go out as one write, staged on the stack.
+        let mut record = [0u8; RECORD_HEADER as usize + MAX_VALUE];
+        let (prefix, body) = record.split_at_mut(RECORD_HEADER as usize);
+        prefix.copy_from_slice(&(value.len() as u32).to_le_bytes());
+        body[..value.len()].copy_from_slice(value);
+        mem.write(addr, &record[..RECORD_HEADER as usize + value.len()])?;
         let old = match self.tree.insert(mem, key, addr) {
             Ok(old) => old,
             Err(e) => {
@@ -470,10 +472,11 @@ mod tests {
         kv.put(&mut m, 100, &vec![2u8; 1024]).unwrap();
     }
 
-    #[test]
-    fn differential_vs_btreemap_model() {
-        let mut m = mem();
-        let mut kv = KvStore::create(&mut m, 0, 2 * 1024 * 1024).unwrap();
+    /// Seeded put/get/delete/scan stream over a store filling `m`,
+    /// checked op by op against a `BTreeMap`.
+    fn differential<M: Memory>(m: &mut M) {
+        let len = m.size();
+        let mut kv = KvStore::create(m, 0, len).unwrap();
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let mut rng = envy_sim::rng::Rng::seed_from(0x6B76);
         for _ in 0..5_000 {
@@ -481,12 +484,12 @@ mod tests {
             match rng.below(4) {
                 0 | 1 => {
                     let value = vec![rng.below(256) as u8; rng.below(200) as usize];
-                    kv.put(&mut m, key, &value).unwrap();
+                    kv.put(m, key, &value).unwrap();
                     model.insert(key, value);
                 }
                 2 => {
                     let expected = model.remove(&key).is_some();
-                    assert_eq!(kv.delete(&mut m, key).unwrap(), expected);
+                    assert_eq!(kv.delete(m, key).unwrap(), expected);
                 }
                 _ => {
                     let limit = rng.below(12) as usize;
@@ -495,14 +498,33 @@ mod tests {
                         .take(limit)
                         .map(|(k, v)| (*k, v.clone()))
                         .collect();
-                    assert_eq!(kv.scan(&mut m, key, limit).unwrap(), expected);
+                    assert_eq!(kv.scan(m, key, limit).unwrap(), expected);
                 }
             }
             assert_eq!(kv.count(), model.len() as u64);
         }
         for (k, v) in &model {
-            assert_eq!(kv.get(&mut m, *k).unwrap().as_ref(), Some(v));
+            assert_eq!(kv.get(m, *k).unwrap().as_ref(), Some(v));
         }
+    }
+
+    #[test]
+    fn differential_vs_btreemap_model() {
+        differential(&mut VecMemory::new(2 * 1024 * 1024));
+    }
+
+    /// The same stream over the controller with payloads stored: every
+    /// byte crosses the arenas through copy-on-write, flush and cleaning.
+    #[test]
+    fn differential_vs_btreemap_model_over_envy_store() {
+        use envy_core::{EnvyConfig, EnvyStore};
+        let mut store = EnvyStore::new(EnvyConfig::small_test()).unwrap();
+        differential(&mut store);
+        assert!(
+            store.stats().cleans.get() > 0,
+            "the stream must reach cleaning"
+        );
+        store.check_invariants().unwrap();
     }
 
     #[test]

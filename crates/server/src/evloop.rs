@@ -293,8 +293,13 @@ impl Waker {
     fn drain(&self) {
         let mut buf = [0u8; 64];
         loop {
+            // SAFETY: `rfd` is this waker's open descriptor and `buf` is
+            // writable for the `buf.len()` bytes the kernel may fill.
             let n = unsafe { sys::read(self.rfd, buf.as_mut_ptr().cast(), buf.len()) };
-            if n <= 0 {
+            // One read returns an eventfd's whole counter and resets it,
+            // so a second could only fail with EAGAIN; a pipe is empty
+            // once a read comes back short (or fails).
+            if cfg!(target_os = "linux") || n < buf.len() as isize {
                 break;
             }
         }
@@ -938,7 +943,11 @@ impl EventLoop {
                         conn.decoder.push(&self.scratch[..n]);
                         conn.last_activity = Instant::now();
                         budget = budget.saturating_sub(n);
-                        if budget == 0 {
+                        // A short read emptied the socket. Both pollers
+                        // are level-triggered, so whatever arrives next
+                        // (an EOF included) is reported again: reading
+                        // on until EAGAIN only buys a failed syscall.
+                        if budget == 0 || n < self.scratch.len() {
                             break;
                         }
                     }

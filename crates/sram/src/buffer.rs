@@ -24,7 +24,7 @@
 //! store's epoch can copy a buffered page lock-free while the single
 //! writer mutates behind it.
 
-use envy_sync::{ArenaView, SharedArena, SharedSlots, SlotsView};
+use envy_sync::{ArenaSpan, ArenaView, SharedArena, SharedSlots, SlotsView};
 
 /// Metadata for a page held in the SRAM write buffer. Payload bytes (when
 /// stored) live in the buffer's shared frame arena, not here.
@@ -71,7 +71,7 @@ const IDX_EMPTY: u32 = 0;
 /// byte.
 #[derive(Debug)]
 pub struct FrameMut<'a> {
-    arena: &'a SharedArena,
+    arena: &'a mut SharedArena,
     base: usize,
     len: usize,
 }
@@ -96,6 +96,13 @@ impl FrameMut<'_> {
     pub fn copy_from_slice(&mut self, src: &[u8]) {
         assert_eq!(src.len(), self.len, "frame copy must be page-sized");
         self.arena.write_bytes(self.base, src);
+    }
+
+    /// Overwrite the whole frame from a page-sized span of another arena
+    /// (the Flash original of a copy-on-write), arena to arena.
+    pub fn copy_from_span(&mut self, src: ArenaSpan<'_>) {
+        assert_eq!(src.len(), self.len, "frame copy must be page-sized");
+        self.arena.copy_from(self.base, src);
     }
 
     /// Write `bytes` at `offset` within the frame.
@@ -273,7 +280,7 @@ impl WriteBuffer {
         self.fifo.push_back(slot);
         self.len += 1;
         self.index.set(logical as usize, slot as u32 + 1);
-        Ok(self.frames.as_ref().map(|arena| FrameMut {
+        Ok(self.frames.as_mut().map(|arena| FrameMut {
             arena,
             base: slot * self.page_bytes,
             len: self.page_bytes,
@@ -322,7 +329,7 @@ impl WriteBuffer {
         let Some(slot) = self.slot_of(logical) else {
             return false;
         };
-        if let Some(arena) = &self.frames {
+        if let Some(arena) = &mut self.frames {
             arena.write_bytes(slot * self.page_bytes + offset, bytes);
         }
         true
@@ -363,6 +370,17 @@ impl WriteBuffer {
             }
             None => Some(false),
         }
+    }
+
+    /// A buffered page's whole frame as the source of an arena-to-arena
+    /// copy (the flush into Flash). `None` if the page is not buffered or
+    /// payload storage is disabled.
+    pub fn frame_span(&self, logical: u64) -> Option<ArenaSpan<'_>> {
+        // Payload presence first: a residency-only buffer answers
+        // without probing the index.
+        let arena = self.frames.as_ref()?;
+        let slot = self.slot_of(logical)?;
+        Some(arena.span(slot * self.page_bytes, self.page_bytes))
     }
 
     /// Borrow a buffered page's metadata.

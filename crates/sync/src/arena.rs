@@ -2,9 +2,12 @@
 //!
 //! Page payloads (flash array contents, SRAM buffer frames) live here so the
 //! single writer can mutate them while readers copy concurrently without a
-//! data race. Every access is word-granular and relaxed — on mainstream
-//! hardware these compile to plain loads/stores — and cross-word consistency
-//! is the epoch's job, not the arena's.
+//! data race. Every *store*, and every *reader-side* load, is a relaxed
+//! word-granular atomic — on mainstream hardware these compile to plain
+//! loads/stores — and cross-word consistency is the epoch's job, not the
+//! arena's. The *owner* ([`SharedArena`]) is the only handle that can store,
+//! and it can only do so through `&mut self`; its reads therefore race with
+//! nothing but other loads and are plain `memcpy`s.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -22,6 +25,47 @@ const WORD: usize = 8;
 pub struct AtomicArena {
     words: Box<[AtomicU64]>,
     len: usize,
+}
+
+/// The words under one byte range, cut at word boundaries so each access
+/// slices the word storage (and bounds-checks) once.
+struct Cut<'a> {
+    /// The partially covered first word, if the range starts unaligned.
+    head: &'a [AtomicU64],
+    /// Byte position of the range's start within `head`.
+    head_at: usize,
+    /// Bytes of the range that fall in `head`.
+    head_len: usize,
+    /// The fully covered words.
+    body: &'a [AtomicU64],
+    /// The partially covered last word (covered from its byte 0), if any.
+    tail: &'a [AtomicU64],
+    /// Bytes of the range that fall in `tail`.
+    tail_len: usize,
+}
+
+impl Cut<'_> {
+    /// Split a caller buffer of the range's length the same way.
+    fn split<'b>(&self, bytes: &'b [u8]) -> (&'b [u8], &'b [u8], &'b [u8]) {
+        let (head, rest) = bytes.split_at(self.head_len);
+        let (body, tail) = rest.split_at(self.body.len() * WORD);
+        (head, body, tail)
+    }
+
+    /// [`Cut::split`] for a destination buffer.
+    fn split_mut<'b>(&self, bytes: &'b mut [u8]) -> (&'b mut [u8], &'b mut [u8], &'b mut [u8]) {
+        let (head, rest) = bytes.split_at_mut(self.head_len);
+        let (body, tail) = rest.split_at_mut(self.body.len() * WORD);
+        (head, body, tail)
+    }
+}
+
+/// Overwrite `bytes.len()` bytes of `word` starting at byte `at`, keeping
+/// the rest (load/merge/store — single writer only).
+fn merge(word: &AtomicU64, at: usize, bytes: &[u8]) {
+    let mut w = word.load(Ordering::Relaxed).to_le_bytes();
+    w[at..at + bytes.len()].copy_from_slice(bytes);
+    word.store(u64::from_le_bytes(w), Ordering::Relaxed);
 }
 
 impl AtomicArena {
@@ -52,6 +96,28 @@ impl AtomicArena {
         offset.checked_add(len).is_some_and(|end| end <= self.len)
     }
 
+    /// Cut the (in-bounds) range `offset..offset + len` at word boundaries.
+    fn cut(&self, offset: usize, len: usize) -> Cut<'_> {
+        let head_at = offset % WORD;
+        let head_len = ((WORD - head_at) % WORD).min(len);
+        let body_words = (len - head_len) / WORD;
+        let head_words = usize::from(head_len != 0);
+        let tail_len = (len - head_len) % WORD;
+        let tail_words = usize::from(tail_len != 0);
+        let first = offset / WORD;
+        let words = &self.words[first..first + head_words + body_words + tail_words];
+        let (head, rest) = words.split_at(head_words);
+        let (body, tail) = rest.split_at(body_words);
+        Cut {
+            head,
+            head_at,
+            head_len,
+            body,
+            tail,
+            tail_len,
+        }
+    }
+
     /// Copy `buf.len()` bytes starting at `offset` into `buf`.
     ///
     /// Panics if the range is out of bounds; callers on the optimistic read
@@ -61,26 +127,18 @@ impl AtomicArena {
             self.in_bounds(offset, buf.len()),
             "arena read out of bounds"
         );
-        let mut off = offset;
-        let mut i = 0;
-        let head = off % WORD;
-        if head != 0 && i < buf.len() {
-            let n = (WORD - head).min(buf.len());
-            let w = self.words[off / WORD].load(Ordering::Relaxed).to_le_bytes();
-            buf[..n].copy_from_slice(&w[head..head + n]);
-            off += n;
-            i += n;
+        let cut = self.cut(offset, buf.len());
+        let (head, body, tail) = cut.split_mut(buf);
+        for word in cut.head {
+            let w = word.load(Ordering::Relaxed).to_le_bytes();
+            head.copy_from_slice(&w[cut.head_at..cut.head_at + head.len()]);
         }
-        while buf.len() - i >= WORD {
-            let w = self.words[off / WORD].load(Ordering::Relaxed).to_le_bytes();
-            buf[i..i + WORD].copy_from_slice(&w);
-            off += WORD;
-            i += WORD;
+        for (chunk, word) in body.chunks_exact_mut(WORD).zip(cut.body) {
+            chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
         }
-        if i < buf.len() {
-            let n = buf.len() - i;
-            let w = self.words[off / WORD].load(Ordering::Relaxed).to_le_bytes();
-            buf[i..].copy_from_slice(&w[..n]);
+        for word in cut.tail {
+            let w = word.load(Ordering::Relaxed).to_le_bytes();
+            tail.copy_from_slice(&w[..tail.len()]);
         }
     }
 
@@ -90,60 +148,33 @@ impl AtomicArena {
             self.in_bounds(offset, bytes.len()),
             "arena write out of bounds"
         );
-        let mut off = offset;
-        let mut i = 0;
-        let head = off % WORD;
-        if head != 0 && i < bytes.len() {
-            let n = (WORD - head).min(bytes.len());
-            let slot = &self.words[off / WORD];
-            let mut w = slot.load(Ordering::Relaxed).to_le_bytes();
-            w[head..head + n].copy_from_slice(&bytes[..n]);
-            slot.store(u64::from_le_bytes(w), Ordering::Relaxed);
-            off += n;
-            i += n;
+        let cut = self.cut(offset, bytes.len());
+        let (head, body, tail) = cut.split(bytes);
+        for word in cut.head {
+            merge(word, cut.head_at, head);
         }
-        while bytes.len() - i >= WORD {
-            let mut w = [0u8; WORD];
-            w.copy_from_slice(&bytes[i..i + WORD]);
-            self.words[off / WORD].store(u64::from_le_bytes(w), Ordering::Relaxed);
-            off += WORD;
-            i += WORD;
+        for (chunk, word) in body.chunks_exact(WORD).zip(cut.body) {
+            let w = chunk.try_into().expect("chunks_exact yields whole words");
+            word.store(u64::from_le_bytes(w), Ordering::Relaxed);
         }
-        if i < bytes.len() {
-            let n = bytes.len() - i;
-            let slot = &self.words[off / WORD];
-            let mut w = slot.load(Ordering::Relaxed).to_le_bytes();
-            w[..n].copy_from_slice(&bytes[i..]);
-            slot.store(u64::from_le_bytes(w), Ordering::Relaxed);
+        for word in cut.tail {
+            merge(word, 0, tail);
         }
     }
 
     /// Fill `offset..offset + len` with `value`. Single-writer only.
     pub fn fill(&self, offset: usize, len: usize, value: u8) {
         assert!(self.in_bounds(offset, len), "arena fill out of bounds");
-        let word = u64::from_le_bytes([value; WORD]);
-        let mut off = offset;
-        let mut remaining = len;
-        let head = off % WORD;
-        if head != 0 && remaining > 0 {
-            let n = (WORD - head).min(remaining);
-            let slot = &self.words[off / WORD];
-            let mut w = slot.load(Ordering::Relaxed).to_le_bytes();
-            w[head..head + n].fill(value);
-            slot.store(u64::from_le_bytes(w), Ordering::Relaxed);
-            off += n;
-            remaining -= n;
+        let cut = self.cut(offset, len);
+        let pattern = [value; WORD];
+        for word in cut.head {
+            merge(word, cut.head_at, &pattern[..cut.head_len]);
         }
-        while remaining >= WORD {
-            self.words[off / WORD].store(word, Ordering::Relaxed);
-            off += WORD;
-            remaining -= WORD;
+        for word in cut.body {
+            word.store(u64::from_le_bytes(pattern), Ordering::Relaxed);
         }
-        if remaining > 0 {
-            let slot = &self.words[off / WORD];
-            let mut w = slot.load(Ordering::Relaxed).to_le_bytes();
-            w[..remaining].fill(value);
-            slot.store(u64::from_le_bytes(w), Ordering::Relaxed);
+        for word in cut.tail {
+            merge(word, 0, &pattern[..cut.tail_len]);
         }
     }
 
@@ -160,15 +191,122 @@ impl AtomicArena {
             len: self.len,
         }
     }
+
+    /// `offset..offset + len` as plain bytes, for a `memcpy`-speed read.
+    /// Little-endian only: words are stored as `from_le_bytes`, so memory
+    /// holds the arena's bytes in arena order only on such a target.
+    ///
+    /// Panics if the range is out of bounds.
+    ///
+    /// # Safety
+    ///
+    /// For as long as the returned slice is live, nothing may store to a
+    /// word overlapping the range (concurrent loads are fine).
+    #[cfg(target_endian = "little")]
+    unsafe fn plain_bytes(&self, offset: usize, len: usize) -> &[u8] {
+        assert!(self.in_bounds(offset, len), "arena read out of bounds");
+        // SAFETY: `AtomicU64` has the in-memory representation of `u64`, so
+        // the boxed words are `words.len() * WORD >= self.len` contiguous
+        // initialised bytes, the asserted range lies inside them, and `u8`
+        // needs no alignment. The caller rules out stores for the slice's
+        // lifetime; the loads other threads may issue meanwhile are reads,
+        // and two reads never race.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>().add(offset), len) }
+    }
+}
+
+/// Copy `len` bytes from `src` at `src_offset` to `dst` at `dst_offset`
+/// (which may be the same arena). Panics if either range is out of bounds.
+///
+/// # Safety
+///
+/// During the call nothing but this copy may store to `src`, and the words
+/// this copy stores to (`dst`'s range, widened to word boundaries) must not
+/// overlap the source range.
+unsafe fn copy_bytes(
+    dst: &AtomicArena,
+    dst_offset: usize,
+    src: &AtomicArena,
+    src_offset: usize,
+    len: usize,
+) {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: the caller's contract is exactly `plain_bytes`'s — the
+        // only stores during the borrow are `write_bytes`'s below, and
+        // those stay off the source range.
+        let bytes = unsafe { src.plain_bytes(src_offset, len) };
+        dst.write_bytes(dst_offset, bytes);
+    }
+    #[cfg(target_endian = "big")]
+    copy_by_words(dst, dst_offset, src, src_offset, len);
+}
+
+/// [`copy_bytes`] without the plain view: atomic word loads staged through
+/// a stack chunk. The big-endian build's copy path; compiled for tests
+/// everywhere so it is exercised on the hosts CI actually has.
+#[cfg(any(test, target_endian = "big"))]
+fn copy_by_words(
+    dst: &AtomicArena,
+    dst_offset: usize,
+    src: &AtomicArena,
+    src_offset: usize,
+    len: usize,
+) {
+    let mut chunk = [0u8; 32 * WORD];
+    let mut done = 0;
+    while done < len {
+        let n = (len - done).min(chunk.len());
+        src.read_bytes(src_offset + done, &mut chunk[..n]);
+        dst.write_bytes(dst_offset + done, &chunk[..n]);
+        done += n;
+    }
 }
 
 /// Owner handle to an [`AtomicArena`], held by the writer-side structure.
+///
+/// The owner is the arena's **only** source of stores, and every storing
+/// method takes `&mut self`: while a `&SharedArena` exists nothing can be
+/// writing the arena, so owner-side reads (and the source side of a
+/// [`SharedArena::copy_from`]) are plain copies, not per-word atomics.
+/// Readers holding an [`ArenaView`] only ever load, atomically, because
+/// *they* do race the owner's stores.
 ///
 /// `Clone` deep-copies the contents (fork semantics); use
 /// [`SharedArena::view`] to hand readers a cheap shared handle instead.
 #[derive(Debug)]
 pub struct SharedArena {
     inner: Arc<AtomicArena>,
+}
+
+/// A borrowed byte range of an owner's arena: the source of an
+/// arena-to-arena copy ([`SharedArena::copy_from`]). Holding it keeps the
+/// source arena shared-borrowed, hence unwritten.
+#[derive(Debug, Clone, Copy)]
+pub struct ArenaSpan<'a> {
+    arena: &'a SharedArena,
+    offset: usize,
+    len: usize,
+}
+
+impl ArenaSpan<'_> {
+    /// Span length in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the span covers zero bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The first `len` bytes of the span.
+    ///
+    /// Panics if `len` exceeds the span.
+    pub fn prefix(self, len: usize) -> Self {
+        assert!(len <= self.len, "prefix longer than the span");
+        Self { len, ..self }
+    }
 }
 
 impl SharedArena {
@@ -189,19 +327,84 @@ impl SharedArena {
         self.inner.is_empty()
     }
 
-    /// See [`AtomicArena::read_bytes`].
+    /// Copy `buf.len()` bytes starting at `offset` into `buf` — a plain
+    /// `memcpy` (see the type docs for why the owner needs no atomics).
+    ///
+    /// Panics if the range is out of bounds.
     pub fn read_bytes(&self, offset: usize, buf: &mut [u8]) {
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: every store to this arena goes through a `&mut self`
+            // method of this handle — `inner` is private, `ArenaView`
+            // exposes loads only, and a clone owns fresh storage — so no
+            // store can overlap this `&self` borrow.
+            let bytes = unsafe { self.inner.plain_bytes(offset, buf.len()) };
+            buf.copy_from_slice(bytes);
+        }
+        #[cfg(target_endian = "big")]
         self.inner.read_bytes(offset, buf);
     }
 
     /// See [`AtomicArena::write_bytes`].
-    pub fn write_bytes(&self, offset: usize, bytes: &[u8]) {
+    pub fn write_bytes(&mut self, offset: usize, bytes: &[u8]) {
         self.inner.write_bytes(offset, bytes);
     }
 
     /// See [`AtomicArena::fill`].
-    pub fn fill(&self, offset: usize, len: usize, value: u8) {
+    pub fn fill(&mut self, offset: usize, len: usize, value: u8) {
         self.inner.fill(offset, len, value);
+    }
+
+    /// Borrow `offset..offset + len` as the source of a copy into another
+    /// arena.
+    ///
+    /// Panics if the range is out of bounds.
+    pub fn span(&self, offset: usize, len: usize) -> ArenaSpan<'_> {
+        assert!(
+            self.inner.in_bounds(offset, len),
+            "arena span out of bounds"
+        );
+        ArenaSpan {
+            arena: self,
+            offset,
+            len,
+        }
+    }
+
+    /// Copy the bytes of `src` (a span of another owner's arena) to
+    /// `offset..offset + src.len()`: one pass, plain loads from the source
+    /// and atomic word stores here, no intermediate buffer.
+    ///
+    /// Panics if the destination range is out of bounds.
+    pub fn copy_from(&mut self, offset: usize, src: ArenaSpan<'_>) {
+        // SAFETY: `src` holds its arena shared-borrowed, so (as in
+        // `read_bytes`) nothing stores to it during the call; `&mut self`
+        // cannot alias that borrow, so the two arenas are distinct and the
+        // stores land in other storage.
+        unsafe { copy_bytes(&self.inner, offset, &src.arena.inner, src.offset, src.len) }
+    }
+
+    /// Copy `len` bytes from `src_offset` to `dst_offset` within this arena
+    /// (a Flash page to another Flash page).
+    ///
+    /// Panics if either range is out of bounds, or if the destination,
+    /// widened to word boundaries, overlaps the source — edge words are
+    /// stored whole, so such a copy would rewrite source bytes mid-copy.
+    pub fn copy_within(&mut self, src_offset: usize, dst_offset: usize, len: usize) {
+        assert!(
+            self.inner.in_bounds(src_offset, len) && self.inner.in_bounds(dst_offset, len),
+            "arena copy out of bounds"
+        );
+        let dst_start = dst_offset - dst_offset % WORD;
+        let dst_end = (dst_offset + len).next_multiple_of(WORD);
+        assert!(
+            len == 0 || src_offset + len <= dst_start || dst_end <= src_offset,
+            "arena copy ranges overlap"
+        );
+        // SAFETY: `&mut self` excludes every other store to the arena, and
+        // the assertion above keeps this copy's own stores (whole words of
+        // the widened destination) off the source range.
+        unsafe { copy_bytes(&self.inner, dst_offset, &self.inner, src_offset, len) }
     }
 
     /// Cheap reader handle sharing this arena's storage.
@@ -301,7 +504,7 @@ mod tests {
 
     #[test]
     fn shared_clone_is_deep() {
-        let owner = SharedArena::new(16, 0);
+        let mut owner = SharedArena::new(16, 0);
         let view = owner.view();
         let fork = owner.clone();
         owner.write_bytes(0, &[9; 16]);
@@ -310,5 +513,24 @@ mod tests {
         assert_eq!(buf, [9; 16]); // view shares the original
         fork.read_bytes(0, &mut buf);
         assert_eq!(buf, [0; 16]); // fork is independent
+    }
+
+    /// The big-endian copy path agrees with the plain-view one on every
+    /// alignment of a range that straddles its staging chunk.
+    #[test]
+    fn word_staged_copy_matches_plain_copy() {
+        let bytes: Vec<u8> = (0..700u32).map(|i| (i * 7 + 1) as u8).collect();
+        let src = AtomicArena::new(bytes.len(), 0);
+        src.write_bytes(0, &bytes);
+        for (src_offset, dst_offset, len) in [(0, 0, 700), (3, 5, 600), (9, 2, 257), (1, 1, 0)] {
+            let dst = AtomicArena::new(bytes.len() + 8, 0xEE);
+            copy_by_words(&dst, dst_offset, &src, src_offset, len);
+            let mut got = vec![0u8; dst.len()];
+            dst.read_bytes(0, &mut got);
+            let mut want = vec![0xEE; dst.len()];
+            want[dst_offset..dst_offset + len]
+                .copy_from_slice(&bytes[src_offset..src_offset + len]);
+            assert_eq!(got, want, "src {src_offset} dst {dst_offset} len {len}");
+        }
     }
 }

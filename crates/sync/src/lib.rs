@@ -15,9 +15,11 @@
 //!   means "retry", never "corrupt data".
 //! * [`AtomicArena`] / [`SharedArena`] — a byte-addressed arena backed by
 //!   `AtomicU64` words, so readers can copy page payloads concurrently with
-//!   the writer without data races (and without `unsafe`). Torn *word-level*
-//!   reads are impossible; torn *multi-word* reads are caught by the epoch
-//!   validation and retried.
+//!   the writer without data races. Torn *word-level* reads are impossible;
+//!   torn *multi-word* reads are caught by the epoch validation and retried.
+//!   The owner handle alone can store, and only through `&mut self`, so its
+//!   own reads and arena-to-arena copies ([`ArenaSpan`]) are plain `memcpy`s
+//!   — the data plane's only `unsafe`, confined to this crate.
 //! * [`SharedWords`] / [`SharedSlots`] — shared arrays of `u64` / `u32`
 //!   entries (packed page-table words, MMU tags, SRAM buffer index slots)
 //!   with single-word atomic access. A single word is always internally
@@ -44,6 +46,6 @@ mod arena;
 mod epoch;
 mod words;
 
-pub use arena::{ArenaView, AtomicArena, SharedArena};
+pub use arena::{ArenaSpan, ArenaView, AtomicArena, SharedArena};
 pub use epoch::{EpochView, EpochWriteGuard, SeqEpoch, SharedEpoch};
 pub use words::{SharedSlots, SharedWords, SlotsView, WordsView};
