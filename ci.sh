@@ -49,9 +49,13 @@ echo "== smoke: concurrent read path (seqlock stress + digest anchors) =="
 # storms flush/clean/wear/recovery under concurrent readers asserting
 # no torn page is ever observed; the server suite pins the 1-reader and
 # inline front ends byte-identical to the monolithic store and
-# exercises the Busy retry contract (see docs/CONCURRENCY.md).
+# exercises the Busy retry contract (see docs/CONCURRENCY.md). The
+# run-to-completion suite races submitters for one shard's lock (the
+# idle-boundary hand-off, shutdown against live submitters), which
+# likewise only means something at full speed.
 cargo test --release -q -p envy-core --test concurrent_reads
 cargo test --release -q -p envy-server --test concurrent_read_path
+cargo test --release -q -p envy-server --test run_to_completion
 
 # Opt-in ThreadSanitizer pass over the same suites: CI_TSAN=1 ./ci.sh.
 # Requires a nightly toolchain (-Zsanitizer) and roughly 10-20x the
@@ -210,9 +214,27 @@ echo "== benchmark/: build, --quick, its own tests =="
 # runs all five workloads in both modes against the embedded
 # BENCHMARK.json and exits nonzero on any failed operation, digest
 # mismatch or invariant failure; numbers from it are smoke, not results.
+# On smoke-length rounds the traced mode's own accounting check (per-thread
+# on-CPU time against the rounds' wall time, 5 %) trips on an unmodified
+# tree: the two /proc snapshots around a round cost a fixed fraction of a
+# millisecond, which
+# was 5-7 % of a --quick round at PR 13 (1 full --quick run in 3 failed)
+# and is more since PR 14 made the served rounds two to three times
+# shorter (5 in 6). benchmark/ is not this leg's to fix (ROADMAP, PR 14
+# findings), so it asks for three times the round length (--seconds 30:
+# 5 of 5 pass, 14 s) and still gets three attempts; a real failure fails
+# all of them.
 cargo build --offline --release -q --manifest-path benchmark/Cargo.toml
-cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- --quick \
-  > results/ci_smoke_benchmark_quick.txt
+QUICK_OK=0
+for attempt in 1 2 3; do
+  if cargo run --offline --release -q --manifest-path benchmark/Cargo.toml -- --quick \
+    --seconds 30 > results/ci_smoke_benchmark_quick.txt; then
+    QUICK_OK=1
+    break
+  fi
+  echo "benchmark --quick: attempt $attempt failed"
+done
+test "$QUICK_OK" = "1"
 test -s results/ci_smoke_benchmark_quick.txt
 (cd benchmark && cargo test --offline -q)
 

@@ -18,7 +18,7 @@ USAGE:
 OPTIONS:
     --tcp ADDR          listen on a TCP address (default 127.0.0.1:7033)
     --unix PATH         listen on a Unix-domain socket instead
-    --shards N          number of shards / worker threads (default 4)
+    --shards N          number of shards (independent stores; default 4)
     --txn-slots N       concurrent transactions per shard (default 1)
     --scale small|scaled   per-shard store configuration (default small)
     --queue N           per-shard bounded queue capacity
@@ -230,5 +230,11 @@ fn main() -> ExitCode {
         stats.host_writes.get(),
         stats.cleaning_cost()
     );
+    for shard in &summary.outcome.shards {
+        if let Some(failure) = &shard.failure {
+            eprintln!("envy-served: {failure}");
+            return ExitCode::FAILURE;
+        }
+    }
     ExitCode::SUCCESS
 }

@@ -9,11 +9,16 @@
 //!
 //! ```text
 //!            readable                admitted             completion
-//! [reading] ──────────> FrameDecoder ────────> shard queue ─────────┐
+//! [reading] ──────────> FrameDecoder ────────> shard (run) ─────────┐
 //!     ^                                                             │
 //!     │              writev (vectored, partial-write continuation)  v
 //!     └────────────────────────────────────────────────── [write queue]
 //! ```
+//!
+//! A shard is a passive object (see [`shard`](crate::shard)): the loop
+//! thread itself executes each admitted request, so its completion is
+//! already in the loop's channel when the submit returns and goes out
+//! in the same tick.
 //!
 //! * **No per-request buffer allocation** — frames are parsed out of
 //!   one compacting buffer per connection
@@ -23,9 +28,14 @@
 //! * **Vectored writes** — pipelined responses flush with a single
 //!   `writev` (up to [`MAX_IOVECS`] frames), continuing after partial
 //!   writes under `EPOLLOUT` interest.
-//! * **Completion wakeup** — shard workers ring a [`Waker`] (eventfd
-//!   on Linux, self-pipe elsewhere) after posting completions, so the
-//!   loop never blocks on a channel recv.
+//! * **Completion wakeup** — only a request that found its shard held
+//!   by another thread is completed elsewhere; that thread rings a
+//!   [`Waker`] (eventfd on Linux, self-pipe elsewhere) after posting
+//!   the completion, so the loop never blocks on a channel recv.
+//! * **Per-connection reply order** — a reply the loop writes itself
+//!   (`ERR` id 0 for a malformed frame, `Busy`, a rejection, the
+//!   shutdown ack) goes behind every completion already posted, so a
+//!   pipeline on an uncontended shard is answered in request order.
 //!
 //! The wire contract is identical to the threads driver — same bytes,
 //! same `Busy` backpressure (the client owns the retry), same
@@ -233,11 +243,12 @@ pub fn raise_nofile(target: u64) -> io::Result<u64> {
 // ---------------------------------------------------------------------
 
 /// Cross-thread wakeup for a parked event loop: an eventfd on Linux, a
-/// nonblocking self-pipe elsewhere. Shard workers and reader threads
-/// [`wake`](Waker::wake) after posting completions (see
-/// [`ShardHandle::submit_with_notify`]); the loop drains the fd and
-/// then the completion channel. Writes coalesce, so waking is cheap
-/// and idempotent.
+/// nonblocking self-pipe elsewhere. A thread that completes one of the
+/// loop's requests for it — a shard's lock holder draining its queue, a
+/// reader thread — [`wake`](Waker::wake)s after posting the completion
+/// (see [`ShardHandle::submit_with_notify`]); the loop drains the fd
+/// and then the completion channel. Writes coalesce, so waking is
+/// cheap and idempotent.
 #[derive(Debug)]
 pub struct Waker {
     rfd: RawFd,
@@ -1075,7 +1086,12 @@ impl EventLoop {
         }
     }
 
+    /// Queue a reply the loop originates itself, behind the completions
+    /// already posted: requests that ran to completion inside
+    /// `submit_with_notify` must not be overtaken by a later frame's
+    /// refusal.
     fn enqueue(&mut self, slot: usize, resp: WireResponse) {
+        self.drain_completions();
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
@@ -1239,7 +1255,7 @@ impl EventLoop {
                 conn.wq.clear();
             } else if let Err(_e) = conn.wq.flush(conn.fd) {
                 // Dead client: discard its output, keep draining its
-                // admitted completions (never couple workers to a
+                // admitted completions (never couple a shard to a
                 // client's fate).
                 conn.dead = true;
                 conn.wq.clear();

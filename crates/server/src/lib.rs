@@ -5,14 +5,16 @@
 //! by putting **multiple controllers over independent banks**. This
 //! crate reproduces that organization as a serving layer: the logical
 //! word address space is statically sharded across N independent
-//! [`envy_core::EnvyStore`] instances — one per worker thread,
-//! shared-nothing — fronted by an admission-controlled request plane.
+//! [`envy_core::EnvyStore`] instances, shared-nothing, fronted by an
+//! admission-controlled request plane.
 //!
-//! * [`shard`] — the in-process client API: [`ShardedStore`] with
-//!   bounded per-shard MPSC request queues, batch-drain dispatch (up to
-//!   K requests per dispatch), typed completions, explicit backpressure
-//!   ([`Busy`] with a retry hint — never silent blocking), per-request
-//!   deadlines, and a graceful shutdown that drains every queue.
+//! * [`shard`] — the in-process client API: [`ShardedStore`], whose
+//!   shards are passive objects — every request runs to completion on
+//!   the thread that submits it, or queues (bounded, batch-drained)
+//!   behind the thread that holds its shard — with typed completions,
+//!   explicit backpressure ([`Busy`] with a retry hint — never silent
+//!   blocking), per-request deadlines, and a graceful shutdown that
+//!   drains every queue.
 //! * [`proto`] — a length-prefixed binary wire protocol for the same
 //!   request set.
 //! * [`net`] — TCP and Unix-socket serving with two interchangeable

@@ -23,8 +23,8 @@
 //! admitted request complete and flush to its client, joins the
 //! connection threads, and only then drains the sharded store itself.
 //! A connection that dies mid-pipeline only loses its own completions:
-//! its writer keeps draining (discarding) so shard workers never block
-//! on a dead client, and every other connection is untouched.
+//! its writer keeps draining (discarding) so a shard never waits on a
+//! dead client, and every other connection is untouched.
 //!
 //! # Transactions and disconnects
 //!
@@ -504,8 +504,8 @@ fn connection(
     // whatever is left after a disconnect.
     let open_txns: Arc<Mutex<HashSet<(u32, u64)>>> = Arc::new(Mutex::new(HashSet::new()));
     // Writer: drain completions onto the socket. Write errors (dead
-    // client) are swallowed — the drain must continue so shard workers
-    // are never coupled to a client's fate.
+    // client) are swallowed — the drain must continue so a shard is
+    // never coupled to a client's fate.
     let writer = {
         let write = Arc::clone(&write);
         let open_txns = Arc::clone(&open_txns);
@@ -552,17 +552,13 @@ fn connection(
                         // Framing is unrecoverable after a bad payload
                         // only if lengths lied; lengths were
                         // consistent, so answer id 0 and keep the
-                        // connection.
-                        send_direct(
-                            &write,
-                            &WireResponse {
-                                id: 0,
-                                shard: 0,
-                                outcome: WireOutcome::Err(ServeError::Store(
-                                    "malformed request".into(),
-                                )),
-                            },
-                        );
+                        // connection. The answer takes the completion
+                        // channel, behind the replies already posted.
+                        let _ = rtx.send(Response {
+                            id: 0,
+                            shard: 0,
+                            result: Err(ServeError::Store("malformed request".into())),
+                        });
                     }
                 }
             }
@@ -635,14 +631,14 @@ fn handle_request(
                         outcome: WireOutcome::Busy(b),
                     },
                 ),
-                Err(SubmitError::Rejected(e)) => send_direct(
-                    write,
-                    &WireResponse {
+                // Behind the completions already posted, like them.
+                Err(SubmitError::Rejected(e)) => {
+                    let _ = rtx.send(Response {
                         id,
                         shard: 0,
-                        outcome: WireOutcome::Err(e),
-                    },
-                ),
+                        result: Err(e),
+                    });
+                }
             }
             true
         }

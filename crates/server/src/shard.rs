@@ -1,23 +1,30 @@
 //! The sharded in-process serving core.
 //!
 //! A [`ShardedStore`] statically partitions the logical word address
-//! space across N independent [`EnvyStore`] instances — one per worker
-//! thread, shared-nothing, modeling §6's multiple-controller
-//! organization. Clients talk to it through a cheap, cloneable
-//! [`ShardHandle`]:
+//! space across N independent [`EnvyStore`] instances, shared-nothing,
+//! modeling §6's multiple-controller organization. A shard is a
+//! **passive object** — a lock around its store, a bounded queue beside
+//! it — and owns no thread: every request runs to completion on the
+//! thread that submits it. Clients talk to the shards through a cheap,
+//! cloneable [`ShardHandle`]:
 //!
-//! * **Bounded admission**: each shard has a bounded MPSC request queue.
-//!   A full queue rejects the request with [`Busy`] carrying a
-//!   `retry_after` hint — submission never blocks silently.
-//! * **Batched dispatch**: a worker drains up to `batch_max` queued
-//!   requests per wakeup and executes them back-to-back, amortizing
-//!   wakeup cost exactly like a device-queue doorbell.
+//! * **Run to completion**: a submitter that finds the shard idle takes
+//!   its lock, executes the request and posts the completion before
+//!   `submit` returns — no queue hop, no sleep, no wake.
+//! * **Bounded admission**: a submitter that finds the lock taken puts
+//!   the request in the shard's bounded queue instead and leaves. A
+//!   full queue rejects the request with [`Busy`] carrying a
+//!   `retry_after` hint — submission never blocks.
+//! * **Batched dispatch**: the lock holder drains that queue in batches
+//!   of up to `batch_max` before it leaves, and looks again after it has
+//!   released the lock, so no admitted request is ever stranded (flat
+//!   combining).
 //! * **Typed completions**: every admitted request produces exactly one
 //!   [`Response`] on the completion channel supplied at submit time,
 //!   even across graceful shutdown.
-//! * **Deadlines**: a request whose deadline has passed when the worker
-//!   picks it up completes with [`ServeError::DeadlineExceeded`] instead
-//!   of executing.
+//! * **Deadlines**: a request whose deadline has passed when it is taken
+//!   off the queue completes with [`ServeError::DeadlineExceeded`]
+//!   instead of executing.
 //!
 //! Within a shard, requests execute in admission order on the shard's
 //! own simulated clock (`now = store.now()`, back-to-back), so a shard's
@@ -27,10 +34,13 @@
 use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, ReadView, TraceEvent, TxnMemory};
 use envy_sim::stats::TimeSeries;
 use envy_sim::time::Ns;
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,6 +54,10 @@ const EST_INIT_NS: u64 = 2_000;
 /// Bounds on the [`Busy::retry_after`] hint.
 const RETRY_MIN: Duration = Duration::from_micros(1);
 const RETRY_MAX: Duration = Duration::from_millis(100);
+/// Two wall-clock reads cost as much as a small request, so an
+/// uncontended shard takes them (for the depth series and the service
+/// estimate) on one inline run in this many. Queue drains always do.
+const INLINE_CLOCK_EVERY: u64 = 16;
 
 // ---------------------------------------------------------------------
 // Requests, replies, errors
@@ -210,7 +224,7 @@ pub enum Reply {
 /// submit-time rejection — requests never disappear).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The request's deadline passed before a worker dispatched it.
+    /// The request's deadline passed while it waited in the shard queue.
     DeadlineExceeded,
     /// The byte range spans two shard slices; a request must be served
     /// by exactly one controller.
@@ -245,7 +259,8 @@ pub enum ServeError {
     TxnConflict,
     /// The front end is shutting down and no longer admits requests.
     ShuttingDown,
-    /// The shard's controller failed the operation.
+    /// The shard's controller failed the operation — or a request
+    /// panicked while holding the shard, which poisons it for good.
     Store(String),
 }
 
@@ -397,22 +412,22 @@ impl ShardPlan {
 /// How read-only requests are executed.
 ///
 /// Writes, flushes and all background machinery (timing replay,
-/// cleaning, wear leveling) always run on the shard's single writer
-/// thread; this knob only moves reads off it. The concurrent paths use
-/// the store's lock-free [`ReadView`] — optimistic seqlock copies
-/// validated against the writer's epoch — so they bypass the simulated
-/// latency model and the controller's read statistics entirely. See
-/// `docs/CONCURRENCY.md`.
+/// cleaning, wear leveling) always run under the shard's lock, one
+/// writer at a time; this knob only moves reads out of it. The
+/// concurrent paths use the store's lock-free [`ReadView`] — optimistic
+/// seqlock copies validated against the writer's epoch — so they bypass
+/// the simulated latency model and the controller's read statistics
+/// entirely. See `docs/CONCURRENCY.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
-    /// Legacy single-threaded path: reads queue behind writes on the
-    /// shard worker and replay the timing model. Bit-for-bit identical
+    /// Legacy single-writer path: reads take the shard's lock like
+    /// writes and replay the timing model. Bit-for-bit identical
     /// to the pre-concurrency front end — the differential anchor.
     #[default]
     Timed,
     /// Reads execute immediately on the *submitting* thread via the
-    /// shard's [`ReadView`]; only mutations are queued. Cheapest path:
-    /// no queue hop, no wakeup — reads scale with client threads.
+    /// shard's [`ReadView`] without taking its lock — reads scale with
+    /// client threads even while a writer holds the shard.
     Inline,
     /// `n ≥ 1` dedicated reader threads per shard; reads are fanned out
     /// round-robin to bounded per-reader queues (full queues reject
@@ -423,14 +438,14 @@ pub enum ReadPath {
 /// Configuration of a [`ShardedStore`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of shards (worker threads / independent controllers).
+    /// Number of shards (independent controllers).
     pub shards: u32,
     /// Per-shard store configuration (every shard is identical).
     pub store: EnvyConfig,
     /// Bounded per-shard queue capacity; a full queue returns
     /// [`Busy`].
     pub queue_capacity: usize,
-    /// Maximum requests drained per dispatch.
+    /// Maximum queued requests the lock holder drains per dispatch.
     pub batch_max: usize,
     /// Prefill each shard at the configured utilization before serving.
     pub prefill: bool,
@@ -530,11 +545,14 @@ impl ServeConfig {
 }
 
 // ---------------------------------------------------------------------
-// Jobs and worker state
+// Jobs and shard state
 // ---------------------------------------------------------------------
 
+/// A request queued behind its shard's lock holder (or handed to a
+/// reader thread): all it takes to run it later and say so.
 struct Job {
     id: u64,
+    shard: u32,
     req: Request,
     deadline: Option<Instant>,
     reply: Sender<Response>,
@@ -544,17 +562,227 @@ struct Job {
     notify: Option<Arc<crate::evloop::Waker>>,
 }
 
+impl Job {
+    /// Post the completion. A dropped receiver (dead client) is that
+    /// client's loss, never the shard's.
+    fn complete(&self, result: Result<Reply, ServeError>) {
+        let (id, shard) = (self.id, self.shard);
+        let _ = self.reply.send(Response { id, shard, result });
+    }
+}
+
+/// What a request that panics gets for an answer, and every request to
+/// its shard after it: the store may be half-written, so nothing runs
+/// on it again.
+fn poisoned(shard: u32) -> ServeError {
+    ServeError::Store(format!("shard {shard} is poisoned: a request panicked"))
+}
+
+/// Record serve events on a store's trace ring, stamped with its
+/// simulated clock like every controller event (free unless tracing
+/// was enabled: the events are not even built).
+fn trace(store: &mut EnvyStore, events: impl Iterator<Item = TraceEvent>) {
+    if store.trace().is_enabled() {
+        let now = store.now();
+        let ring = store.engine_mut().trace_mut();
+        ring.set_now(now);
+        events.for_each(|event| ring.push(event));
+    }
+}
+
+/// One shard. Whoever holds `core` is, for that long, the shard's
+/// single writer; everyone else leaves work in `queue` for it.
 struct ShardLink {
-    tx: SyncSender<Job>,
-    depth: Arc<AtomicUsize>,
-    est_ns: Arc<AtomicU64>,
+    shard: u32,
+    /// `None` once [`ShardedStore::shutdown`] has taken the outcome.
+    core: Mutex<Option<ShardCore>>,
+    /// Requests admitted while `core` was held elsewhere, oldest first;
+    /// never longer than `capacity` ([`ServeConfig::queue_capacity`]).
+    queue: Mutex<VecDeque<Job>>,
+    capacity: usize,
+    /// `queue.len()`, readable without the queue lock.
+    depth: AtomicUsize,
+    /// EWMA of the wall-clock service time per request.
+    est_ns: AtomicU64,
+}
+
+/// What a shard's lock guards: its store and dispatch counters — the
+/// [`ShardOutcome`] in the making — and how to dispatch.
+struct ShardCore {
+    out: ShardOutcome,
+    batch_max: usize,
+    service_delay: Option<Duration>,
+    started: Instant,
+}
+
+impl ShardLink {
+    /// Neither lock can be left poisoned by a request (`execute`
+    /// contains those panics), and what they guard stays usable if the
+    /// bookkeeping around one ever panics: recover the guard.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `core` if nobody holds it.
+    fn try_core(&self) -> Option<MutexGuard<'_, Option<ShardCore>>> {
+        match self.core.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Start a dispatch of the requests `ids`: count it, trace
+    /// admission + dispatch and, if `timed`, read the wall clock for
+    /// the depth series and for [`settle`](ShardLink::settle).
+    fn begin(
+        &self,
+        core: &mut ShardCore,
+        ids: impl ExactSizeIterator<Item = u64>,
+        timed: bool,
+    ) -> Option<Instant> {
+        let (n, shard, out) = (ids.len(), self.shard, &mut core.out);
+        out.batches += 1;
+        out.max_batch = out.max_batch.max(n as u32);
+        let t0 = timed.then(Instant::now);
+        let wall = t0.map(|t| Ns::from_nanos((t - core.started).as_nanos() as u64));
+        if let Some(wall) = wall.filter(|&w| out.depth_series.due(w)) {
+            let depth = self.depth.load(Ordering::Relaxed) + n;
+            let row = vec![depth as f64, n as f64, out.served as f64];
+            out.depth_series.record(wall, row);
+        }
+        let batch = n as u32;
+        let enqueued = ids.map(|seq| TraceEvent::ServeEnqueue { shard, seq });
+        let dispatched = std::iter::once(TraceEvent::ServeDispatch { shard, batch });
+        trace(&mut out.store, enqueued.chain(dispatched));
+        t0
+    }
+
+    /// Execute one request of the dispatch in progress (`run`, which is
+    /// [`apply`] outside tests) and count its completion — unless its
+    /// deadline lapsed in the queue, or an earlier request panicked. A
+    /// panic stops here instead of unwinding the submitter's thread.
+    fn execute(
+        &self,
+        core: &mut ShardCore,
+        seq: u64,
+        deadline: Option<Instant>,
+        run: impl FnOnce(&mut EnvyStore) -> Result<Reply, ServeError>,
+    ) -> Result<Reply, ServeError> {
+        let (shard, out) = (self.shard, &mut core.out);
+        let result = if let Some(failure) = &out.failure {
+            Err(failure.clone())
+        } else if deadline.is_some_and(|d| Instant::now() > d) {
+            out.timed_out += 1;
+            Err(ServeError::DeadlineExceeded)
+        } else {
+            if let Some(delay) = core.service_delay {
+                std::thread::sleep(delay);
+            }
+            let run = panic::AssertUnwindSafe(|| run(&mut out.store));
+            panic::catch_unwind(run).unwrap_or_else(|_| {
+                out.failure = Some(poisoned(shard));
+                Err(poisoned(shard))
+            })
+        };
+        let completed = TraceEvent::ServeComplete { shard, seq };
+        trace(&mut out.store, std::iter::once(completed));
+        out.served += 1;
+        result
+    }
+
+    /// Fold a dispatch of `n` requests begun at `t0` into the
+    /// per-request service estimate: EWMA (3 old + 1 new) / 4, kept in
+    /// integers.
+    fn settle(&self, n: usize, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
+            let per_op = (t0.elapsed().as_nanos() as u64 / n as u64).max(1);
+            let old = self.est_ns.load(Ordering::Relaxed);
+            let est = (old.saturating_mul(3) + per_op) / 4;
+            self.est_ns.store(est, Ordering::Relaxed);
+        }
+    }
+
+    /// Serve the queue until it is empty, at most `batch_max` jobs per
+    /// dispatch. The caller holds `core`.
+    fn drain(&self, core: &mut ShardCore) {
+        let mut batch: Vec<Job> = Vec::new();
+        loop {
+            {
+                let mut queue = self.queue();
+                let n = queue.len().min(core.batch_max);
+                batch.extend(queue.drain(..n));
+                self.depth.store(queue.len(), Ordering::Relaxed);
+            }
+            if batch.is_empty() {
+                return;
+            }
+            let t0 = self.begin(core, batch.iter().map(|job| job.id), true);
+            // One wake per distinct event loop per batch (not per job):
+            // wakes coalesce, so ringing after the batch is enough.
+            let mut wakers: Vec<&Arc<crate::evloop::Waker>> = Vec::new();
+            for job in &batch {
+                let run = |store: &mut EnvyStore| apply(store, &job.req);
+                job.complete(self.execute(core, job.id, job.deadline, run));
+                if let Some(w) = &job.notify {
+                    if !wakers.iter().any(|k| Arc::ptr_eq(k, w)) {
+                        wakers.push(w);
+                    }
+                }
+            }
+            wakers.iter().for_each(|w| w.wake());
+            self.settle(batch.len(), t0);
+            batch.clear();
+        }
+    }
+
+    /// Leave no admitted job behind. Called by a thread that has just
+    /// released `core` and by one that has just queued a job behind it:
+    /// whichever of the two acts second sees the other's store (the
+    /// fences order each side's store before its load), so either the
+    /// old holder finds the job or the submitter finds the lock free.
+    fn kick(&self) {
+        loop {
+            fence(Ordering::SeqCst);
+            if self.depth.load(Ordering::Relaxed) == 0 {
+                return;
+            }
+            // A taken lock is fine: its holder looks at the queue again
+            // once it lets go. A shut-down shard has an empty queue.
+            let Some(mut guard) = self.try_core() else {
+                return;
+            };
+            match guard.as_mut() {
+                Some(core) => self.drain(core),
+                None => return,
+            }
+        }
+    }
+
+    /// The backpressure hint: estimated per-request service time times
+    /// the current queue depth, clamped to `[1 µs, 100 ms]`.
+    fn retry_hint(&self) -> Duration {
+        let est = self.est_ns.load(Ordering::Relaxed).max(1);
+        let depth = self.depth.load(Ordering::Relaxed).max(1) as u64;
+        Duration::from_nanos(est.saturating_mul(depth)).clamp(RETRY_MIN, RETRY_MAX)
+    }
+
+    /// Shutdown's half: serve what is still queued, then give up the
+    /// outcome. The close flag is already up, so nothing is admitted
+    /// behind this drain.
+    fn close(&self) -> ShardOutcome {
+        let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut core = guard.take().expect("a shard is shut down once");
+        self.drain(&mut core);
+        core.out
+    }
 }
 
 /// Counters shared between the submit path, the reader threads and
 /// shutdown reporting.
 #[derive(Debug, Default)]
 struct ReadCounters {
-    /// Reads completed off the writer thread.
+    /// Reads completed outside the shard's lock.
     offloaded: AtomicU64,
     /// Optimistic-read retries (epoch conflicts) across those reads.
     retries: AtomicU64,
@@ -572,17 +800,14 @@ struct ShardReaders {
     counters: Arc<ReadCounters>,
 }
 
-/// Execute one shard-local read via a lock-free view and deliver its
-/// completion. Shared by the inline path and the reader threads.
+/// Execute one shard-local read via a lock-free view. Shared by the
+/// inline path and the reader threads.
 fn view_read(
     view: &ReadView,
     counters: &ReadCounters,
-    shard: u32,
-    id: u64,
     addr: u64,
     len: u32,
-    reply: &Sender<Response>,
-) {
+) -> Result<Reply, ServeError> {
     let mut buf = vec![0u8; len as usize];
     let result = match view.read(addr, &mut buf) {
         Ok(r) => {
@@ -596,20 +821,14 @@ fn view_read(
         Err(e) => Err(ServeError::Store(e.to_string())),
     };
     counters.offloaded.fetch_add(1, Ordering::Relaxed);
-    let _ = reply.send(Response { id, shard, result });
+    result
 }
 
 /// A dedicated reader thread: drains its bounded queue, executing each
 /// read against the shard's lock-free view. Exits once the close flag
 /// is up and the queue is empty (every admitted read still completes)
 /// or all submitters are gone.
-fn run_reader(
-    shard: u32,
-    view: ReadView,
-    rx: Receiver<Job>,
-    closed: &Closed,
-    counters: &ReadCounters,
-) {
+fn run_reader(view: ReadView, rx: Receiver<Job>, closed: &Closed, counters: &ReadCounters) {
     loop {
         let job = match rx.recv_timeout(Duration::from_millis(10)) {
             Ok(job) => job,
@@ -624,43 +843,25 @@ fn run_reader(
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         };
-        if job.deadline.is_some_and(|d| Instant::now() > d) {
-            let _ = job.reply.send(Response {
-                id: job.id,
-                shard,
-                result: Err(ServeError::DeadlineExceeded),
-            });
-            if let Some(w) = &job.notify {
-                w.wake();
+        job.complete(match job.req {
+            _ if job.deadline.is_some_and(|d| Instant::now() > d) => {
+                Err(ServeError::DeadlineExceeded)
             }
-            continue;
-        }
-        match job.req {
-            Request::Read { addr, len } => {
-                view_read(&view, counters, shard, job.id, addr, len, &job.reply);
-            }
+            Request::Read { addr, len } => view_read(&view, counters, addr, len),
             // Routing sends only reads here.
-            other => {
-                let _ = job.reply.send(Response {
-                    id: job.id,
-                    shard,
-                    result: Err(ServeError::Store(format!(
-                        "non-read request {other:?} routed to a reader"
-                    ))),
-                });
-            }
-        }
-        if let Some(w) = &job.notify {
-            w.wake();
-        }
+            ref other => Err(ServeError::Store(format!(
+                "non-read request {other:?} routed to a reader"
+            ))),
+        });
+        job.notify.iter().for_each(|w| w.wake());
     }
 }
 
 /// Shared close flag: set once by [`ShardedStore::shutdown`]; checked by
-/// submitters (reject new work) and workers (exit once drained).
+/// submitters (reject new work) and reader threads (exit once drained).
 type Closed = Arc<AtomicBool>;
 
-/// What one shard worker hands back at shutdown.
+/// What one shard hands back at shutdown.
 #[derive(Debug)]
 pub struct ShardOutcome {
     /// Shard index.
@@ -669,15 +870,21 @@ pub struct ShardOutcome {
     pub store: EnvyStore,
     /// Completions posted (including typed failures).
     pub served: u64,
-    /// Requests that expired before dispatch.
+    /// Requests that expired in the queue.
     pub timed_out: u64,
-    /// Dispatch batches drained.
+    /// Dispatches. A request run inline on its submitter's thread is a
+    /// batch of 1, a drain of the queue a batch of up to `batch_max` —
+    /// so `served / batches` reads ≈ 1 wherever nothing contends.
     pub batches: u64,
-    /// Largest batch drained in one dispatch.
+    /// Largest batch of one dispatch (1 if nothing ever queued).
     pub max_batch: u32,
     /// Queue-depth samples over wall-clock time.
     pub depth_series: TimeSeries,
-    /// Reads served off the writer thread (inline or by reader
+    /// Set when a request panicked on this shard: that request and
+    /// every later one completed with this error instead of running,
+    /// and `store` is whatever the panic left — possibly mid-operation.
+    pub failure: Option<ServeError>,
+    /// Reads served outside the shard's lock (inline or by reader
     /// threads); 0 under [`ReadPath::Timed`]. These bypass the timing
     /// model, so they are *not* in the store's `host_reads`.
     pub reads_offloaded: u64,
@@ -689,7 +896,7 @@ pub struct ShardOutcome {
 /// in shard order.
 #[derive(Debug)]
 pub struct ServeOutcome {
-    /// Per-shard worker outcomes.
+    /// Per-shard outcomes.
     pub shards: Vec<ShardOutcome>,
 }
 
@@ -724,7 +931,7 @@ impl ServeOutcome {
         self.shards.iter().map(|s| s.timed_out).sum()
     }
 
-    /// Total reads served off the writer threads across shards.
+    /// Total reads served outside the shard locks across shards.
     pub fn total_reads_offloaded(&self) -> u64 {
         self.shards.iter().map(|s| s.reads_offloaded).sum()
     }
@@ -762,19 +969,17 @@ impl fmt::Debug for ShardHandle {
     }
 }
 
-/// The sharded serving front end: owns the worker threads; see the
-/// [module docs](self) for the contract.
+/// The sharded serving front end; see the [module docs](self) for the
+/// contract. It owns no thread (only [`ReadPath::Readers`] adds any).
 #[derive(Debug)]
 pub struct ShardedStore {
     handle: ShardHandle,
-    workers: Vec<JoinHandle<ShardOutcome>>,
     reader_threads: Vec<JoinHandle<()>>,
 }
 
 impl ShardedStore {
-    /// Build and launch: one prefilled store per shard (forked from a
-    /// single baseline so every shard starts byte-identical), one worker
-    /// thread per shard.
+    /// Build and launch: one prefilled store per shard, forked from a
+    /// single baseline so every shard starts byte-identical.
     ///
     /// # Errors
     ///
@@ -814,7 +1019,6 @@ impl ShardedStore {
             }
         };
         let mut links = Vec::with_capacity(stores.len());
-        let mut workers = Vec::with_capacity(stores.len());
         let mut reader_threads = Vec::new();
         let mut shard_readers = Vec::with_capacity(stores.len());
         for (i, mut store) in stores.into_iter().enumerate() {
@@ -845,7 +1049,7 @@ impl ShardedStore {
                     reader_threads.push(
                         std::thread::Builder::new()
                             .name(format!("envy-shard-{i}-reader-{r}"))
-                            .spawn(move || run_reader(i as u32, view, qrx, &closed, &counters))
+                            .spawn(move || run_reader(view, qrx, &closed, &counters))
                             .expect("spawn shard reader"),
                     );
                 }
@@ -856,28 +1060,34 @@ impl ShardedStore {
                     counters,
                 });
             }
-            let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_capacity);
-            let depth = Arc::new(AtomicUsize::new(0));
-            let est_ns = Arc::new(AtomicU64::new(EST_INIT_NS));
-            let w = Worker {
+            let window = Ns::from_nanos(config.depth_window.as_nanos().max(1) as u64);
+            let out = ShardOutcome {
                 shard: i as u32,
                 store,
-                rx,
-                closed: Arc::clone(&closed),
-                depth: Arc::clone(&depth),
-                est_ns: Arc::clone(&est_ns),
-                batch_max: config.batch_max.max(1),
-                service_delay: config.service_delay,
-                depth_window: Ns::from_nanos(config.depth_window.as_nanos().max(1) as u64),
-                depth_rows: config.depth_rows.max(1),
+                served: 0,
+                timed_out: 0,
+                batches: 0,
+                max_batch: 0,
+                depth_series: TimeSeries::new(window, DEPTH_COLUMNS, config.depth_rows.max(1)),
+                failure: None,
+                // Patched from the shared counters at shutdown when a
+                // concurrent read path is configured.
+                reads_offloaded: 0,
+                read_retries: 0,
             };
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("envy-shard-{i}"))
-                    .spawn(move || w.run())
-                    .expect("spawn shard worker"),
-            );
-            links.push(ShardLink { tx, depth, est_ns });
+            links.push(ShardLink {
+                shard: i as u32,
+                core: Mutex::new(Some(ShardCore {
+                    out,
+                    batch_max: config.batch_max.max(1),
+                    service_delay: config.service_delay,
+                    started: Instant::now(),
+                })),
+                queue: Mutex::new(VecDeque::new()),
+                capacity: config.queue_capacity,
+                depth: AtomicUsize::new(0),
+                est_ns: AtomicU64::new(EST_INIT_NS),
+            });
         }
         let readers = per_shard_readers.map(|_| Arc::new(shard_readers));
         ShardedStore {
@@ -888,7 +1098,6 @@ impl ShardedStore {
                 closed,
                 readers,
             },
-            workers,
             reader_threads,
         }
     }
@@ -904,18 +1113,18 @@ impl ShardedStore {
     }
 
     /// Graceful shutdown: stop admitting (every [`ShardHandle`] clone
-    /// now rejects with [`ServeError::ShuttingDown`]), let every worker
-    /// drain its queue — every already-admitted request still completes
-    /// — then join and return the per-shard outcomes.
+    /// now rejects with [`ServeError::ShuttingDown`]), take each shard's
+    /// lock in turn — waiting out whoever is inside — and serve what is
+    /// still queued, so every already-admitted request completes; then
+    /// return the per-shard outcomes.
     pub fn shutdown(self) -> ServeOutcome {
         self.handle.closed.store(true, Ordering::SeqCst);
+        let mut shards: Vec<ShardOutcome> =
+            self.handle.links.iter().map(ShardLink::close).collect();
         let readers = self.handle.readers.clone();
+        // The reader queues' senders go with the handle: readers drain
+        // what they hold and exit.
         drop(self.handle);
-        let mut shards: Vec<ShardOutcome> = self
-            .workers
-            .into_iter()
-            .map(|w| w.join().expect("shard worker panicked"))
-            .collect();
         for r in self.reader_threads {
             r.join().expect("shard reader panicked");
         }
@@ -935,7 +1144,8 @@ impl ShardHandle {
         &self.plan
     }
 
-    /// Current depth of a shard's queue (an instantaneous upper bound).
+    /// Requests waiting in a shard's queue right now (0 while nothing
+    /// contends for the shard: those requests run without queueing).
     pub fn queue_depth(&self, shard: u32) -> usize {
         self.links[shard as usize].depth.load(Ordering::Relaxed)
     }
@@ -974,7 +1184,9 @@ impl ShardHandle {
     }
 
     /// Submit a request. On admission the request id is returned and
-    /// exactly one [`Response`] with that id will arrive on `reply`.
+    /// exactly one [`Response`] with that id will arrive on `reply` —
+    /// it already has, if the shard was idle (see
+    /// [`submit_with_notify`](ShardHandle::submit_with_notify)).
     /// On [`SubmitError`] nothing was admitted and no completion will
     /// follow — the caller owns the retry.
     ///
@@ -1012,12 +1224,15 @@ impl ShardHandle {
     }
 
     /// [`submit_with_id`](ShardHandle::submit_with_id) with a
-    /// completion wakeup: after the completion is posted to `reply`,
-    /// the given [`Waker`](crate::evloop::Waker) is rung so an event
-    /// loop parked in `epoll_wait`/`poll` observes it without polling
-    /// the channel. Inline reads (see [`ReadPath::Inline`]) complete
-    /// synchronously on the calling thread before this returns, so no
-    /// wake is issued for them.
+    /// completion wakeup. When the shard is idle — its lock free and
+    /// nothing admitted earlier still waiting — the request runs on the
+    /// calling thread and its completion is on `reply` before this
+    /// returns, with no wake, exactly like an inline read (see
+    /// [`ReadPath::Inline`]). Otherwise it is queued, another thread
+    /// completes it, and that thread rings the given
+    /// [`Waker`](crate::evloop::Waker) after posting to `reply`, so an
+    /// event loop parked in `epoll_wait`/`poll` observes the completion
+    /// without polling the channel.
     ///
     /// # Errors
     ///
@@ -1030,121 +1245,161 @@ impl ShardHandle {
         reply: &Sender<Response>,
         notify: Option<&Arc<crate::evloop::Waker>>,
     ) -> Result<(), SubmitError> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(SubmitError::Rejected(ServeError::ShuttingDown));
-        }
-        let shard = self.route(&req).map_err(SubmitError::Rejected)?;
-        let link = &self.links[shard as usize];
-        let local = match req {
-            Request::Read { addr, len } => Request::Read {
-                addr: addr - self.plan.base_of(shard),
-                len,
-            },
-            Request::Write { addr, bytes } => Request::Write {
-                addr: addr - self.plan.base_of(shard),
-                bytes,
-            },
-            Request::TxnWrite { addr, bytes, txn } => Request::TxnWrite {
-                addr: addr - self.plan.base_of(shard),
-                bytes,
-                txn,
-            },
-            other => other,
+        let (shard, req) = self.localize(req).map_err(SubmitError::Rejected)?;
+        let post = |result| {
+            let _ = reply.send(Response { id, shard, result });
         };
-        // Concurrent read path: reads never queue behind mutations.
-        if let Some(readers) = &self.readers {
-            if let Request::Read { addr, len } = local {
-                let sr = &readers[shard as usize];
-                if sr.queues.is_empty() {
-                    // Inline: execute on this (submitting) thread.
-                    view_read(&sr.view, &sr.counters, shard, id, addr, len, reply);
-                    return Ok(());
-                }
-                let n = sr.queues.len();
-                let start = sr.rr.fetch_add(1, Ordering::Relaxed) % n;
-                let mut job = Job {
-                    id,
-                    req: Request::Read { addr, len },
-                    deadline: deadline.map(|d| Instant::now() + d),
-                    reply: reply.clone(),
-                    notify: notify.cloned(),
-                };
-                // Round-robin with overflow onto the next reader; only
-                // a full sweep of full queues is Busy.
-                for k in 0..n {
-                    match sr.queues[(start + k) % n].try_send(job) {
-                        Ok(()) => return Ok(()),
-                        Err(TrySendError::Full(j)) => job = j,
-                        Err(TrySendError::Disconnected(_)) => {
-                            return Err(SubmitError::Rejected(ServeError::ShuttingDown))
-                        }
-                    }
-                }
-                return Err(SubmitError::Busy(Busy {
-                    shard,
-                    retry_after: self.retry_hint(shard),
-                }));
-            }
-        }
-        let job = Job {
-            id,
-            req: local,
-            deadline: deadline.map(|d| Instant::now() + d),
-            reply: reply.clone(),
-            notify: notify.cloned(),
-        };
-        // Count before sending so the worker's decrement can never race
-        // the gauge below zero; a rejected send takes the count back.
-        link.depth.fetch_add(1, Ordering::Relaxed);
-        match link.tx.try_send(job) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                link.depth.fetch_sub(1, Ordering::Relaxed);
-                match e {
-                    TrySendError::Full(_) => Err(SubmitError::Busy(Busy {
-                        shard,
-                        retry_after: self.retry_hint(shard),
-                    })),
-                    TrySendError::Disconnected(_) => {
-                        Err(SubmitError::Rejected(ServeError::ShuttingDown))
-                    }
-                }
-            }
-        }
+        let sender = || reply.clone();
+        self.admit(shard, id, Cow::Owned(req), deadline, post, sender, notify)?;
+        Ok(())
     }
 
     /// Blocking convenience: submit with no deadline, retrying through
     /// [`Busy`] backpressure (sleeping each `retry_after`), and wait for
-    /// the completion.
+    /// the completion. On an idle shard that is a plain function call:
+    /// the result comes straight back and no channel is made.
     ///
     /// # Errors
     ///
     /// The completion's [`ServeError`], or [`ServeError::ShuttingDown`]
     /// if the front end stops before answering.
     pub fn call(&self, req: Request) -> Result<Reply, ServeError> {
-        let (tx, rx) = mpsc::channel();
+        let (shard, req) = self.localize(req)?;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut completion = None;
         loop {
-            match self.submit(req.clone(), None, &tx) {
-                Ok(_) => break,
+            let sender = || {
+                let (tx, rx) = mpsc::channel();
+                completion = Some(rx);
+                tx
+            };
+            match self.admit(
+                shard,
+                id,
+                Cow::Borrowed(&req),
+                None,
+                |result| result,
+                sender,
+                None,
+            ) {
+                Ok(Some(result)) => return result,
+                Ok(None) => break,
                 // Not admitted; back off for the hinted interval and retry.
                 Err(SubmitError::Busy(b)) => std::thread::sleep(b.retry_after),
                 Err(SubmitError::Rejected(e)) => return Err(e),
             }
         }
-        match rx.recv() {
-            Ok(resp) => resp.result,
-            Err(_) => Err(ServeError::ShuttingDown),
+        match completion.and_then(|rx| rx.recv().ok()) {
+            Some(resp) => resp.result,
+            None => Err(ServeError::ShuttingDown),
         }
     }
 
-    /// The backpressure hint for a shard: estimated per-request service
-    /// time times the current queue depth, clamped to
-    /// `[1 µs, 100 ms]`.
-    fn retry_hint(&self, shard: u32) -> Duration {
+    /// Admission's front half: refuse once shutdown has begun, route
+    /// the request, and rebase its address onto the owning shard.
+    fn localize(&self, mut req: Request) -> Result<(u32, Request), ServeError> {
+        if self.closed.load(Ordering::SeqCst) {
+            return Err(ServeError::ShuttingDown);
+        }
+        let shard = self.route(&req)?;
+        if let Request::Read { addr, .. }
+        | Request::Write { addr, .. }
+        | Request::TxnWrite { addr, .. } = &mut req
+        {
+            *addr -= self.plan.base_of(shard);
+        }
+        Ok((shard, req))
+    }
+
+    /// Admit one shard-local request. If its shard is idle it runs here
+    /// and now, and `done` gets its result (`Some`) while the shard is
+    /// still held — so completions leave a shard in execution order.
+    /// Otherwise it is queued (`None`) and the completion arrives on
+    /// the channel `reply` makes — asked for only then, just as a
+    /// borrowed `req` is cloned only then.
+    #[allow(clippy::too_many_arguments)]
+    fn admit<T>(
+        &self,
+        shard: u32,
+        id: u64,
+        req: Cow<'_, Request>,
+        deadline: Option<Duration>,
+        done: impl FnOnce(Result<Reply, ServeError>) -> T,
+        reply: impl FnOnce() -> Sender<Response>,
+        notify: Option<&Arc<crate::evloop::Waker>>,
+    ) -> Result<Option<T>, SubmitError> {
         let link = &self.links[shard as usize];
-        let est = link.est_ns.load(Ordering::Relaxed).max(1);
-        let depth = link.depth.load(Ordering::Relaxed).max(1) as u64;
-        Duration::from_nanos(est.saturating_mul(depth)).clamp(RETRY_MIN, RETRY_MAX)
+        let job = |req: Cow<'_, Request>| Job {
+            id,
+            shard,
+            req: req.into_owned(),
+            deadline: deadline.map(|d| Instant::now() + d),
+            reply: reply(),
+            notify: notify.cloned(),
+        };
+        let busy = || {
+            let retry_after = link.retry_hint();
+            Err(SubmitError::Busy(Busy { shard, retry_after }))
+        };
+        let shutting_down = Err(SubmitError::Rejected(ServeError::ShuttingDown));
+        // Concurrent read path: reads never wait for the shard's lock.
+        if let (Some(readers), &Request::Read { addr, len }) = (&self.readers, &*req) {
+            let sr = &readers[shard as usize];
+            let n = sr.queues.len();
+            if n == 0 {
+                // Inline: execute on this (submitting) thread.
+                return Ok(Some(done(view_read(&sr.view, &sr.counters, addr, len))));
+            }
+            let start = sr.rr.fetch_add(1, Ordering::Relaxed) % n;
+            let mut job = job(req);
+            // Round-robin with overflow onto the next reader; only
+            // a full sweep of full queues is Busy.
+            for k in 0..n {
+                match sr.queues[(start + k) % n].try_send(job) {
+                    Ok(()) => return Ok(None),
+                    Err(TrySendError::Full(j)) => job = j,
+                    Err(TrySendError::Disconnected(_)) => return shutting_down,
+                }
+            }
+            return busy();
+        }
+        let Some(mut guard) = link.try_core() else {
+            // Someone is inside: queue behind them.
+            let mut queue = link.queue();
+            // Checked under the queue lock: shutdown raises the flag
+            // before its last look at the queue, so a job pushed here
+            // is one it still drains.
+            if self.closed.load(Ordering::SeqCst) {
+                return shutting_down;
+            }
+            if queue.len() >= link.capacity {
+                return busy();
+            }
+            queue.push_back(job(req));
+            link.depth.store(queue.len(), Ordering::Relaxed);
+            drop(queue);
+            link.kick();
+            return Ok(None);
+        };
+        let Some(core) = guard.as_mut() else {
+            return shutting_down;
+        };
+        // Whatever was admitted earlier goes first: per-shard order is
+        // admission order. (A submit that happened before this one has
+        // stored its depth where this load sees it; one that races it
+        // has no order to keep.)
+        if link.depth.load(Ordering::Relaxed) != 0 {
+            link.drain(core);
+        }
+        // Then this request, as a dispatch of its own, on this thread.
+        let timed = core.out.batches % INLINE_CLOCK_EVERY == 0;
+        let t0 = link.begin(core, std::iter::once(id), timed);
+        let result = link.execute(core, id, None, |store| apply(store, &req));
+        link.settle(1, t0);
+        let done = done(result);
+        drop(guard);
+        link.kick();
+        Ok(Some(done))
     }
 }
 
@@ -1153,7 +1408,7 @@ impl ShardHandle {
 // ---------------------------------------------------------------------
 
 /// Execute one shard-local request against a store, exactly as a shard
-/// worker does: timed accesses issued back-to-back on the shard's own
+/// does under its lock: timed accesses issued back-to-back on the shard's own
 /// simulated clock. Public so differential tests can replay a shard's
 /// request subsequence against a monolithic store and demand identical
 /// bytes, clocks, and statistics.
@@ -1296,154 +1551,6 @@ fn map_store_err(store: &EnvyStore) -> impl Fn(EnvyError) -> ServeError + '_ {
         // state, never echoed to a peer that does not own it.
         EnvyError::TxnConflict { .. } => ServeError::TxnConflict,
         other => ServeError::Store(other.to_string()),
-    }
-}
-
-struct Worker {
-    shard: u32,
-    store: EnvyStore,
-    rx: Receiver<Job>,
-    closed: Closed,
-    depth: Arc<AtomicUsize>,
-    est_ns: Arc<AtomicU64>,
-    batch_max: usize,
-    service_delay: Option<Duration>,
-    depth_window: Ns,
-    depth_rows: usize,
-}
-
-impl Worker {
-    fn run(mut self) -> ShardOutcome {
-        let started = Instant::now();
-        let mut series = TimeSeries::new(self.depth_window, DEPTH_COLUMNS, self.depth_rows);
-        let mut batch: Vec<Job> = Vec::with_capacity(self.batch_max);
-        let mut served = 0u64;
-        let mut timed_out = 0u64;
-        let mut batches = 0u64;
-        let mut max_batch = 0u32;
-        // Exit either when every sender is gone (the queue yields all
-        // remaining jobs before reporting disconnect) or when the close
-        // flag is up and the queue has gone empty — both guarantee the
-        // drain: every admitted request still completes.
-        loop {
-            let first = match self.rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(job) => job,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !self.closed.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    match self.rx.try_recv() {
-                        Ok(job) => job,
-                        Err(_) => break,
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            batch.push(first);
-            while batch.len() < self.batch_max {
-                match self.rx.try_recv() {
-                    Ok(job) => batch.push(job),
-                    Err(_) => break,
-                }
-            }
-            let n = batch.len();
-            self.depth.fetch_sub(n, Ordering::Relaxed);
-            batches += 1;
-            max_batch = max_batch.max(n as u32);
-            let wall = Ns::from_nanos(started.elapsed().as_nanos() as u64);
-            if series.due(wall) {
-                series.record(
-                    wall,
-                    vec![
-                        (self.depth.load(Ordering::Relaxed) + n) as f64,
-                        n as f64,
-                        served as f64,
-                    ],
-                );
-            }
-            let t0 = Instant::now();
-            self.trace_batch(&batch);
-            // One wake per distinct event loop per batch (not per job):
-            // wakes coalesce, so ringing after the batch is enough.
-            let mut wakers: Vec<Arc<crate::evloop::Waker>> = Vec::new();
-            for job in batch.drain(..) {
-                let result = if job.deadline.is_some_and(|d| Instant::now() > d) {
-                    timed_out += 1;
-                    Err(ServeError::DeadlineExceeded)
-                } else {
-                    if let Some(delay) = self.service_delay {
-                        std::thread::sleep(delay);
-                    }
-                    apply(&mut self.store, &job.req)
-                };
-                self.trace_complete(job.id);
-                served += 1;
-                // A dropped completion receiver (dead client) must not
-                // take the worker down with it.
-                let _ = job.reply.send(Response {
-                    id: job.id,
-                    shard: self.shard,
-                    result,
-                });
-                if let Some(w) = job.notify {
-                    if !wakers.iter().any(|k| Arc::ptr_eq(k, &w)) {
-                        wakers.push(w);
-                    }
-                }
-            }
-            for w in wakers {
-                w.wake();
-            }
-            let per_op = (t0.elapsed().as_nanos() as u64 / n as u64).max(1);
-            // EWMA (3 old + 1 new) / 4, kept in integers.
-            let old = self.est_ns.load(Ordering::Relaxed);
-            self.est_ns
-                .store((old.saturating_mul(3) + per_op) / 4, Ordering::Relaxed);
-        }
-        ShardOutcome {
-            shard: self.shard,
-            store: self.store,
-            served,
-            timed_out,
-            batches,
-            max_batch,
-            depth_series: series,
-            // Patched from the shared counters at shutdown when a
-            // concurrent read path is configured.
-            reads_offloaded: 0,
-            read_retries: 0,
-        }
-    }
-
-    /// Emit admission + dispatch trace events for a drained batch
-    /// (no-ops unless tracing was enabled; stamped with the shard's
-    /// simulated clock, like every controller event).
-    fn trace_batch(&mut self, batch: &[Job]) {
-        if !self.store.trace().is_enabled() {
-            return;
-        }
-        let now = self.store.now();
-        let shard = self.shard;
-        let trace = self.store.engine_mut().trace_mut();
-        trace.set_now(now);
-        for job in batch {
-            trace.push(TraceEvent::ServeEnqueue { shard, seq: job.id });
-        }
-        trace.push(TraceEvent::ServeDispatch {
-            shard,
-            batch: batch.len() as u32,
-        });
-    }
-
-    fn trace_complete(&mut self, id: u64) {
-        if !self.store.trace().is_enabled() {
-            return;
-        }
-        let now = self.store.now();
-        let shard = self.shard;
-        let trace = self.store.engine_mut().trace_mut();
-        trace.set_now(now);
-        trace.push(TraceEvent::ServeComplete { shard, seq: id });
     }
 }
 
@@ -1756,9 +1863,83 @@ mod tests {
     fn retry_hint_is_clamped() {
         let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
         let h = store.handle();
-        let hint = h.retry_hint(0);
+        let hint = h.links[0].retry_hint();
         assert!(hint >= RETRY_MIN && hint <= RETRY_MAX);
         store.shutdown();
+    }
+
+    /// Make shard `shard` run a request that panics, the way `admit`
+    /// would; returns what its submitter is told.
+    fn panic_inside(h: &ShardHandle, shard: usize) -> Result<Reply, ServeError> {
+        let link = &h.links[shard];
+        let mut guard = link.try_core().expect("idle shard");
+        let core = guard.as_mut().expect("live shard");
+        link.execute(core, u64::MAX, None, |_| {
+            panic!("injected: request panicked")
+        })
+    }
+
+    fn is_poisoned(result: Result<Reply, ServeError>, shard: u32) -> bool {
+        result == Err(poisoned(shard))
+    }
+
+    #[test]
+    fn a_panicking_request_fails_its_shard_with_typed_errors() {
+        let store = ShardedStore::launch(ServeConfig::small(2)).unwrap();
+        let h = store.handle();
+        let base = h.plan().shard_bytes();
+        h.call(Request::Ping { shard: 0 }).unwrap();
+        // The panic stops at the shard: its submitter gets a typed
+        // error, on its own thread, which lives on.
+        assert!(is_poisoned(panic_inside(&h, 0), 0));
+        // Every later submit is answered with the same typed error —
+        // through `call`, through `submit`, and for queued jobs alike —
+        // and nothing touches the store again.
+        assert!(is_poisoned(h.call(Request::Ping { shard: 0 }), 0));
+        let (tx, rx) = mpsc::channel();
+        let write = Request::Write {
+            addr: 64,
+            bytes: vec![1; 8],
+        };
+        let id = h.submit(write, None, &tx).expect("admitted, then refused");
+        let resp = rx.try_recv().expect("completed inline");
+        assert_eq!(resp.id, id);
+        assert!(is_poisoned(resp.result, 0));
+        // The other shard is untouched.
+        let write = Request::Write {
+            addr: base + 64,
+            bytes: b"fine".to_vec(),
+        };
+        h.call(write).unwrap();
+        assert_eq!(read_bytes(&h, base + 64, 4), b"fine");
+        // Shutdown reports the failure instead of panicking.
+        let outcome = store.shutdown();
+        assert_eq!(outcome.shards[0].failure, Some(poisoned(0)));
+        assert_eq!(outcome.shards[0].store.stats().host_writes.get(), 0);
+        assert_eq!(outcome.shards[1].failure, None);
+        // The ping, the panic, and the two refusals all completed.
+        assert_eq!(outcome.shards[0].served, 4);
+    }
+
+    #[test]
+    fn a_panicked_shard_never_takes_the_event_loop_down() {
+        let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
+        let h = store.handle();
+        let listener = crate::net::Listener::bind_tcp("127.0.0.1:0").unwrap();
+        let server = crate::net::serve(listener, store).unwrap();
+        let mut client = crate::net::Client::connect_tcp(server.addr()).unwrap();
+        client.ping(0).unwrap();
+        assert!(is_poisoned(panic_inside(&h, 0), 0));
+        // The loop thread runs this request itself, on the poisoned
+        // shard: a typed error frame, not a dead daemon.
+        match client.ping(0) {
+            Err(crate::net::ClientError::Serve(e)) => assert_eq!(e, poisoned(0)),
+            other => panic!("expected the typed poison error, got {other:?}"),
+        }
+        // And the daemon still shuts down in order, reporting it.
+        let summary = server.shutdown();
+        assert_eq!(summary.outcome.shards[0].failure, Some(poisoned(0)));
+        assert_eq!(summary.outcome.total_served(), 3);
     }
 
     fn read_bytes(h: &ShardHandle, addr: u64, len: u32) -> Vec<u8> {

@@ -1,13 +1,17 @@
 //! Backpressure and robustness: admission control must be explicit,
 //! shutdown must drain, deadlines must surface as typed timeouts.
 
+mod common;
+
+use common::{until_contended, Occupant};
 use envy_server::{Request, ServeConfig, ServeError, ShardedStore, SubmitError};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// A single slow shard with a tiny queue: saturating it must return
-/// typed `Busy` rejections immediately — never block, never deadlock —
-/// and every admitted request must still complete.
+/// A single slow shard with a tiny queue, occupied by a second
+/// submitter: saturating it must return typed `Busy` rejections
+/// immediately — never block, never deadlock — and every admitted
+/// request must still complete.
 #[test]
 fn full_queue_returns_busy_and_never_deadlocks() {
     let config = ServeConfig::small(1)
@@ -17,6 +21,8 @@ fn full_queue_returns_busy_and_never_deadlocks() {
     let store = ShardedStore::launch(config).unwrap();
     let handle = store.handle();
     let (tx, rx) = mpsc::channel();
+    let occupant = Occupant::hold(&handle);
+    let probes = until_contended(&handle, &tx, &rx);
 
     let started = Instant::now();
     let mut admitted = 0u64;
@@ -45,18 +51,23 @@ fn full_queue_returns_busy_and_never_deadlocks() {
         "submission blocked: {:?}",
         started.elapsed()
     );
-    assert!(busy > 0, "a 2-deep queue at 4 ms/op must reject");
+    assert!(
+        busy > 0,
+        "a 2-deep queue behind a 4 ms/op holder must reject"
+    );
     assert!(admitted > 0);
 
-    // Every admitted request completes; none are lost or duplicated.
-    for _ in 0..admitted {
+    // Every admitted request completes (the queued probe with them);
+    // none are lost or duplicated.
+    for _ in 0..admitted + 1 {
         rx.recv_timeout(Duration::from_secs(10))
             .expect("admitted request must complete")
             .result
-            .expect("write must succeed");
+            .expect("request must succeed");
     }
+    let pings = occupant.release();
     let outcome = store.shutdown();
-    assert_eq!(outcome.total_served(), admitted);
+    assert_eq!(outcome.total_served(), admitted + probes + pings);
 }
 
 /// Requests admitted before a graceful shutdown complete during it.
@@ -112,8 +123,9 @@ fn graceful_shutdown_drains_in_flight_requests() {
     ));
 }
 
-/// Deadline-expired requests complete with the typed timeout error
-/// instead of executing.
+/// Requests whose deadline lapses while they wait behind another
+/// submitter complete with the typed timeout error instead of
+/// executing.
 #[test]
 fn expired_deadlines_surface_typed_timeouts() {
     let config = ServeConfig::small(1)
@@ -123,6 +135,8 @@ fn expired_deadlines_surface_typed_timeouts() {
     let store = ShardedStore::launch(config).unwrap();
     let handle = store.handle();
     let (tx, rx) = mpsc::channel();
+    let occupant = Occupant::hold(&handle);
+    let probes = until_contended(&handle, &tx, &rx);
     let deadline = Some(Duration::from_millis(1));
     let mut admitted = 0u64;
     for i in 0..8u64 {
@@ -142,21 +156,24 @@ fn expired_deadlines_surface_typed_timeouts() {
     }
     let mut ok = 0u64;
     let mut timed_out = 0u64;
-    for _ in 0..admitted {
+    // The queued probe (no deadline) is answered first: it was ahead.
+    for _ in 0..admitted + 1 {
         let resp = rx
             .recv_timeout(Duration::from_secs(10))
             .expect("completion must arrive");
         match resp.result {
+            Ok(envy_server::Reply::Pong) => {}
             Ok(_) => ok += 1,
             Err(ServeError::DeadlineExceeded) => timed_out += 1,
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    // At 10 ms per op and a 1 ms deadline, everything behind the first
-    // dispatch must expire.
-    assert!(timed_out > 0, "later requests must expire ({ok} ok)");
+    // The writes queued behind a probe that takes 10 ms to serve, with
+    // 1 ms to live: they must expire.
+    assert!(timed_out > 0, "queued requests must expire ({ok} ok)");
+    let pings = occupant.release();
     let outcome = store.shutdown();
-    assert_eq!(outcome.total_served(), admitted);
+    assert_eq!(outcome.total_served(), admitted + probes + pings);
     assert_eq!(outcome.total_timed_out(), timed_out);
     // Expired writes never touched the store: host writes counted only
     // for the ones that executed.

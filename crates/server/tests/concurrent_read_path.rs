@@ -2,28 +2,14 @@
 //! execution, the 1-reader digest anchor against the monolithic store,
 //! and the `Busy` backpressure retry contract.
 
+mod common;
+
+use common::contents_digest;
 use envy_core::EnvyStore;
 use envy_server::{
     run_inproc, run_monolithic, LoadSpec, ReadPath, Reply, Request, ServeConfig, ShardedStore,
 };
 use std::time::Duration;
-
-/// FNV-1a over a byte slice: the stable, dependency-free digest used by
-/// the behavior-neutrality goldens.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn contents_digest(store: &mut EnvyStore) -> u64 {
-    let mut buf = vec![0u8; store.size() as usize];
-    store.read(0, &mut buf).unwrap();
-    fnv1a(&buf)
-}
 
 #[test]
 fn inline_reads_complete_off_the_writer() {

@@ -2,6 +2,8 @@
 //! pipelining, malformed frames, killed connections, deadlines, and
 //! graceful drains.
 
+mod common;
+
 use envy_server::proto::{self, WireOutcome};
 use envy_server::{serve, Client, Listener, Reply, Request, ServeConfig, ServeError, ShardedStore};
 use std::io::Write;
@@ -160,8 +162,15 @@ fn wire_deadline_surfaces_typed_timeout() {
     let config = ServeConfig::small(1)
         .with_batch_max(16)
         .with_service_delay(Duration::from_millis(10));
-    let (server, addr) = launch_tcp(config);
-    let mut client = Client::connect_tcp(&addr).unwrap();
+    let store = ShardedStore::launch(config).unwrap();
+    // The event loop runs its requests itself, so they queue only
+    // behind some other thread: an in-process submitter holds the shard.
+    let handle = store.handle();
+    let server = serve(Listener::bind_tcp("127.0.0.1:0").unwrap(), store).unwrap();
+    let mut client = Client::connect_tcp(server.addr()).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let occupant = common::Occupant::hold(&handle);
+    common::until_contended(&handle, &tx, &rx);
     let deadline = Some(Duration::from_millis(1));
     for i in 0..6u64 {
         client
@@ -183,6 +192,7 @@ fn wire_deadline_surfaces_typed_timeout() {
         }
     }
     assert!(timed_out > 0, "queued-behind-slow requests must expire");
+    occupant.release();
     let summary = server.shutdown();
     assert_eq!(summary.outcome.total_timed_out(), timed_out);
 }

@@ -16,8 +16,9 @@
 //! * [`heap`] — a persistent allocator and a crash-safe append log.
 //! * [`kv`] — a key-value store layering a [`btree`] index over [`heap`]
 //!   records: variable-size values, ordered scans, delete.
-//! * [`server`] — a sharded concurrent front end: per-shard worker
-//!   threads with bounded queues and backpressure, a binary wire
+//! * [`server`] — a sharded concurrent front end: passive shards that
+//!   run each request on its submitter's thread, bounded queues and
+//!   backpressure under contention, a binary wire
 //!   protocol over TCP/Unix sockets, and a multi-client load generator.
 //!
 //! ## Quickstart
