@@ -47,9 +47,9 @@ echo "== smoke: concurrent read path (seqlock stress + digest anchors) =="
 # only exhibits real races under optimized codegen and free-running
 # threads, so the debug-mode run above is not enough. The core suite
 # storms flush/clean/wear/recovery under concurrent readers asserting
-# no torn page is ever observed; the server suite pins the 1-reader and
-# inline front ends byte-identical to the monolithic store and
-# exercises the Busy retry contract (see docs/CONCURRENCY.md). The
+# no torn page is ever observed; the server suite pins the inline front
+# end byte-identical to the monolithic store and exercises the Busy
+# retry contract (see docs/CONCURRENCY.md). The
 # run-to-completion suite races submitters for one shard's lock (the
 # idle-boundary hand-off, shutdown against live submitters), which
 # likewise only means something at full speed.

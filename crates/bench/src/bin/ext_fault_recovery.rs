@@ -129,8 +129,7 @@ fn rate_run(rate: u64, writes: u64) -> EnvyStore {
     let config = EnvyConfig::scaled(2, 16, 128, PAGE as u32).with_buffer_pages(32);
     let mut s = EnvyStore::new(config).expect("config is valid");
     s.prefill().expect("prefill fits");
-    if rate > 0 {
-        let period = 10_000 / rate;
+    if let Some(period) = 10_000u64.checked_div(rate) {
         // Cover far more program ops than the churn can issue.
         let schedule = (1..).map(|i| i * period).take_while(|&op| op < writes * 8);
         s.arm_faults(FaultPlan::default().with_program_failures(schedule));

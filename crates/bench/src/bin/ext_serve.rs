@@ -323,18 +323,12 @@ fn main() {
     );
 
     // Concurrent in-shard read path: the read-heavy 95/5 record mix at
-    // the widest shard count, swept over read execution paths. Reads on
-    // the concurrent paths bypass the timed model via each shard's
-    // lock-free ReadView, so the figure of merit is wall-clock TPS.
+    // the widest shard count, on both read execution paths. Inline reads
+    // bypass the timed model via each shard's lock-free ReadView, so the
+    // figure of merit is wall-clock TPS.
     let rh_shards = *SHARD_COUNTS.last().unwrap();
     let rh_txns = arg_u64("read-txns", if quick { 300 } else { 3_000 });
-    let paths: [(&str, ReadPath); 5] = [
-        ("timed", ReadPath::Timed),
-        ("inline", ReadPath::Inline),
-        ("readers1", ReadPath::Readers(1)),
-        ("readers2", ReadPath::Readers(2)),
-        ("readers4", ReadPath::Readers(4)),
-    ];
+    let paths = [("timed", ReadPath::Timed), ("inline", ReadPath::Inline)];
     let mut rh_table = Table::new(&[
         "read path",
         "txns",
@@ -386,14 +380,6 @@ fn main() {
             format!("readheavy/{name}"),
             vec![
                 ("shards", f64::from(rh_shards)),
-                (
-                    "reader_threads",
-                    match path {
-                        ReadPath::Timed => 0.0,
-                        ReadPath::Inline => -1.0,
-                        ReadPath::Readers(n) => f64::from(n),
-                    },
-                ),
                 ("completed_txns", report.completed_txns as f64),
                 ("wall_tps", wall_tps),
                 ("reads_offloaded", outcome.total_reads_offloaded() as f64),

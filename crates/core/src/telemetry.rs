@@ -122,7 +122,7 @@ mod tests {
         let mut ops = Vec::new();
         let pages = e.config().logical_pages;
         for i in 0..6_000u64 {
-            e.write_page_bytes(((i * 13) % pages) as u64, 0, &[i as u8], None, &mut ops)
+            e.write_page_bytes((i * 13) % pages, 0, &[i as u8], None, &mut ops)
                 .unwrap();
             ops.clear();
         }

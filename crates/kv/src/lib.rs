@@ -535,7 +535,7 @@ mod tests {
         let len = store.size();
         let mut kv = KvStore::create(&mut store, 0, len).unwrap();
         for i in 0..200u64 {
-            kv.put(&mut store, i, &vec![i as u8; 100]).unwrap();
+            kv.put(&mut store, i, &[i as u8; 100]).unwrap();
         }
         for i in 0..200u64 {
             assert_eq!(kv.get(&mut store, i).unwrap().unwrap(), vec![i as u8; 100]);
@@ -582,7 +582,7 @@ mod tests {
         let config = EnvyConfig::small_test();
         let mut store = EnvyStore::new(config).unwrap();
         let len = store.size();
-        let mut kv = KvStore::create(&mut store, 0, len).unwrap();
+        KvStore::create(&mut store, 0, len).unwrap();
 
         let txn = store.txn_begin().unwrap();
         {

@@ -26,7 +26,7 @@
 //!   encoded into pooled buffers recycled through the connection's
 //!   write queue.
 //! * **Vectored writes** — pipelined responses flush with a single
-//!   `writev` (up to [`MAX_IOVECS`] frames), continuing after partial
+//!   `writev` (up to `MAX_IOVECS` frames), continuing after partial
 //!   writes under `EPOLLOUT` interest.
 //! * **Completion wakeup** — only a request that found its shard held
 //!   by another thread is completed elsewhere; that thread rings a

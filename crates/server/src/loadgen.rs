@@ -1,8 +1,15 @@
 //! Open- and closed-loop multi-client load generation.
 //!
+//! There is **one client loop** (`run_client` → `pipeline` /
+//! `atomic_txn`) and three small transports it runs over: the
+//! in-process [`ShardHandle`] ([`run_inproc`]), a socket [`Client`]
+//! ([`run_socket`]), and [`apply`] straight on a store
+//! ([`run_monolithic`], the reference the determinism anchors compare
+//! a served run against). What a client does with a refusal, a failed
+//! access or a server going away is therefore decided once.
+//!
 //! Each client thread drives a skewed TPC-A-style transaction mix
-//! (reusing [`envy_workload`]'s analytic driver) against either the
-//! in-process [`ShardHandle`] or a socket [`Client`]. Transactions pick
+//! (reusing [`envy_workload`]'s analytic driver). Transactions pick
 //! a shard uniformly and run the full three-index search +
 //! read-modify-write access list of one TPC-A transaction against that
 //! shard's slice; account skew follows the `hot_weight` /
@@ -14,10 +21,11 @@
 //!   completions, records the latency, and starts the next. Throughput
 //!   is completion-limited.
 //! * **Open loop** — transaction *starts* are paced to an offered rate,
-//!   and latency is measured from the **scheduled** start, so queueing
-//!   delay from a saturated server counts against it (coordinated-
-//!   omission correction). A client still bounds itself to one
-//!   transaction's accesses outstanding.
+//!   client *i* of *C* offset by *i*/*C* of its interval so the clients
+//!   do not fire together, and latency is measured from the
+//!   **scheduled** start, so queueing delay from a saturated server
+//!   counts against it (coordinated-omission correction). A client
+//!   still bounds itself to one transaction's accesses outstanding.
 //!
 //! [`Busy`](crate::shard::Busy) rejections are retried after the hinted
 //! backoff and counted in [`LoadReport::busy_retries`] — backpressure is
@@ -34,7 +42,7 @@ use envy_sim::stats::Histogram;
 use envy_sim::time::Ns;
 use envy_workload::tpca::{AnalyticTpca, TpcaScale, TraceAccess, Transaction};
 use envy_workload::ycsb::{YcsbConfig, YcsbOp, YcsbStream};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -179,7 +187,7 @@ impl LoadSpec {
 /// initial record, keys `0..records` in order, routed by
 /// `key % shards`. Both sides of the determinism anchor run exactly
 /// this sequence — the monolithic reference through
-/// [`apply`](crate::shard::apply), the served run over its connection —
+/// [`apply`], the served run over its connection —
 /// so the stores enter the measured phase byte-identical.
 pub fn ycsb_load_requests(config: &YcsbConfig, shards: u32) -> Vec<Request> {
     let shards = shards.max(1) as u64;
@@ -574,31 +582,37 @@ fn patch_txn(req: &Request, txn: u64) -> Request {
     }
 }
 
-/// Shared pacing/termination bookkeeping for one client thread.
+/// Pacing and termination bookkeeping for one client thread.
 struct ClientLoop {
     report: LoadReport,
     end: Option<Instant>,
     txns_target: u64,
     interval: Option<Duration>,
     next_start: Instant,
-    started: Instant,
 }
 
 impl ClientLoop {
-    fn new(spec: &LoadSpec, started: Instant) -> ClientLoop {
+    fn new(spec: &LoadSpec, client: u32, started: Instant) -> ClientLoop {
         let interval = match spec.mode {
             LoadMode::Closed => None,
             LoadMode::Open { rate_tps } => Some(Duration::from_secs_f64(
                 spec.clients as f64 / rate_tps as f64,
             )),
         };
+        // Client i of C starts i/C of an interval in: C paced clients
+        // offer their aggregate rate evenly, not as a burst of C every
+        // interval whose drain time the latencies would then measure.
+        // And never before now: a start scheduled before its client
+        // existed would charge the harness's own start-up (connects,
+        // thread spawns, stream set-up) to the server as queueing delay.
+        let phase = f64::from(client) / f64::from(spec.clients.max(1));
+        let offset = interval.unwrap_or_default().mul_f64(phase);
         ClientLoop {
             report: LoadReport::default(),
             end: spec.duration.map(|d| started + d),
             txns_target: spec.txns_per_client,
             interval,
-            next_start: started,
-            started,
+            next_start: (started + offset).max(Instant::now()),
         }
     }
 
@@ -611,10 +625,8 @@ impl ClientLoop {
         if self.txns_target > 0 && done >= self.txns_target {
             return None;
         }
-        if let Some(end) = self.end {
-            if Instant::now() >= end {
-                return None;
-            }
+        if self.end.is_some_and(|end| Instant::now() >= end) {
+            return None;
         }
         match self.interval {
             None => Some(Instant::now()),
@@ -629,33 +641,6 @@ impl ClientLoop {
             }
         }
     }
-
-    fn finish(mut self) -> LoadReport {
-        self.report.wall = self.started.elapsed();
-        self.report
-    }
-}
-
-/// Drive a load run against an in-process [`ShardHandle`].
-///
-/// Spawns `spec.clients` threads, each with its own deterministic
-/// transaction stream, and merges their reports.
-pub fn run_inproc(handle: &ShardHandle, spec: &LoadSpec) -> LoadReport {
-    let started = Instant::now();
-    let mut total = LoadReport::default();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..spec.clients)
-            .map(|c| {
-                let handle = handle.clone();
-                scope.spawn(move || inproc_client(&handle, spec, c, started))
-            })
-            .collect();
-        for w in workers {
-            total.merge(&w.join().expect("load client panicked"));
-        }
-    });
-    total.wall = started.elapsed();
-    total
 }
 
 /// Base delay before retrying a refused transactional request (a
@@ -671,8 +656,7 @@ const TXN_RETRY_CAP: u32 = 32;
 /// abort decisions: the losers must not retry in lockstep, or they
 /// collide again on the very same pages. Each pause draws uniformly
 /// from [0.5×, 1.5×) of an exponentially growing base (capped), and a
-/// success resets the growth. When the server supplied a `retry_after`
-/// hint it floors the base — the hint is honored, never undercut.
+/// success resets the growth.
 struct Backoff {
     rng: Rng,
     streak: u32,
@@ -687,9 +671,8 @@ impl Backoff {
     }
 
     /// Sleep one jittered delay and grow the streak.
-    fn pause(&mut self, hint: Option<Duration>) {
-        let mut base = TXN_RETRY_BASE.max(hint.unwrap_or(Duration::ZERO));
-        base = base.saturating_mul(1u32 << self.streak.min(4));
+    fn pause(&mut self) {
+        let base = TXN_RETRY_BASE.saturating_mul(1u32 << self.streak.min(4));
         let nanos = (base.as_nanos() as u64).max(1);
         let jittered = nanos / 2 + self.rng.below(nanos);
         self.streak = self.streak.saturating_add(1);
@@ -702,256 +685,407 @@ impl Backoff {
     }
 }
 
-fn inproc_client(
-    handle: &ShardHandle,
-    spec: &LoadSpec,
-    client: u32,
-    started: Instant,
-) -> LoadReport {
-    let mut stream = TxnStream::new(spec, *handle.plan(), client);
-    let mut lp = ClientLoop::new(spec, started);
-    let (tx, rx) = mpsc::channel::<Response>();
-    let mut reqs = Vec::new();
-    let mut backoff = Backoff::new(spec.seed ^ 0xB0FF ^ u64::from(client));
-    let atomic = spec.abort_fraction.is_some();
-    while let Some(t0) = lp.next_txn() {
-        stream.next_requests(&mut reqs);
-        if atomic {
-            if inproc_txn(handle, spec, &reqs, &tx, &rx, &mut lp.report, &mut backoff).is_none() {
-                return lp.finish();
-            }
-            lp.report
-                .txn_latency
-                .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-            continue;
-        }
-        let mut outstanding = 0usize;
-        for req in &reqs {
-            loop {
-                match handle.submit(req.clone(), spec.deadline, &tx) {
-                    Ok(_) => {
-                        outstanding += 1;
-                        break;
-                    }
-                    Err(SubmitError::Busy(b)) => {
-                        lp.report.busy_retries += 1;
-                        std::thread::sleep(b.retry_after);
-                    }
-                    Err(SubmitError::Rejected(ServeError::ShuttingDown)) => {
-                        drain(&rx, outstanding, &mut lp.report);
-                        return lp.finish();
-                    }
-                    Err(SubmitError::Rejected(_)) => {
-                        lp.report.errors += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        drain(&rx, outstanding, &mut lp.report);
-        lp.report.completed_txns += 1;
-        lp.report
-            .txn_latency
-            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-    }
-    lp.finish()
+// ---------------------------------------------------------------------
+// Transports
+// ---------------------------------------------------------------------
+
+/// The far end will answer nothing more (server shutting down,
+/// connection lost): the client counts what it is still owed and stops.
+#[derive(Debug)]
+struct Gone;
+
+/// What a request was answered with.
+type Answer = Result<Reply, ServeError>;
+
+/// The way requests reach a store and answers come back — all the one
+/// client loop below knows about where it is running. Every `submit`
+/// that returns `Ok` is answered by exactly one later `recv`, in any
+/// order. [`Busy`](crate::shard::Busy) never reaches the loop: a
+/// transport retries it after the hinted pause wherever its medium
+/// surfaces it, and counts it in [`LoadReport::busy_retries`].
+trait Transport {
+    /// Hand over one request.
+    fn submit(
+        &mut self,
+        req: &Request,
+        deadline: Option<Duration>,
+        report: &mut LoadReport,
+    ) -> Result<(), Gone>;
+
+    /// Block for the answer to any request submitted and not yet
+    /// answered.
+    fn recv(&mut self, report: &mut LoadReport) -> Result<Answer, Gone>;
 }
 
-/// Submit one request (no pipelining) and await its completion.
-/// `None` means the server is shutting down or the completion channel
-/// died — the client should stop.
-fn call_inproc(
-    handle: &ShardHandle,
-    req: &Request,
-    deadline: Option<Duration>,
-    tx: &mpsc::Sender<Response>,
-    rx: &mpsc::Receiver<Response>,
-    report: &mut LoadReport,
-) -> Option<Result<Reply, ServeError>> {
-    loop {
-        match handle.submit(req.clone(), deadline, tx) {
-            Ok(_) => break,
-            Err(SubmitError::Busy(b)) => {
-                report.busy_retries += 1;
-                std::thread::sleep(b.retry_after);
-            }
-            Err(SubmitError::Rejected(ServeError::ShuttingDown)) => return None,
-            Err(SubmitError::Rejected(e)) => return Some(Err(e)),
-        }
-    }
-    rx.recv().ok().map(|resp| resp.result)
+/// In-process: [`ShardHandle::submit`] and a completion channel. `Busy`
+/// and rejections come back from the call itself.
+struct InProc {
+    handle: ShardHandle,
+    tx: mpsc::Sender<Response>,
+    rx: mpsc::Receiver<Response>,
 }
 
-/// How one attempt of an atomic transaction ended.
-enum TxnAttempt {
-    /// Committed, deliberately aborted, or failed on a non-conflict
-    /// error — either way the transaction is finished.
-    Resolved,
-    /// A write hit another open transaction's write set: the attempt
-    /// was aborted whole and should be retried after a backoff.
-    Conflicted,
-}
-
-/// Run one atomic transaction against the in-process handle: begin
-/// (retrying slot-full refusals with jittered backoff), pipeline the
-/// body under the assigned id, then commit — or abort, when the stream
-/// said so or any body access failed. A write-set conflict aborts the
-/// attempt and retries the whole transaction, up to [`TXN_RETRY_CAP`]
-/// times. Begin and the commit/abort run without the per-request
-/// deadline: a transaction, once opened, must be resolved.
-///
-/// `None` means the server is shutting down.
-fn inproc_txn(
-    handle: &ShardHandle,
-    spec: &LoadSpec,
-    reqs: &[Request],
-    tx: &mpsc::Sender<Response>,
-    rx: &mpsc::Receiver<Response>,
-    report: &mut LoadReport,
-    backoff: &mut Backoff,
-) -> Option<()> {
-    for _ in 0..TXN_RETRY_CAP {
-        match inproc_txn_once(handle, spec, reqs, tx, rx, report, backoff)? {
-            TxnAttempt::Resolved => return Some(()),
-            TxnAttempt::Conflicted => {
-                report.txn_conflict_retries += 1;
-                backoff.pause(None);
-            }
-        }
-    }
-    report.errors += 1;
-    Some(())
-}
-
-fn inproc_txn_once(
-    handle: &ShardHandle,
-    spec: &LoadSpec,
-    reqs: &[Request],
-    tx: &mpsc::Sender<Response>,
-    rx: &mpsc::Receiver<Response>,
-    report: &mut LoadReport,
-    backoff: &mut Backoff,
-) -> Option<TxnAttempt> {
-    let (begin, rest) = reqs.split_first().expect("atomic txn has a begin");
-    let (tail, body) = rest.split_last().expect("atomic txn has a commit/abort");
-    let txn = loop {
-        match call_inproc(handle, begin, None, tx, rx, report)? {
-            Ok(Reply::TxnStarted { txn }) => {
-                report.completed_ops += 1;
-                backoff.reset();
-                break txn;
-            }
-            Ok(other) => unreachable!("begin answered {other:?}"),
-            Err(ServeError::TxnBusy) => {
-                report.txn_conflicts += 1;
-                backoff.pause(None);
-            }
-            Err(_) => {
-                report.errors += 1;
-                return Some(TxnAttempt::Resolved);
-            }
-        }
-    };
-    let mut outstanding = 0usize;
-    let mut clean = true;
-    let mut conflicted = false;
-    for req in body {
-        let req = patch_txn(req, txn);
+impl Transport for InProc {
+    fn submit(
+        &mut self,
+        req: &Request,
+        deadline: Option<Duration>,
+        report: &mut LoadReport,
+    ) -> Result<(), Gone> {
         loop {
-            match handle.submit(req.clone(), spec.deadline, tx) {
-                Ok(_) => {
-                    outstanding += 1;
-                    break;
-                }
+            match self.handle.submit(req.clone(), deadline, &self.tx) {
+                Ok(_) => return Ok(()),
                 Err(SubmitError::Busy(b)) => {
                     report.busy_retries += 1;
                     std::thread::sleep(b.retry_after);
                 }
-                Err(SubmitError::Rejected(ServeError::ShuttingDown)) => {
-                    drain(rx, outstanding, report);
-                    return None;
-                }
-                Err(SubmitError::Rejected(_)) => {
-                    report.errors += 1;
-                    clean = false;
-                    break;
+                Err(SubmitError::Rejected(e)) => {
+                    // Refused at the door — shutdown included — is an
+                    // answer too: post it where `recv` finds it. (`rx`
+                    // lives beside `tx`, so the send cannot fail.)
+                    let (id, shard, result) = (0, 0, Err(e));
+                    let _ = self.tx.send(Response { id, shard, result });
+                    return Ok(());
                 }
             }
         }
     }
-    for _ in 0..outstanding {
-        match rx.recv() {
-            Ok(resp) => match resp.result {
-                Ok(_) => report.completed_ops += 1,
-                Err(ServeError::DeadlineExceeded) => {
-                    report.timeouts += 1;
-                    clean = false;
+
+    fn recv(&mut self, _: &mut LoadReport) -> Result<Answer, Gone> {
+        self.rx.recv().map(|resp| resp.result).map_err(|_| Gone)
+    }
+}
+
+/// Over a socket: a corked [`Client`]. `Busy` comes back as a response
+/// and is resubmitted under its original id, so what is in flight is
+/// remembered until it is answered.
+struct Socket {
+    client: Client,
+    in_flight: Vec<(u64, Request, Option<Duration>)>,
+}
+
+impl Transport for Socket {
+    fn submit(
+        &mut self,
+        req: &Request,
+        deadline: Option<Duration>,
+        _: &mut LoadReport,
+    ) -> Result<(), Gone> {
+        let id = self
+            .client
+            .submit(req.clone(), deadline)
+            .map_err(|_| Gone)?;
+        self.in_flight.push((id, req.clone(), deadline));
+        Ok(())
+    }
+
+    fn recv(&mut self, report: &mut LoadReport) -> Result<Answer, Gone> {
+        loop {
+            let resp = self.client.recv().map_err(|_| Gone)?;
+            let slot = self.in_flight.iter().position(|(id, ..)| *id == resp.id);
+            let answer = match resp.outcome {
+                WireOutcome::Reply(reply) => Ok(reply),
+                WireOutcome::Err(e) => Err(e),
+                WireOutcome::Busy(b) => {
+                    if let Some((id, req, deadline)) = slot.map(|i| &self.in_flight[i]) {
+                        report.busy_retries += 1;
+                        std::thread::sleep(b.retry_after);
+                        self.client
+                            .submit_with_id(*id, req.clone(), *deadline)
+                            .map_err(|_| Gone)?;
+                    }
+                    continue;
                 }
-                Err(ServeError::TxnConflict) => {
-                    report.txn_conflict_refusals += 1;
-                    clean = false;
-                    conflicted = true;
+                WireOutcome::ShutdownAck => return Err(Gone),
+            };
+            if let Some(i) = slot {
+                self.in_flight.swap_remove(i);
+            }
+            return Ok(answer);
+        }
+    }
+}
+
+/// No server at all: [`apply`] on a store the caller owns, answered on
+/// the spot — the monolithic reference.
+struct Direct<'a> {
+    store: &'a mut EnvyStore,
+    answers: VecDeque<Answer>,
+}
+
+impl Transport for Direct<'_> {
+    fn submit(
+        &mut self,
+        req: &Request,
+        _: Option<Duration>,
+        _: &mut LoadReport,
+    ) -> Result<(), Gone> {
+        self.answers.push_back(apply(self.store, req));
+        Ok(())
+    }
+
+    fn recv(&mut self, _: &mut LoadReport) -> Result<Answer, Gone> {
+        self.answers.pop_front().ok_or(Gone)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The client loop
+// ---------------------------------------------------------------------
+
+/// One client: draw transactions from its seeded stream and run them
+/// over `transport` until the spec's count or duration is reached or
+/// the transport is [`Gone`].
+fn run_client<T: Transport>(
+    transport: &mut T,
+    spec: &LoadSpec,
+    plan: ShardPlan,
+    client: u32,
+    started: Instant,
+) -> LoadReport {
+    let mut stream = TxnStream::new(spec, plan, client);
+    let mut lp = ClientLoop::new(spec, client, started);
+    let mut reqs = Vec::new();
+    let mut backoff = Backoff::new(spec.seed ^ 0xB0FF ^ u64::from(client));
+    while let Some(t0) = lp.next_txn() {
+        stream.next_requests(&mut reqs);
+        let report = &mut lp.report;
+        let ran = if spec.abort_fraction.is_some() {
+            atomic_txn(transport, spec.deadline, &reqs, report, &mut backoff)
+        } else {
+            pipeline(transport, &reqs, None, spec.deadline, report)
+                .map(|_| report.completed_txns += 1)
+        };
+        if ran.is_err() {
+            break;
+        }
+        lp.report
+            .txn_latency
+            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
+    }
+    lp.report.wall = started.elapsed();
+    lp.report
+}
+
+/// How the accesses of one [`pipeline`] went.
+struct Batch {
+    /// Every access succeeded.
+    clean: bool,
+    /// A write hit another open transaction's write set.
+    conflicted: bool,
+}
+
+/// Submit `reqs` back to back — under transaction `txn`, if given — then
+/// await and count every answer. If the transport goes mid-batch the
+/// answers already owed are still awaited and counted before that is
+/// reported, so a report never loses work the server did.
+fn pipeline<T: Transport>(
+    transport: &mut T,
+    reqs: &[Request],
+    txn: Option<u64>,
+    deadline: Option<Duration>,
+    report: &mut LoadReport,
+) -> Result<Batch, Gone> {
+    let mut gone = false;
+    let mut owed = 0usize;
+    for req in reqs {
+        let sent = match txn {
+            Some(txn) => transport.submit(&patch_txn(req, txn), deadline, report),
+            None => transport.submit(req, deadline, report),
+        };
+        if sent.is_err() {
+            gone = true;
+            break;
+        }
+        owed += 1;
+    }
+    let mut batch = Batch {
+        clean: true,
+        conflicted: false,
+    };
+    for _ in 0..owed {
+        match transport.recv(report)? {
+            Ok(_) => report.completed_ops += 1,
+            Err(e) => {
+                batch.clean = false;
+                match e {
+                    ServeError::DeadlineExceeded => report.timeouts += 1,
+                    ServeError::TxnConflict => {
+                        report.txn_conflict_refusals += 1;
+                        batch.conflicted = true;
+                    }
+                    ServeError::ShuttingDown => gone = true,
+                    _ => report.errors += 1,
+                }
+            }
+        }
+    }
+    if gone {
+        Err(Gone)
+    } else {
+        Ok(batch)
+    }
+}
+
+/// Submit one request with no deadline and await its answer.
+fn call<T: Transport>(
+    transport: &mut T,
+    req: &Request,
+    report: &mut LoadReport,
+) -> Result<Answer, Gone> {
+    transport.submit(req, None, report)?;
+    match transport.recv(report)? {
+        Err(ServeError::ShuttingDown) => Err(Gone),
+        answer => Ok(answer),
+    }
+}
+
+/// Run one atomic transaction: begin (retrying slot-full refusals with
+/// jittered backoff), pipeline the body under the assigned id, then
+/// commit — or abort, when the stream said so or any body access failed.
+/// A write-set conflict aborts the attempt and retries the whole
+/// transaction, up to [`TXN_RETRY_CAP`] times. Begin and the
+/// commit/abort run without the per-request deadline: a transaction,
+/// once opened, must be resolved.
+fn atomic_txn<T: Transport>(
+    transport: &mut T,
+    deadline: Option<Duration>,
+    reqs: &[Request],
+    report: &mut LoadReport,
+    backoff: &mut Backoff,
+) -> Result<(), Gone> {
+    let (begin, rest) = reqs.split_first().expect("atomic txn has a begin");
+    let (tail, body) = rest.split_last().expect("atomic txn has a commit/abort");
+    for _ in 0..TXN_RETRY_CAP {
+        let txn = loop {
+            match call(transport, begin, report)? {
+                Ok(Reply::TxnStarted { txn }) => {
+                    report.completed_ops += 1;
+                    backoff.reset();
+                    break txn;
+                }
+                Ok(other) => unreachable!("begin answered {other:?}"),
+                Err(ServeError::TxnBusy) => {
+                    report.txn_conflicts += 1;
+                    backoff.pause();
                 }
                 Err(_) => {
                     report.errors += 1;
-                    clean = false;
+                    return Ok(());
                 }
-            },
-            Err(_) => return None,
-        }
-    }
-    let tail = if clean {
-        patch_txn(tail, txn)
-    } else {
-        // A transaction with a failed access must not commit partially
-        // acknowledged state; roll the whole thing back.
-        let (Request::TxnCommit { shard, .. } | Request::TxnAbort { shard, .. }) = tail else {
-            unreachable!("atomic txn tail is commit/abort")
-        };
-        Request::TxnAbort { shard: *shard, txn }
-    };
-    match call_inproc(handle, &tail, None, tx, rx, report)? {
-        Ok(Reply::Committed { .. }) => {
-            report.completed_txns += 1;
-            report.completed_ops += 1;
-        }
-        Ok(Reply::Aborted { .. }) => {
-            // A conflict-forced abort is bookkeeping for the retry, not
-            // a resolved transaction; only deliberate (or error-forced)
-            // aborts count.
-            if !conflicted {
-                report.aborted_txns += 1;
             }
-            report.completed_ops += 1;
+        };
+        let batch = pipeline(transport, body, Some(txn), deadline, report)?;
+        let tail = if batch.clean {
+            patch_txn(tail, txn)
+        } else {
+            // A transaction with a failed access must not commit partially
+            // acknowledged state; roll the whole thing back.
+            let (Request::TxnCommit { shard, .. } | Request::TxnAbort { shard, .. }) = tail else {
+                unreachable!("atomic txn tail is commit/abort")
+            };
+            Request::TxnAbort { shard: *shard, txn }
+        };
+        match call(transport, &tail, report)? {
+            Ok(Reply::Committed { .. }) => {
+                report.completed_txns += 1;
+                report.completed_ops += 1;
+            }
+            Ok(Reply::Aborted { .. }) => {
+                // A conflict-forced abort is bookkeeping for the retry, not
+                // a resolved transaction; only deliberate (or error-forced)
+                // aborts count.
+                if !batch.conflicted {
+                    report.aborted_txns += 1;
+                }
+                report.completed_ops += 1;
+            }
+            Ok(other) => unreachable!("commit/abort answered {other:?}"),
+            Err(_) => report.errors += 1,
         }
-        Ok(other) => unreachable!("commit/abort answered {other:?}"),
-        Err(_) => report.errors += 1,
+        if !batch.conflicted {
+            return Ok(());
+        }
+        report.txn_conflict_retries += 1;
+        backoff.pause();
     }
-    Some(if conflicted {
-        TxnAttempt::Conflicted
-    } else {
-        TxnAttempt::Resolved
-    })
+    report.errors += 1;
+    Ok(())
 }
 
-fn drain(rx: &mpsc::Receiver<Response>, outstanding: usize, report: &mut LoadReport) {
-    for _ in 0..outstanding {
-        match rx.recv() {
-            Ok(resp) => match resp.result {
-                Ok(_) => report.completed_ops += 1,
-                Err(ServeError::DeadlineExceeded) => report.timeouts += 1,
-                Err(_) => report.errors += 1,
-            },
-            Err(_) => return,
+// ---------------------------------------------------------------------
+// Entry points
+// ---------------------------------------------------------------------
+
+/// One thread per transport, each running [`run_client`] with its own
+/// deterministic transaction stream; their reports merged.
+fn run_clients<T: Transport + Send>(
+    transports: Vec<T>,
+    plan: ShardPlan,
+    spec: &LoadSpec,
+    started: Instant,
+) -> LoadReport {
+    let mut total = LoadReport::default();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = transports
+            .into_iter()
+            .enumerate()
+            .map(|(c, mut t)| {
+                scope.spawn(move || run_client(&mut t, spec, plan, c as u32, started))
+            })
+            .collect();
+        for w in workers {
+            total.merge(&w.join().expect("load client panicked"));
         }
-    }
+    });
+    total.wall = started.elapsed();
+    total
 }
 
-/// Replay the workload a single in-process client would submit, applied
+/// Drive a load run against an in-process [`ShardHandle`]:
+/// `spec.clients` threads, each submitting through its own clone.
+pub fn run_inproc(handle: &ShardHandle, spec: &LoadSpec) -> LoadReport {
+    let started = Instant::now();
+    let transport = |_| {
+        let (handle, (tx, rx)) = (handle.clone(), mpsc::channel());
+        InProc { handle, tx, rx }
+    };
+    let transports = (0..spec.clients).map(transport).collect();
+    run_clients(transports, *handle.plan(), spec, started)
+}
+
+/// Drive a load run over sockets: one [`Client`] connection per client
+/// thread, built by `connect`. The caller supplies the server's
+/// [`ShardPlan`] (shard count and slice size), which the wire protocol
+/// does not carry.
+///
+/// # Errors
+///
+/// The first connection error; established clients that later fail stop
+/// individually and their partial counts are merged.
+pub fn run_socket<F>(connect: F, plan: ShardPlan, spec: &LoadSpec) -> io::Result<LoadReport>
+where
+    F: Fn() -> io::Result<Client> + Sync,
+{
+    let started = Instant::now();
+    let mut transports = Vec::with_capacity(spec.clients as usize);
+    for _ in 0..spec.clients {
+        let (mut client, in_flight) = (connect()?, Vec::new());
+        // Cork the client: pipelined submits batch into one buffer that
+        // the next recv() flushes, so an N-op transaction costs one write
+        // syscall instead of N.
+        let _ = client.set_corked(true);
+        transports.push(Socket { client, in_flight });
+    }
+    Ok(run_clients(transports, plan, spec, started))
+}
+
+/// Replay the workload a single client would submit, applied
 /// synchronously to a monolithic store — the single-controller
 /// reference of the determinism anchor (a one-shard [`ShardedStore`]
 /// run with the same spec must land on exactly this store's simulated
-/// clock and controller statistics).
+/// clock and controller statistics). It is the same client loop as a
+/// served run, request for request, over [`apply`].
 ///
 /// The transaction stream is regenerated from the spec's seed, not
 /// recorded, so only a single-submitter order is reproducible: the spec
@@ -978,328 +1112,9 @@ pub fn run_monolithic(store: &mut EnvyStore, spec: &LoadSpec) -> LoadReport {
         "deadline expiry depends on wall-clock timing and is not replayable"
     );
     let plan = ShardPlan::new(1, store.size());
-    let mut stream = TxnStream::new(spec, plan, 0);
-    let started = Instant::now();
-    let mut report = LoadReport::default();
-    let mut reqs = Vec::new();
-    let atomic = spec.abort_fraction.is_some();
-    for _ in 0..spec.txns_per_client {
-        let t0 = Instant::now();
-        stream.next_requests(&mut reqs);
-        if atomic {
-            // Same protocol order as a served client: begin, body under
-            // the assigned id, commit/abort — so the one-shard served
-            // run and this replay stay op-for-op identical.
-            let (begin, rest) = reqs.split_first().expect("atomic txn has a begin");
-            let (tail, body) = rest.split_last().expect("atomic txn has a commit/abort");
-            let txn = match apply(store, begin) {
-                Ok(Reply::TxnStarted { txn }) => txn,
-                other => panic!("monolithic begin answered {other:?}"),
-            };
-            report.completed_ops += 1;
-            for req in body {
-                match apply(store, &patch_txn(req, txn)) {
-                    Ok(_) => report.completed_ops += 1,
-                    Err(_) => report.errors += 1,
-                }
-            }
-            match apply(store, &patch_txn(tail, txn)) {
-                Ok(Reply::Committed { .. }) => {
-                    report.completed_txns += 1;
-                    report.completed_ops += 1;
-                }
-                Ok(Reply::Aborted { .. }) => {
-                    report.aborted_txns += 1;
-                    report.completed_ops += 1;
-                }
-                other => panic!("monolithic commit/abort answered {other:?}"),
-            }
-        } else {
-            for req in &reqs {
-                match apply(store, req) {
-                    Ok(_) => report.completed_ops += 1,
-                    Err(_) => report.errors += 1,
-                }
-            }
-            report.completed_txns += 1;
-        }
-        report
-            .txn_latency
-            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-    }
-    report.wall = started.elapsed();
-    report
-}
-
-/// Drive a load run over sockets: one [`Client`] connection per client
-/// thread, built by `connect`. The caller supplies the server's
-/// [`ShardPlan`] (shard count and slice size), which the wire protocol
-/// does not carry.
-///
-/// # Errors
-///
-/// The first connection error; established clients that later fail stop
-/// individually and their partial counts are merged.
-pub fn run_socket<F>(connect: F, plan: ShardPlan, spec: &LoadSpec) -> io::Result<LoadReport>
-where
-    F: Fn() -> io::Result<Client> + Sync,
-{
-    let started = Instant::now();
-    let mut clients = Vec::with_capacity(spec.clients as usize);
-    for _ in 0..spec.clients {
-        clients.push(connect()?);
-    }
-    let mut total = LoadReport::default();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = clients
-            .into_iter()
-            .enumerate()
-            .map(|(c, client)| {
-                scope.spawn(move || socket_client(client, spec, plan, c as u32, started))
-            })
-            .collect();
-        for w in workers {
-            total.merge(&w.join().expect("socket load client panicked"));
-        }
-    });
-    total.wall = started.elapsed();
-    Ok(total)
-}
-
-fn socket_client(
-    mut client: Client,
-    spec: &LoadSpec,
-    plan: ShardPlan,
-    idx: u32,
-    started: Instant,
-) -> LoadReport {
-    // Cork the client: pipelined submits batch into one buffer that
-    // the next recv() flushes, so an N-op transaction costs one write
-    // syscall instead of N.
-    let _ = client.set_corked(true);
-    let mut stream = TxnStream::new(spec, plan, idx);
-    let mut lp = ClientLoop::new(spec, started);
-    let mut reqs = Vec::new();
-    let mut pending: HashMap<u64, Request> = HashMap::new();
-    let mut backoff = Backoff::new(spec.seed ^ 0xB0FF ^ u64::from(idx));
-    let atomic = spec.abort_fraction.is_some();
-    while let Some(t0) = lp.next_txn() {
-        stream.next_requests(&mut reqs);
-        if atomic {
-            if socket_txn(&mut client, spec, &reqs, &mut lp.report, &mut backoff).is_none() {
-                return lp.finish();
-            }
-            lp.report
-                .txn_latency
-                .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-            continue;
-        }
-        pending.clear();
-        for req in &reqs {
-            match client.submit(req.clone(), spec.deadline) {
-                Ok(id) => {
-                    pending.insert(id, req.clone());
-                }
-                Err(_) => return lp.finish(),
-            }
-        }
-        // Await the whole transaction; Busy rejections are resubmitted
-        // under their original id after the hinted backoff.
-        while !pending.is_empty() {
-            let resp = match client.recv() {
-                Ok(resp) => resp,
-                Err(_) => return lp.finish(),
-            };
-            match resp.outcome {
-                WireOutcome::Busy(b) => {
-                    if let Some(req) = pending.get(&resp.id).cloned() {
-                        lp.report.busy_retries += 1;
-                        std::thread::sleep(b.retry_after);
-                        if client.submit_with_id(resp.id, req, spec.deadline).is_err() {
-                            return lp.finish();
-                        }
-                    }
-                }
-                WireOutcome::Reply(_) => {
-                    pending.remove(&resp.id);
-                    lp.report.completed_ops += 1;
-                }
-                WireOutcome::Err(ServeError::DeadlineExceeded) => {
-                    pending.remove(&resp.id);
-                    lp.report.timeouts += 1;
-                }
-                WireOutcome::Err(ServeError::ShuttingDown) => {
-                    pending.remove(&resp.id);
-                    return lp.finish();
-                }
-                WireOutcome::Err(_) => {
-                    pending.remove(&resp.id);
-                    lp.report.errors += 1;
-                }
-                WireOutcome::ShutdownAck => return lp.finish(),
-            }
-        }
-        lp.report.completed_txns += 1;
-        lp.report
-            .txn_latency
-            .record(Ns::from_nanos(t0.elapsed().as_nanos() as u64));
-    }
-    lp.finish()
-}
-
-/// Submit one request over the socket and await its completion,
-/// resubmitting through `Busy` backpressure under the original id.
-/// `None` means the connection or server is gone.
-fn call_socket(
-    client: &mut Client,
-    req: &Request,
-    deadline: Option<Duration>,
-    report: &mut LoadReport,
-) -> Option<Result<Reply, ServeError>> {
-    let id = client.submit(req.clone(), deadline).ok()?;
-    loop {
-        let resp = client.recv().ok()?;
-        debug_assert_eq!(resp.id, id, "atomic txns submit one op at a time");
-        match resp.outcome {
-            WireOutcome::Reply(reply) => return Some(Ok(reply)),
-            WireOutcome::Err(e) => return Some(Err(e)),
-            WireOutcome::Busy(b) => {
-                report.busy_retries += 1;
-                std::thread::sleep(b.retry_after);
-                client.submit_with_id(id, req.clone(), deadline).ok()?;
-            }
-            WireOutcome::ShutdownAck => return None,
-        }
-    }
-}
-
-/// [`inproc_txn`]'s socket twin: begin (retrying slot-full refusals
-/// with jittered backoff), pipeline the body under the assigned id,
-/// commit — or abort on the seeded decision or any body failure.
-/// Write-set conflicts abort the attempt and retry the transaction
-/// whole, up to [`TXN_RETRY_CAP`] times. `None` means the connection or
-/// server is gone.
-fn socket_txn(
-    client: &mut Client,
-    spec: &LoadSpec,
-    reqs: &[Request],
-    report: &mut LoadReport,
-    backoff: &mut Backoff,
-) -> Option<()> {
-    for _ in 0..TXN_RETRY_CAP {
-        match socket_txn_once(client, spec, reqs, report, backoff)? {
-            TxnAttempt::Resolved => return Some(()),
-            TxnAttempt::Conflicted => {
-                report.txn_conflict_retries += 1;
-                backoff.pause(None);
-            }
-        }
-    }
-    report.errors += 1;
-    Some(())
-}
-
-fn socket_txn_once(
-    client: &mut Client,
-    spec: &LoadSpec,
-    reqs: &[Request],
-    report: &mut LoadReport,
-    backoff: &mut Backoff,
-) -> Option<TxnAttempt> {
-    let (begin, rest) = reqs.split_first().expect("atomic txn has a begin");
-    let (tail, body) = rest.split_last().expect("atomic txn has a commit/abort");
-    let txn = loop {
-        match call_socket(client, begin, None, report)? {
-            Ok(Reply::TxnStarted { txn }) => {
-                report.completed_ops += 1;
-                backoff.reset();
-                break txn;
-            }
-            Ok(other) => unreachable!("begin answered {other:?}"),
-            Err(ServeError::TxnBusy) => {
-                report.txn_conflicts += 1;
-                backoff.pause(None);
-            }
-            Err(_) => {
-                report.errors += 1;
-                return Some(TxnAttempt::Resolved);
-            }
-        }
-    };
-    // Pipeline the body; Busy rejections resubmit under their id.
-    let mut pending: HashMap<u64, Request> = HashMap::new();
-    for req in body {
-        let req = patch_txn(req, txn);
-        match client.submit(req.clone(), spec.deadline) {
-            Ok(id) => {
-                pending.insert(id, req);
-            }
-            Err(_) => return None,
-        }
-    }
-    let mut clean = true;
-    let mut conflicted = false;
-    while !pending.is_empty() {
-        let resp = client.recv().ok()?;
-        match resp.outcome {
-            WireOutcome::Busy(b) => {
-                if let Some(req) = pending.get(&resp.id).cloned() {
-                    report.busy_retries += 1;
-                    std::thread::sleep(b.retry_after);
-                    client.submit_with_id(resp.id, req, spec.deadline).ok()?;
-                }
-            }
-            WireOutcome::Reply(_) => {
-                pending.remove(&resp.id);
-                report.completed_ops += 1;
-            }
-            WireOutcome::Err(ServeError::DeadlineExceeded) => {
-                pending.remove(&resp.id);
-                report.timeouts += 1;
-                clean = false;
-            }
-            WireOutcome::Err(ServeError::ShuttingDown) => return None,
-            WireOutcome::Err(ServeError::TxnConflict) => {
-                pending.remove(&resp.id);
-                report.txn_conflict_refusals += 1;
-                clean = false;
-                conflicted = true;
-            }
-            WireOutcome::Err(_) => {
-                pending.remove(&resp.id);
-                report.errors += 1;
-                clean = false;
-            }
-            WireOutcome::ShutdownAck => return None,
-        }
-    }
-    let tail = if clean {
-        patch_txn(tail, txn)
-    } else {
-        let (Request::TxnCommit { shard, .. } | Request::TxnAbort { shard, .. }) = tail else {
-            unreachable!("atomic txn tail is commit/abort")
-        };
-        Request::TxnAbort { shard: *shard, txn }
-    };
-    match call_socket(client, &tail, None, report)? {
-        Ok(Reply::Committed { .. }) => {
-            report.completed_txns += 1;
-            report.completed_ops += 1;
-        }
-        Ok(Reply::Aborted { .. }) => {
-            if !conflicted {
-                report.aborted_txns += 1;
-            }
-            report.completed_ops += 1;
-        }
-        Ok(other) => unreachable!("commit/abort answered {other:?}"),
-        Err(_) => report.errors += 1,
-    }
-    Some(if conflicted {
-        TxnAttempt::Conflicted
-    } else {
-        TxnAttempt::Resolved
-    })
+    let answers = VecDeque::new();
+    let mut direct = Direct { store, answers };
+    run_client(&mut direct, spec, plan, 0, Instant::now())
 }
 
 #[cfg(test)]
@@ -1601,6 +1416,296 @@ mod tests {
         assert_eq!(report.completed_ops, mono_report.completed_ops);
         assert_eq!(outcome.shards[0].store.now(), mono.now());
         assert_eq!(outcome.shards[0].store.stats(), mono.stats());
+    }
+
+    /// A transport that plays a script: the i-th `submit` is given the
+    /// i-th entry — the answer `recv` will hand back for it, or `Gone` —
+    /// and every request the loop emits is kept for inspection.
+    struct Scripted {
+        script: VecDeque<Result<Answer, Gone>>,
+        owed: VecDeque<Answer>,
+        emitted: Vec<Request>,
+    }
+
+    impl Scripted {
+        fn new(script: impl IntoIterator<Item = Result<Answer, Gone>>) -> Scripted {
+            Scripted {
+                script: script.into_iter().collect(),
+                owed: VecDeque::new(),
+                emitted: Vec::new(),
+            }
+        }
+    }
+
+    impl Transport for Scripted {
+        fn submit(
+            &mut self,
+            req: &Request,
+            _: Option<Duration>,
+            _: &mut LoadReport,
+        ) -> Result<(), Gone> {
+            self.emitted.push(req.clone());
+            let answer = self.script.pop_front().expect("script ran out")?;
+            self.owed.push_back(answer);
+            Ok(())
+        }
+
+        fn recv(&mut self, _: &mut LoadReport) -> Result<Answer, Gone> {
+            self.owed.pop_front().ok_or(Gone)
+        }
+    }
+
+    /// Every counter of `got` equals `want`'s (timings aside).
+    fn assert_counters(got: &LoadReport, want: LoadReport) {
+        let counters = |r: &LoadReport| {
+            [
+                ("completed_txns", r.completed_txns),
+                ("aborted_txns", r.aborted_txns),
+                ("txn_conflicts", r.txn_conflicts),
+                ("txn_conflict_refusals", r.txn_conflict_refusals),
+                ("txn_conflict_retries", r.txn_conflict_retries),
+                ("completed_ops", r.completed_ops),
+                ("busy_retries", r.busy_retries),
+                ("timeouts", r.timeouts),
+                ("errors", r.errors),
+            ]
+        };
+        assert_eq!(counters(got), counters(&want));
+    }
+
+    /// One atomic transaction as the stream generates it — begin, a
+    /// read, a transactional write, `tail` — under the id `txn`.
+    fn txn_reqs(txn: u64, commit: bool) -> Vec<Request> {
+        let (shard, bytes) = (0, vec![1; 8]);
+        vec![
+            Request::TxnBegin { shard },
+            Request::Read { addr: 0, len: 8 },
+            Request::TxnWrite {
+                addr: 8,
+                bytes,
+                txn,
+            },
+            if commit {
+                Request::TxnCommit { shard, txn }
+            } else {
+                Request::TxnAbort { shard, txn }
+            },
+        ]
+    }
+
+    /// Run the generated (unpatched, committing) transaction over a
+    /// script; hand back what the loop counted and emitted.
+    fn run_scripted_txn(
+        script: impl IntoIterator<Item = Result<Answer, Gone>>,
+    ) -> (LoadReport, Vec<Request>) {
+        let mut transport = Scripted::new(script);
+        let mut report = LoadReport::default();
+        let deadline = Some(Duration::from_millis(5));
+        let reqs = txn_reqs(TXN_PATCH, true);
+        atomic_txn(
+            &mut transport,
+            deadline,
+            &reqs,
+            &mut report,
+            &mut Backoff::new(1),
+        )
+        .expect("the script never goes away");
+        assert!(transport.script.is_empty(), "the whole script was played");
+        (report, transport.emitted)
+    }
+
+    const DATA: Result<Answer, Gone> = Ok(Ok(Reply::Data(Vec::new())));
+    const DONE: Result<Answer, Gone> = Ok(Ok(Reply::Done { latency: Ns::ZERO }));
+
+    #[test]
+    fn txn_busy_on_begin_backs_off_and_begins_again() {
+        let (report, emitted) = run_scripted_txn([
+            Ok(Err(ServeError::TxnBusy)),
+            Ok(Ok(Reply::TxnStarted { txn: 7 })),
+            DATA,
+            DONE,
+            Ok(Ok(Reply::Committed { txn: 7 })),
+        ]);
+        let mut expected = txn_reqs(7, true);
+        expected.insert(0, Request::TxnBegin { shard: 0 });
+        assert_eq!(emitted, expected);
+        assert_counters(
+            &report,
+            LoadReport {
+                txn_conflicts: 1,
+                completed_ops: 4,
+                completed_txns: 1,
+                ..LoadReport::default()
+            },
+        );
+    }
+
+    #[test]
+    fn conflict_in_the_body_aborts_and_retries_the_whole_txn() {
+        let (report, emitted) = run_scripted_txn([
+            Ok(Ok(Reply::TxnStarted { txn: 7 })),
+            DATA,
+            Ok(Err(ServeError::TxnConflict)),
+            Ok(Ok(Reply::Aborted { txn: 7 })),
+            Ok(Ok(Reply::TxnStarted { txn: 9 })),
+            DATA,
+            DONE,
+            Ok(Ok(Reply::Committed { txn: 9 })),
+        ]);
+        // The commit the stream asked for went out as an abort, and the
+        // retry ran under the new id.
+        assert_eq!(emitted, [txn_reqs(7, false), txn_reqs(9, true)].concat());
+        // The forced abort is retry bookkeeping, not an aborted txn.
+        assert_counters(
+            &report,
+            LoadReport {
+                txn_conflict_refusals: 1,
+                txn_conflict_retries: 1,
+                completed_ops: 7,
+                completed_txns: 1,
+                ..LoadReport::default()
+            },
+        );
+    }
+
+    #[test]
+    fn expired_body_access_aborts_the_txn() {
+        let (report, emitted) = run_scripted_txn([
+            Ok(Ok(Reply::TxnStarted { txn: 7 })),
+            Ok(Err(ServeError::DeadlineExceeded)),
+            DONE,
+            Ok(Ok(Reply::Aborted { txn: 7 })),
+        ]);
+        assert_eq!(emitted, txn_reqs(7, false));
+        assert_counters(
+            &report,
+            LoadReport {
+                timeouts: 1,
+                aborted_txns: 1,
+                completed_ops: 3,
+                ..LoadReport::default()
+            },
+        );
+    }
+
+    #[test]
+    fn retry_cap_turns_a_livelocked_txn_into_one_error() {
+        let attempt = |_| {
+            [
+                Ok(Ok(Reply::TxnStarted { txn: 7 })),
+                DATA,
+                Ok(Err(ServeError::TxnConflict)),
+                Ok(Ok(Reply::Aborted { txn: 7 })),
+            ]
+        };
+        let cap = u64::from(TXN_RETRY_CAP);
+        let (report, emitted) = run_scripted_txn((0..cap).flat_map(attempt));
+        assert_eq!(emitted.len() as u64, 4 * cap);
+        assert_counters(
+            &report,
+            LoadReport {
+                txn_conflict_refusals: cap,
+                txn_conflict_retries: cap,
+                completed_ops: 3 * cap,
+                errors: 1,
+                ..LoadReport::default()
+            },
+        );
+    }
+
+    /// The transport going away mid-batch — at a submit, or as a
+    /// `ShuttingDown` answer — ends the client, but not before every
+    /// answer it is still owed has been awaited and counted.
+    #[test]
+    fn gone_mid_batch_counts_what_is_owed_then_stops() {
+        let spec = LoadSpec::closed(1, 5);
+        let plan = ShardPlan::new(1, 1 << 20);
+        let mut refused = Scripted::new([DATA, DONE, Err(Gone)]);
+        let report = run_client(&mut refused, &spec, plan, 0, Instant::now());
+        assert_eq!(refused.emitted.len(), 3, "nothing follows the refusal");
+        assert_counters(
+            &report,
+            LoadReport {
+                completed_ops: 2,
+                ..LoadReport::default()
+            },
+        );
+        assert_eq!(report.txn_latency.count(), 0);
+
+        let shutting_down = Ok(Err(ServeError::ShuttingDown));
+        let mut told = Scripted::new([DATA, shutting_down, DATA, DONE, DATA, DONE]);
+        let report = run_client(&mut told, &spec, plan, 0, Instant::now());
+        assert_eq!(told.emitted.len(), 6, "the batch in hand, no second one");
+        assert_counters(
+            &report,
+            LoadReport {
+                completed_ops: 5,
+                ..LoadReport::default()
+            },
+        );
+    }
+
+    /// `Direct`, except that the `nth` answer is replaced by an error —
+    /// the access ran, the client is told it did not.
+    struct FailNth<'a> {
+        inner: Direct<'a>,
+        nth: usize,
+    }
+
+    impl Transport for FailNth<'_> {
+        fn submit(
+            &mut self,
+            req: &Request,
+            deadline: Option<Duration>,
+            report: &mut LoadReport,
+        ) -> Result<(), Gone> {
+            self.inner.submit(req, deadline, report)
+        }
+
+        fn recv(&mut self, report: &mut LoadReport) -> Result<Answer, Gone> {
+            let answer = self.inner.recv(report)?;
+            self.nth = self.nth.wrapping_sub(1);
+            Ok(if self.nth == 0 {
+                Err(ServeError::Store("injected".into()))
+            } else {
+                answer
+            })
+        }
+    }
+
+    /// The monolithic reference obeys the served rule: a transaction
+    /// with a failed body access ends rolled back, never committed.
+    #[test]
+    fn direct_txn_with_a_failed_access_rolls_back() {
+        let mut store = EnvyStore::new(ServeConfig::small(1).store).unwrap();
+        store.prefill().unwrap();
+        let plan = ShardPlan::new(1, store.size());
+        // One transaction whose stream says "commit".
+        let spec = LoadSpec::closed(1, 1).atomic(0.0);
+        let answers = VecDeque::new();
+        let mut failing = FailNth {
+            inner: Direct {
+                store: &mut store,
+                answers,
+            },
+            // Answer 1 is the begin's; 2 is the first body access.
+            nth: 2,
+        };
+        let report = run_client(&mut failing, &spec, plan, 0, Instant::now());
+        assert_eq!((report.completed_txns, report.aborted_txns), (0, 1));
+        assert_eq!(report.errors, 1);
+        assert_eq!(store.stats().txn_aborts.get(), 1);
+        assert_eq!(store.stats().txn_commits.get(), 0);
+        assert!(store.engine().open_txns().is_empty());
+    }
+
+    #[test]
+    fn open_loop_clients_spread_their_starts_over_one_interval() {
+        // 4 clients at 1 000 tps: each starts one every 4 ms, 1 ms apart.
+        let spec = LoadSpec::closed(4, 1).open(1_000);
+        let started = Instant::now() + Duration::from_secs(60);
+        let offsets = [0, 1, 2, 3].map(|c| ClientLoop::new(&spec, c, started).next_start - started);
+        assert_eq!(offsets, [0, 1, 2, 3].map(Duration::from_millis));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! TCP and Unix-socket serving over the [`proto`](crate::proto) frames.
+//! TCP and Unix-socket serving over the [`proto`] frames.
 //!
 //! Two interchangeable connection drivers sit behind one wire
 //! contract, selected by [`NetConfig::driver`]:

@@ -39,9 +39,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError, TryLockError};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Columns of the per-shard queue-depth [`TimeSeries`] sampled at each
@@ -414,8 +413,8 @@ impl ShardPlan {
 /// Writes, flushes and all background machinery (timing replay,
 /// cleaning, wear leveling) always run under the shard's lock, one
 /// writer at a time; this knob only moves reads out of it. The
-/// concurrent paths use the store's lock-free [`ReadView`] — optimistic
-/// seqlock copies validated against the writer's epoch — so they bypass
+/// concurrent path uses the store's lock-free [`ReadView`] — optimistic
+/// seqlock copies validated against the writer's epoch — so it bypasses
 /// the simulated latency model and the controller's read statistics
 /// entirely. See `docs/CONCURRENCY.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -429,10 +428,6 @@ pub enum ReadPath {
     /// shard's [`ReadView`] without taking its lock — reads scale with
     /// client threads even while a writer holds the shard.
     Inline,
-    /// `n ≥ 1` dedicated reader threads per shard; reads are fanned out
-    /// round-robin to bounded per-reader queues (full queues reject
-    /// [`Busy`], like the writer queue).
-    Readers(u32),
 }
 
 /// Configuration of a [`ShardedStore`].
@@ -548,8 +543,8 @@ impl ServeConfig {
 // Jobs and shard state
 // ---------------------------------------------------------------------
 
-/// A request queued behind its shard's lock holder (or handed to a
-/// reader thread): all it takes to run it later and say so.
+/// A request queued behind its shard's lock holder: all it takes to run
+/// it later and say so.
 struct Job {
     id: u64,
     shard: u32,
@@ -778,87 +773,38 @@ impl ShardLink {
     }
 }
 
-/// Counters shared between the submit path, the reader threads and
-/// shutdown reporting.
-#[derive(Debug, Default)]
-struct ReadCounters {
+/// One shard's inline-read state (none exists under [`ReadPath::Timed`]).
+struct InlineReads {
+    /// Lock-free view of the shard's store.
+    view: ReadView,
     /// Reads completed outside the shard's lock.
     offloaded: AtomicU64,
     /// Optimistic-read retries (epoch conflicts) across those reads.
     retries: AtomicU64,
 }
 
-/// Per-shard concurrent-read machinery (absent under
-/// [`ReadPath::Timed`]).
-struct ShardReaders {
-    /// Lock-free view of the shard's store, for inline execution.
-    view: ReadView,
-    /// Bounded per-reader queues (empty under [`ReadPath::Inline`]).
-    queues: Vec<SyncSender<Job>>,
-    /// Round-robin cursor over `queues`.
-    rr: AtomicUsize,
-    counters: Arc<ReadCounters>,
-}
-
-/// Execute one shard-local read via a lock-free view. Shared by the
-/// inline path and the reader threads.
-fn view_read(
-    view: &ReadView,
-    counters: &ReadCounters,
-    addr: u64,
-    len: u32,
-) -> Result<Reply, ServeError> {
-    let mut buf = vec![0u8; len as usize];
-    let result = match view.read(addr, &mut buf) {
-        Ok(r) => {
-            counters.retries.fetch_add(r, Ordering::Relaxed);
-            Ok(Reply::Data(buf))
-        }
-        Err(EnvyError::OutOfBounds { addr, .. }) => Err(ServeError::OutOfBounds {
-            addr,
-            size: view.size(),
-        }),
-        Err(e) => Err(ServeError::Store(e.to_string())),
-    };
-    counters.offloaded.fetch_add(1, Ordering::Relaxed);
-    result
-}
-
-/// A dedicated reader thread: drains its bounded queue, executing each
-/// read against the shard's lock-free view. Exits once the close flag
-/// is up and the queue is empty (every admitted read still completes)
-/// or all submitters are gone.
-fn run_reader(view: ReadView, rx: Receiver<Job>, closed: &Closed, counters: &ReadCounters) {
-    loop {
-        let job = match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if !closed.load(Ordering::SeqCst) {
-                    continue;
-                }
-                match rx.try_recv() {
-                    Ok(job) => job,
-                    Err(_) => break,
-                }
+impl InlineReads {
+    /// Execute one shard-local read via the lock-free view.
+    fn read(&self, addr: u64, len: u32) -> Result<Reply, ServeError> {
+        let mut buf = vec![0u8; len as usize];
+        let result = match self.view.read(addr, &mut buf) {
+            Ok(r) => {
+                self.retries.fetch_add(r, Ordering::Relaxed);
+                Ok(Reply::Data(buf))
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(EnvyError::OutOfBounds { addr, .. }) => Err(ServeError::OutOfBounds {
+                addr,
+                size: self.view.size(),
+            }),
+            Err(e) => Err(ServeError::Store(e.to_string())),
         };
-        job.complete(match job.req {
-            _ if job.deadline.is_some_and(|d| Instant::now() > d) => {
-                Err(ServeError::DeadlineExceeded)
-            }
-            Request::Read { addr, len } => view_read(&view, counters, addr, len),
-            // Routing sends only reads here.
-            ref other => Err(ServeError::Store(format!(
-                "non-read request {other:?} routed to a reader"
-            ))),
-        });
-        job.notify.iter().for_each(|w| w.wake());
+        self.offloaded.fetch_add(1, Ordering::Relaxed);
+        result
     }
 }
 
 /// Shared close flag: set once by [`ShardedStore::shutdown`]; checked by
-/// submitters (reject new work) and reader threads (exit once drained).
+/// submitters, who reject new work once it is up.
 type Closed = Arc<AtomicBool>;
 
 /// What one shard hands back at shutdown.
@@ -884,9 +830,9 @@ pub struct ShardOutcome {
     /// every later one completed with this error instead of running,
     /// and `store` is whatever the panic left — possibly mid-operation.
     pub failure: Option<ServeError>,
-    /// Reads served outside the shard's lock (inline or by reader
-    /// threads); 0 under [`ReadPath::Timed`]. These bypass the timing
-    /// model, so they are *not* in the store's `host_reads`.
+    /// Reads served outside the shard's lock ([`ReadPath::Inline`]); 0
+    /// under [`ReadPath::Timed`]. These bypass the timing model, so
+    /// they are *not* in the store's `host_reads`.
     pub reads_offloaded: u64,
     /// Optimistic-read retries (seqlock conflicts) across those reads.
     pub read_retries: u64,
@@ -957,8 +903,8 @@ pub struct ShardHandle {
     links: Arc<Vec<ShardLink>>,
     next_id: Arc<AtomicU64>,
     closed: Closed,
-    /// One entry per shard when a concurrent read path is configured.
-    readers: Option<Arc<Vec<ShardReaders>>>,
+    /// One entry per shard under [`ReadPath::Inline`], none otherwise.
+    inline: Arc<Vec<InlineReads>>,
 }
 
 impl fmt::Debug for ShardHandle {
@@ -970,11 +916,10 @@ impl fmt::Debug for ShardHandle {
 }
 
 /// The sharded serving front end; see the [module docs](self) for the
-/// contract. It owns no thread (only [`ReadPath::Readers`] adds any).
+/// contract. It owns no thread.
 #[derive(Debug)]
 pub struct ShardedStore {
     handle: ShardHandle,
-    reader_threads: Vec<JoinHandle<()>>,
 }
 
 impl ShardedStore {
@@ -1010,17 +955,8 @@ impl ShardedStore {
         );
         let plan = ShardPlan::new(stores.len() as u32, shard_bytes);
         let closed: Closed = Arc::new(AtomicBool::new(false));
-        let per_shard_readers = match config.read_path {
-            ReadPath::Timed => None,
-            ReadPath::Inline => Some(0),
-            ReadPath::Readers(n) => {
-                assert!(n >= 1, "ReadPath::Readers needs at least one reader");
-                Some(n as usize)
-            }
-        };
         let mut links = Vec::with_capacity(stores.len());
-        let mut reader_threads = Vec::new();
-        let mut shard_readers = Vec::with_capacity(stores.len());
+        let mut inline = Vec::new();
         for (i, mut store) in stores.into_iter().enumerate() {
             if let Some(capacity) = config.trace_capacity {
                 store.enable_trace(capacity);
@@ -1036,28 +972,11 @@ impl ShardedStore {
             // — identical to a monolithic store, which the digest
             // anchors rely on.
             store.seed_txn_ids(i as u64 + 1, plan.shards() as u64);
-            if let Some(n) = per_shard_readers {
-                let view = store.read_view();
-                let counters = Arc::new(ReadCounters::default());
-                let mut queues = Vec::with_capacity(n);
-                for r in 0..n {
-                    let (qtx, qrx) = mpsc::sync_channel::<Job>(config.queue_capacity);
-                    queues.push(qtx);
-                    let view = view.clone();
-                    let closed = Arc::clone(&closed);
-                    let counters = Arc::clone(&counters);
-                    reader_threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("envy-shard-{i}-reader-{r}"))
-                            .spawn(move || run_reader(view, qrx, &closed, &counters))
-                            .expect("spawn shard reader"),
-                    );
-                }
-                shard_readers.push(ShardReaders {
-                    view,
-                    queues,
-                    rr: AtomicUsize::new(0),
-                    counters,
+            if config.read_path == ReadPath::Inline {
+                inline.push(InlineReads {
+                    view: store.read_view(),
+                    offloaded: AtomicU64::new(0),
+                    retries: AtomicU64::new(0),
                 });
             }
             let window = Ns::from_nanos(config.depth_window.as_nanos().max(1) as u64);
@@ -1070,8 +989,8 @@ impl ShardedStore {
                 max_batch: 0,
                 depth_series: TimeSeries::new(window, DEPTH_COLUMNS, config.depth_rows.max(1)),
                 failure: None,
-                // Patched from the shared counters at shutdown when a
-                // concurrent read path is configured.
+                // Patched from the shared counters at shutdown under
+                // `ReadPath::Inline`.
                 reads_offloaded: 0,
                 read_retries: 0,
             };
@@ -1089,16 +1008,14 @@ impl ShardedStore {
                 est_ns: AtomicU64::new(EST_INIT_NS),
             });
         }
-        let readers = per_shard_readers.map(|_| Arc::new(shard_readers));
         ShardedStore {
             handle: ShardHandle {
                 plan,
                 links: Arc::new(links),
                 next_id: Arc::new(AtomicU64::new(0)),
                 closed,
-                readers,
+                inline: Arc::new(inline),
             },
-            reader_threads,
         }
     }
 
@@ -1121,18 +1038,9 @@ impl ShardedStore {
         self.handle.closed.store(true, Ordering::SeqCst);
         let mut shards: Vec<ShardOutcome> =
             self.handle.links.iter().map(ShardLink::close).collect();
-        let readers = self.handle.readers.clone();
-        // The reader queues' senders go with the handle: readers drain
-        // what they hold and exit.
-        drop(self.handle);
-        for r in self.reader_threads {
-            r.join().expect("shard reader panicked");
-        }
-        if let Some(readers) = readers {
-            for (s, r) in shards.iter_mut().zip(readers.iter()) {
-                s.reads_offloaded = r.counters.offloaded.load(Ordering::Relaxed);
-                s.read_retries = r.counters.retries.load(Ordering::Relaxed);
-            }
+        for (s, r) in shards.iter_mut().zip(self.handle.inline.iter()) {
+            s.reads_offloaded = r.offloaded.load(Ordering::Relaxed);
+            s.read_retries = r.retries.load(Ordering::Relaxed);
         }
         ServeOutcome { shards }
     }
@@ -1329,39 +1237,13 @@ impl ShardHandle {
         notify: Option<&Arc<crate::evloop::Waker>>,
     ) -> Result<Option<T>, SubmitError> {
         let link = &self.links[shard as usize];
-        let job = |req: Cow<'_, Request>| Job {
-            id,
-            shard,
-            req: req.into_owned(),
-            deadline: deadline.map(|d| Instant::now() + d),
-            reply: reply(),
-            notify: notify.cloned(),
-        };
-        let busy = || {
-            let retry_after = link.retry_hint();
-            Err(SubmitError::Busy(Busy { shard, retry_after }))
-        };
         let shutting_down = Err(SubmitError::Rejected(ServeError::ShuttingDown));
-        // Concurrent read path: reads never wait for the shard's lock.
-        if let (Some(readers), &Request::Read { addr, len }) = (&self.readers, &*req) {
-            let sr = &readers[shard as usize];
-            let n = sr.queues.len();
-            if n == 0 {
-                // Inline: execute on this (submitting) thread.
-                return Ok(Some(done(view_read(&sr.view, &sr.counters, addr, len))));
-            }
-            let start = sr.rr.fetch_add(1, Ordering::Relaxed) % n;
-            let mut job = job(req);
-            // Round-robin with overflow onto the next reader; only
-            // a full sweep of full queues is Busy.
-            for k in 0..n {
-                match sr.queues[(start + k) % n].try_send(job) {
-                    Ok(()) => return Ok(None),
-                    Err(TrySendError::Full(j)) => job = j,
-                    Err(TrySendError::Disconnected(_)) => return shutting_down,
-                }
-            }
-            return busy();
+        // Inline reads never wait for the shard's lock: they execute on
+        // this (submitting) thread.
+        if let (Some(inline), &Request::Read { addr, len }) =
+            (self.inline.get(shard as usize), &*req)
+        {
+            return Ok(Some(done(inline.read(addr, len))));
         }
         let Some(mut guard) = link.try_core() else {
             // Someone is inside: queue behind them.
@@ -1373,9 +1255,17 @@ impl ShardHandle {
                 return shutting_down;
             }
             if queue.len() >= link.capacity {
-                return busy();
+                let retry_after = link.retry_hint();
+                return Err(SubmitError::Busy(Busy { shard, retry_after }));
             }
-            queue.push_back(job(req));
+            queue.push_back(Job {
+                id,
+                shard,
+                req: req.into_owned(),
+                deadline: deadline.map(|d| Instant::now() + d),
+                reply: reply(),
+                notify: notify.cloned(),
+            });
             link.depth.store(queue.len(), Ordering::Relaxed);
             drop(queue);
             link.kick();

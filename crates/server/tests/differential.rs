@@ -191,12 +191,17 @@ fn run_round(shards: u32, seed: u64) -> u64 {
     // Byte-identical read-back: served shards vs monolithic replays vs
     // the submission-order model.
     let mut outcome = outcome;
-    for i in 0..shards as usize {
+    for (i, (served, replay)) in outcome
+        .shards
+        .iter_mut()
+        .zip(&mut replay_stores)
+        .enumerate()
+    {
         let base = i * shard_bytes as usize;
         let mut got = vec![0u8; shard_bytes as usize];
         let mut want = vec![0u8; shard_bytes as usize];
-        outcome.shards[i].store.read(0, &mut got).unwrap();
-        replay_stores[i].read(0, &mut want).unwrap();
+        served.store.read(0, &mut got).unwrap();
+        replay.read(0, &mut want).unwrap();
         assert_eq!(got, want, "shard {i} contents diverged (N={shards})");
         assert_eq!(
             got,

@@ -30,7 +30,7 @@ fn seeded_blob(frames: usize) -> (Vec<u8>, u64) {
         let cfg = ServeConfig::small(1);
         envy_core::EnvyStore::new(cfg.store).unwrap().size()
     };
-    let mut rng = Rng::seed_from(0xD1FF_9);
+    let mut rng = Rng::seed_from(0x000D_1FF9);
     let mut blob = Vec::new();
     let mut admitted = 0u64;
     for i in 0..frames as u64 {

@@ -11,7 +11,7 @@ use common::contents_digest;
 use envy_core::EnvyStore;
 use envy_server::shard::apply;
 use envy_server::{
-    Request, Response, ServeConfig, ServeError, ShardHandle, ShardedStore, SubmitError,
+    ReadPath, Request, Response, ServeConfig, ServeError, ShardHandle, ShardedStore, SubmitError,
 };
 use envy_sim::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -216,26 +216,39 @@ fn shard_threads() -> Vec<(String, u64)> {
     found
 }
 
-/// (d) A launched store owns no thread and, idle, wakes nothing. The
-/// probe is checked against the one configuration that still has
-/// threads of its own — `ReadPath::Readers` polls every 10 ms, as the
-/// shard workers this design replaced did.
+/// (d) A launched store owns no thread and, idle, wakes nothing — on
+/// either read path. Nothing in the shard layer spawns any more, so the
+/// probe is checked against a thread this test starts itself: named
+/// like a shard's and polling every 10 ms, as the shard workers and
+/// reader threads this design replaced did.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_launched_store_owns_no_thread_and_an_idle_one_never_wakes() {
     let idle = Duration::from_millis(200);
-    let store = ShardedStore::launch(ServeConfig::small(4)).unwrap();
-    let handle = store.handle();
-    for shard in 0..4 {
-        handle.call(Request::Ping { shard }).unwrap();
+    for path in [ReadPath::Timed, ReadPath::Inline] {
+        let store = ShardedStore::launch(ServeConfig::small(4).with_read_path(path)).unwrap();
+        let handle = store.handle();
+        for shard in 0..4 {
+            handle.call(Request::Ping { shard }).unwrap();
+            let addr = u64::from(shard) * handle.plan().shard_bytes();
+            handle.call(Request::Read { addr, len: 8 }).unwrap();
+        }
+        std::thread::sleep(idle);
+        assert_eq!(shard_threads(), vec![], "{path:?} owns no thread");
+        store.shutdown();
     }
-    std::thread::sleep(idle);
-    assert_eq!(shard_threads(), vec![], "ReadPath::Timed owns no thread");
-    store.shutdown();
 
-    let config = ServeConfig::small(1).with_read_path(envy_server::ReadPath::Readers(1));
-    let store = ShardedStore::launch(config).unwrap();
-    // A new thread names itself, a moment after it is spawned.
+    let (stop, stopped) = mpsc::channel::<()>();
+    let control = std::thread::Builder::new()
+        .name("envy-shard-probe".into())
+        .spawn(
+            move || {
+                while stopped.recv_timeout(Duration::from_millis(10)).is_err() {}
+            },
+        )
+        .unwrap();
+    // A new thread names itself, a moment after it is spawned (and
+    // `comm` keeps 15 bytes of the name).
     let named = std::time::Instant::now();
     while shard_threads().is_empty() && named.elapsed() < Duration::from_secs(5) {
         std::thread::yield_now();
@@ -243,14 +256,14 @@ fn a_launched_store_owns_no_thread_and_an_idle_one_never_wakes() {
     let before = shard_threads();
     std::thread::sleep(idle);
     let after = shard_threads();
-    assert_eq!(before.len(), 1, "one reader thread: {before:?}");
+    assert_eq!(before.len(), 1, "one control thread: {before:?}");
     assert_eq!(before[0].0, after[0].0);
     assert!(
         after[0].1 - before[0].1 >= 5,
         "the probe must see a polling thread wake: {before:?} -> {after:?}"
     );
-    store.shutdown();
-    assert_eq!(shard_threads(), vec![], "shutdown joins the readers");
+    stop.send(()).unwrap();
+    control.join().unwrap();
 }
 
 /// (e) `shutdown()` racing live submitters: every request admitted

@@ -8,7 +8,6 @@
 //! envy-cli trace [options]               timed run + controller trace tail
 //! envy-cli trace-gen [options]           generate a TPC-A access trace
 //! envy-cli trace-replay --file <path>    replay a trace on an eNVy store
-//! envy-cli serve [options]               serve the sharded store over a socket
 //! envy-cli bench-serve [options]         closed-loop load against sharded shards
 //! envy-cli kv-get|kv-put|kv-del|kv-scan  key-value ops against a live server
 //! ```
@@ -16,15 +15,11 @@
 //! Run `envy-cli <command> --help` for per-command options.
 
 use envy::core::{EnvyConfig, EnvyStore, PolicyKind};
-use envy::server::{
-    loadgen, serve_with, Client, Listener, LoadSpec, NetConfig, NetDriver, ServeConfig, ShardPlan,
-    ShardedStore,
-};
+use envy::server::{loadgen, Client, LoadSpec, ServeConfig, ShardPlan, ShardedStore};
 use envy::sim::report::{fmt_f64, Table};
 use envy::sim::time::Ns;
 use envy::workload::{run_timed, AnalyticTpca, CleaningStudy, TpcaScale, Trace};
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -40,7 +35,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&args[1..]),
         "trace-gen" => cmd_trace_gen(&args[1..]),
         "trace-replay" => cmd_trace_replay(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
         "bench-serve" => cmd_bench_serve(&args[1..]),
         "kv-get" => cmd_kv(&args[1..], KvCmd::Get),
         "kv-put" => cmd_kv(&args[1..], KvCmd::Put),
@@ -92,16 +86,6 @@ commands:
   trace-replay              replay a trace file on a fresh eNVy store
       --file <path>         trace file (required)
       --untimed             ignore timestamps (state-only replay)
-  serve                     serve the sharded front end over a socket
-                            (runs until a wire SHUTDOWN frame, see docs/SERVING.md)
-      --tcp <addr>          TCP listen address              (default 127.0.0.1:7033)
-      --unix <path>         Unix socket path (takes precedence over --tcp)
-      --shards <n>          shard count                     (default 4)
-      --txn-slots <n>       concurrent transactions per shard (default 1)
-      --scale <small|scaled>  per-shard array size          (default scaled)
-      --duration-secs <n>   serve n seconds, then drain     (default: until shutdown)
-      --net-driver <d>      connection driver: epoll|poll|threads (default epoll)
-      --idle-timeout-ms <n> reap connections silent > n ms  (default: never)
   bench-serve               closed-loop load against an in-process sharded store,
                             or a live server (--unix/--connect; --shards/--scale
                             must then match the server's)
@@ -479,57 +463,6 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, String> {
         other => return Err(format!("unknown scale `{other}` (use small or scaled)")),
     };
     Ok(config.with_txn_slots(slots))
-}
-
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let config = serve_config(args)?;
-    let shards = config.shards;
-    let store = ShardedStore::launch(config).map_err(|e| e.to_string())?;
-    let plan = *store.plan();
-    let listener = match opt(args, "--unix") {
-        Some(path) => Listener::bind_unix(path),
-        None => Listener::bind_tcp(opt(args, "--tcp").unwrap_or("127.0.0.1:7033")),
-    }
-    .map_err(|e| e.to_string())?;
-    let driver = match opt(args, "--net-driver") {
-        None => NetDriver::default(),
-        Some(name) => NetDriver::parse(name)
-            .ok_or_else(|| format!("unknown net driver `{name}` (use epoll|poll|threads)"))?,
-    };
-    let idle_ms: u64 = opt_parse(args, "--idle-timeout-ms", 0)?;
-    let net = NetConfig {
-        driver,
-        idle_timeout: (idle_ms > 0).then(|| Duration::from_millis(idle_ms)),
-    };
-    let handle = serve_with(listener, store, net).map_err(|e| e.to_string())?;
-    println!(
-        "serving on {} ({} shards x {} bytes, {} driver)",
-        handle.addr(),
-        shards,
-        plan.shard_bytes(),
-        driver.name(),
-    );
-    let duration: u64 = opt_parse(args, "--duration-secs", 0)?;
-    let summary = if duration == 0 {
-        handle.wait()
-    } else {
-        std::thread::sleep(Duration::from_secs(duration));
-        handle.shutdown()
-    };
-    let mut t = Table::new(&["metric", "value"]);
-    t.row(&["connections".into(), summary.connections.to_string()]);
-    t.row(&["requests admitted".into(), summary.requests.to_string()]);
-    t.row(&["served".into(), summary.outcome.total_served().to_string()]);
-    t.row(&[
-        "timed out".into(),
-        summary.outcome.total_timed_out().to_string(),
-    ]);
-    t.row(&[
-        "sim makespan".into(),
-        summary.outcome.max_sim_time().to_string(),
-    ]);
-    print!("{}", t.render());
-    Ok(())
 }
 
 fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
