@@ -53,11 +53,12 @@ fn main() {
             ("suspended", b.suspended),
         ],
     )];
-    if let Err(e) = envy_bench::sweep::write_report_raw(
+    if let Err(e) = envy_bench::write_report(
         "breakdown_53",
         1,
         start.elapsed().as_secs_f64(),
         &points,
+        &[],
     ) {
         eprintln!("  warning: could not write report: {e}");
     }

@@ -12,8 +12,8 @@
 //! its time series, a trace excerpt, and the per-segment wear spread.
 
 use envy_bench::{
-    arg_u64, emit, jobs_arg, quick_mode, time_series_json, timed_system, trace_json,
-    write_report_full, PointResult, SweepSpec,
+    arg_u64, emit, jobs_arg, quick_mode, time_series_json, timed_system, trace_json, write_report,
+    PointResult, SweepSpec,
 };
 use envy_sim::report::Table;
 use envy_sim::time::Ns;
@@ -80,7 +80,7 @@ fn main() {
         metrics.push(("wear_mean_cycles", wear.mean_erase_cycles));
         metrics.push(("trace_events", store.trace().total_emitted() as f64));
     }
-    match write_report_full(
+    match write_report(
         "ext_observability",
         outcome.jobs,
         outcome.wall_seconds,

@@ -19,8 +19,8 @@
 //! monolithic store (`loadgen::run_monolithic`).
 
 use envy_bench::{
-    arg_u64, churn_to_steady_state_for, emit, jobs_arg, quick_mode, time_series_json,
-    write_report_full, PointResult, SweepSpec,
+    arg_u64, churn_to_steady_state_for, emit, jobs_arg, quick_mode, time_series_json, write_report,
+    PointResult, SweepSpec,
 };
 use envy_core::EnvyStore;
 use envy_server::loadgen::{run_inproc, run_monolithic, run_socket};
@@ -718,7 +718,7 @@ fn main() {
         Some(json) => vec![("queue_depth", json)],
         None => Vec::new(),
     };
-    match write_report_full(
+    match write_report(
         "ext_serve",
         sweep.jobs,
         started.elapsed().as_secs_f64(),

@@ -26,7 +26,7 @@
 //!   row shows the cost of the rollback guarantee in cleaning traffic.
 
 use envy_bench::{
-    arg_u64, churn_to_steady_state_for, emit, jobs_arg, quick_mode, write_report_full, PointResult,
+    arg_u64, churn_to_steady_state_for, emit, jobs_arg, quick_mode, write_report, PointResult,
     SweepSpec,
 };
 use envy_core::EnvyStore;
@@ -338,7 +338,7 @@ fn main() {
     points.extend(sweep.points.iter().cloned());
     points.extend(conc.points.iter().cloned());
     points.extend(pressure_rows);
-    match write_report_full(
+    match write_report(
         "ext_txn",
         sweep.jobs,
         started.elapsed().as_secs_f64(),

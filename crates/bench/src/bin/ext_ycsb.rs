@@ -25,7 +25,7 @@
 //!   assumed serving rate (`--rate`, default 10 000 ops/s).
 
 use envy_bench::{
-    arg_u64, emit, jobs_arg, point_seed, quick_mode, write_report_full, PointResult, SweepSpec,
+    arg_u64, emit, jobs_arg, point_seed, quick_mode, write_report, PointResult, SweepSpec,
 };
 use envy_core::{lifetime_days, EnvyConfig, EnvyStore};
 use envy_server::loadgen::{run_inproc, run_monolithic, run_socket, ycsb_load_requests};
@@ -303,7 +303,7 @@ fn main() {
     let mut points = vec![anchor_point];
     points.extend(sweep.points.iter().cloned());
     points.extend(wear_rows);
-    match write_report_full(
+    match write_report(
         "ext_ycsb",
         sweep.jobs,
         started.elapsed().as_secs_f64(),

@@ -61,11 +61,12 @@ fn main() {
             ("lifetime_years", days / 365.25),
         ],
     )];
-    if let Err(e) = envy_bench::sweep::write_report_raw(
+    if let Err(e) = envy_bench::write_report(
         "lifetime_55",
         1,
         start.elapsed().as_secs_f64(),
         &points,
+        &[],
     ) {
         eprintln!("  warning: could not write report: {e}");
     }

@@ -61,11 +61,12 @@ fn main() {
             ("cost_ratio", sram / envy.total()),
         ],
     )];
-    if let Err(e) = envy_bench::sweep::write_report_raw(
+    if let Err(e) = envy_bench::write_report(
         "table_fig01",
         1,
         start.elapsed().as_secs_f64(),
         &points,
+        &[],
     ) {
         eprintln!("  warning: could not write report: {e}");
     }

@@ -68,11 +68,12 @@ fn main() {
             ("accounts", scale.accounts() as f64),
         ],
     )];
-    if let Err(e) = envy_bench::sweep::write_report_raw(
+    if let Err(e) = envy_bench::write_report(
         "table_fig12",
         1,
         start.elapsed().as_secs_f64(),
         &points,
+        &[],
     ) {
         eprintln!("  warning: could not write report: {e}");
     }

@@ -14,8 +14,8 @@ use envy_sim::report::Table;
 use envy_workload::{AnalyticTpca, TpcaScale};
 
 pub use sweep::{
-    jobs_arg, point_seed, render_report, time_series_json, trace_json, write_report_full,
-    PointResult, SweepOutcome, SweepSpec, REPORT_VERSION,
+    jobs_arg, point_seed, render_report, time_series_json, trace_json, write_report, PointResult,
+    SweepOutcome, SweepSpec, REPORT_VERSION,
 };
 
 /// The timed TPC-A configuration: the paper's 2 GB array with `--paper`,
@@ -28,8 +28,7 @@ pub fn timed_config(utilization: f64) -> EnvyConfig {
 }
 
 /// [`timed_config`] with the scale chosen by the caller instead of
-/// sniffed from the command line — for binaries that run both scales in
-/// one process (see the `perf_wallclock` harness).
+/// sniffed from the command line.
 pub fn timed_config_for(paper: bool, utilization: f64) -> EnvyConfig {
     let mut config = if paper {
         EnvyConfig::paper_2gb()

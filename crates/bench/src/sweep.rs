@@ -14,10 +14,10 @@
 //! makes the emitted text table and CSV **byte-identical** across any
 //! `--jobs` value.
 //!
-//! Every run also records a machine-readable report at
-//! `results/BENCH_<name>.json` — point labels, per-point metrics,
-//! wall-clock seconds and the number of jobs used — so regeneration
-//! time and results can be tracked across commits.
+//! Every run also records a machine-readable report — point labels,
+//! per-point metrics, wall-clock seconds and the number of jobs used —
+//! at `results/BENCH_<name>.json`; a `--quick` run writes
+//! `results/ci_smoke_BENCH_<name>.json` instead (see [`write_report`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,7 +97,13 @@ impl<'a, P: Sync> SweepSpec<'a, P> {
         F: Fn(usize, &P) -> PointResult + Sync,
     {
         let outcome = self.run_with_jobs(jobs_arg(), run_point);
-        match write_report(self.name, &outcome) {
+        match write_report(
+            self.name,
+            outcome.jobs,
+            outcome.wall_seconds,
+            &outcome.points,
+            &[],
+        ) {
             Ok(path) => eprintln!("  report: {}", path.display()),
             Err(e) => eprintln!("  warning: could not write report: {e}"),
         }
@@ -185,63 +191,37 @@ pub fn point_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Write `results/BENCH_<name>.json` for a completed sweep.
+/// Write a run's report: `results/BENCH_<name>.json`, or
+/// `results/ci_smoke_BENCH_<name>.json` (git-ignored) under `--quick`,
+/// so a smoke run can never replace a committed full-run report. This
+/// is the only place a report path is formed.
 ///
-/// # Errors
-///
-/// I/O errors creating `results/` or writing the file.
-pub fn write_report(name: &str, outcome: &SweepOutcome) -> std::io::Result<PathBuf> {
-    write_report_raw(name, outcome.jobs, outcome.wall_seconds, &outcome.points)
-}
-
-/// Write `results/BENCH_<name>.json` from explicit parts — for binaries
-/// that are not sweeps (single-configuration tables) but still record
-/// their metrics and wall-clock time.
-///
-/// # Errors
-///
-/// I/O errors creating `results/` or writing the file.
-pub fn write_report_raw(
-    name: &str,
-    jobs: usize,
-    wall_seconds: f64,
-    points: &[(String, Vec<(&'static str, f64)>)],
-) -> std::io::Result<PathBuf> {
-    write_report_full(name, jobs, wall_seconds, points, &[])
-}
-
-/// Write `results/BENCH_<name>.json` with extra top-level sections —
-/// each `(key, value)` pair is spliced in as `"key": value`, where
+/// Each `extras` pair is spliced in as a top-level `"key": value`, where
 /// `value` must already be valid JSON (see [`time_series_json`] and
-/// [`trace_json`]). Used by observability-oriented binaries to embed a
-/// sampled time series or a trace excerpt alongside the point metrics.
+/// [`trace_json`]) — how observability-oriented binaries embed a sampled
+/// time series or a trace excerpt alongside the point metrics.
 ///
 /// # Errors
 ///
 /// I/O errors creating `results/` or writing the file.
-pub fn write_report_full(
+pub fn write_report(
     name: &str,
     jobs: usize,
     wall_seconds: f64,
     points: &[(String, Vec<(&'static str, f64)>)],
     extras: &[(&str, String)],
 ) -> std::io::Result<PathBuf> {
+    let quick = crate::quick_mode();
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
-    let json = render_report(
-        name,
-        crate::quick_mode(),
-        jobs,
-        wall_seconds,
-        points,
-        extras,
-    );
+    let prefix = if quick { "ci_smoke_" } else { "" };
+    let path = dir.join(format!("{prefix}BENCH_{name}.json"));
+    let json = render_report(name, quick, jobs, wall_seconds, points, extras);
     std::fs::write(&path, json)?;
     Ok(path)
 }
 
-/// Render the report document (see [`write_report_full`]). Public so
+/// Render the report document (see [`write_report`]). Public so
 /// tests can pin the rendered bytes without writing into `results/`.
 pub fn render_report(
     name: &str,

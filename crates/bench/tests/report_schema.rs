@@ -1,10 +1,12 @@
 //! Schema check for the committed benchmark reports: every
-//! `results/BENCH_*.json` must parse as JSON and carry the fields the
+//! `results/BENCH_*.json` must parse as JSON, carry the fields the
 //! tooling relies on — in particular `report_version`, so report
-//! consumers can detect shape changes. Run directly by `ci.sh`.
+//! consumers can detect shape changes — and come from a full run; and a
+//! `--quick` run must not be able to write one. Run directly by `ci.sh`.
 
 use envy_bench::json::{parse, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -40,6 +42,11 @@ fn every_committed_report_parses_and_is_versioned() {
             format!("BENCH_{bench}.json"),
             "{name}: bench field must match the file name"
         );
+        assert_eq!(
+            doc.get("quick"),
+            Some(&Value::Bool(false)),
+            "{name}: a committed report must come from a full run"
+        );
         let points = doc
             .get("points")
             .and_then(Value::as_array)
@@ -55,6 +62,53 @@ fn every_committed_report_parses_and_is_versioned() {
         checked += 1;
     }
     assert!(checked >= 10, "only {checked} reports found in results/");
+}
+
+/// Run `table_fig01` (instant) in `dir` and return the names of the
+/// files it left under `dir/results`.
+fn reports_written_by_table_fig01(dir: &Path, args: &[&str]) -> Vec<String> {
+    std::fs::create_dir_all(dir).expect("scratch directory");
+    let status = Command::new(env!("CARGO_BIN_EXE_table_fig01"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawn table_fig01");
+    assert!(status.success());
+    let mut names: Vec<String> = std::fs::read_dir(dir.join("results"))
+        .expect("the run wrote results/")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A full run writes the report a commit may carry; a `--quick` run
+/// writes only the git-ignored `ci_smoke_` twin, so no smoke run can
+/// replace a committed report.
+#[test]
+fn quick_run_cannot_write_a_committed_report() {
+    let scratch = std::env::temp_dir().join(format!("envy-report-dest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+
+    let full = scratch.join("full");
+    assert_eq!(
+        reports_written_by_table_fig01(&full, &[]),
+        ["BENCH_table_fig01.json"]
+    );
+    let text = std::fs::read_to_string(full.join("results/BENCH_table_fig01.json")).unwrap();
+    assert_eq!(
+        parse(&text).unwrap().get("quick"),
+        Some(&Value::Bool(false))
+    );
+
+    let quick = scratch.join("quick");
+    assert_eq!(
+        reports_written_by_table_fig01(&quick, &["--quick"]),
+        ["ci_smoke_BENCH_table_fig01.json"]
+    );
+
+    std::fs::remove_dir_all(&scratch).expect("remove scratch directory");
 }
 
 /// The YCSB report carries a fixed point set the docs and EXPERIMENTS.md

@@ -171,31 +171,6 @@ impl ReadView {
         }
         Ok(retries)
     }
-
-    /// One non-blocking attempt at a byte range: `Ok(true)` if every
-    /// chunk validated, `Ok(false)` if any attempt conflicted (contents
-    /// of `buf` are then unspecified; retry or fall back to the writer).
-    ///
-    /// # Errors
-    ///
-    /// [`EnvyError::OutOfBounds`] if the range exceeds the logical array.
-    pub fn try_read(&self, addr: u64, buf: &mut [u8]) -> Result<bool, EnvyError> {
-        if addr + buf.len() as u64 > self.size {
-            return Err(EnvyError::OutOfBounds {
-                addr,
-                size: self.size,
-            });
-        }
-        let mut cursor = 0usize;
-        for c in self.addr_map.chunks(addr, buf.len()) {
-            let dst = &mut buf[cursor..cursor + c.len];
-            if let Attempt::Conflict = self.read_chunk(c.page, c.offset, dst) {
-                return Ok(false);
-            }
-            cursor += c.len;
-        }
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
@@ -228,9 +203,6 @@ mod tests {
             let retries = view.read(addr, &mut b).unwrap();
             assert_eq!(a, b, "addr {addr}");
             assert_eq!(retries, 0, "no writer ran concurrently");
-            let mut c = [0u8; 32];
-            assert!(view.try_read(addr, &mut c).unwrap());
-            assert_eq!(a, c);
         }
     }
 
@@ -240,7 +212,7 @@ mod tests {
         let view = store.read_view();
         let mut buf = [0u8; 8];
         assert!(view.read(store.size(), &mut buf).is_err());
-        assert!(view.try_read(store.size() - 4, &mut buf).is_err());
+        assert!(view.read(store.size() - 4, &mut buf).is_err());
     }
 
     #[test]

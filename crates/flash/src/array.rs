@@ -4,9 +4,9 @@
 //! page (256 bytes in the paper) moves across the wide datapath in one
 //! cycle, and a segment (an erase-block row across a bank) is the erase
 //! unit. Because all 256 chips of a bank act in lock-step, this model
-//! tracks state per page rather than per chip; the per-chip rules
-//! (write-once, bulk erase, wear) are identical to
-//! [`crate::chip::FlashChip`].
+//! tracks state per page rather than per chip, and enforces the chips'
+//! rules itself: write-once programming, bulk erase, cycle-dependent
+//! wear.
 
 use crate::error::FlashError;
 use crate::geometry::{FlashGeometry, FlashTimings};

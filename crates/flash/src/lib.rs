@@ -7,17 +7,15 @@
 //! erasable unit — a **segment** — is one erase block across every chip of
 //! a bank (16 MB with 64 KB-block chips).
 //!
-//! This crate models that hierarchy at two levels:
-//!
-//! * [`chip::FlashChip`] — a single chip with the paper's Command User
-//!   Interface (§2): an EPROM-like read mode plus explicit
-//!   program/erase/verify/suspend commands, write-once semantics, and
-//!   cycle-dependent wear.
-//! * [`array::FlashArray`] — the aggregate bank/segment/page array the eNVy
-//!   controller manages. Chips within a bank operate in lock-step for page
-//!   transfers, so the array tracks page state per segment rather than
-//!   instantiating thousands of chip objects; the timing and wear rules are
-//!   identical to the chip model (asserted by tests).
+//! This crate models that hierarchy at the level the controller sees it:
+//! [`array::FlashArray`], the aggregate bank/segment/page array. Chips
+//! within a bank operate in lock-step for page transfers, so the array
+//! tracks page state per segment rather than instantiating thousands of
+//! chip objects, and it is where the chips' rules (§2) live: a page is
+//! programmed once, only a bulk segment erase makes it programmable
+//! again, and program/erase times grow with the segment's cycle count.
+//! Suspending a long operation for a host read is a timing matter and
+//! belongs to `envy_core`'s `TimingState`.
 //!
 //! # Example
 //!
@@ -38,11 +36,9 @@
 //! ```
 
 pub mod array;
-pub mod chip;
 pub mod error;
 pub mod geometry;
 
 pub use array::{FlashArray, FlashFaults, FlashStats, PageData, PageState};
-pub use chip::{ChipState, FlashChip};
 pub use error::FlashError;
 pub use geometry::{FlashGeometry, FlashTimings};

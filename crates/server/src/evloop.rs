@@ -43,7 +43,7 @@
 //! after every admitted request has completed, so an admitted commit
 //! always wins) — which `tests/driver_diff.rs` proves byte-for-byte.
 
-use crate::net::{Listener, NetConfig, ServeSummary, Stream};
+use crate::net::{accept_backpressure, Listener, NetConfig, ServeSummary, Stream};
 use crate::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse};
 use crate::shard::{Reply, Request, Response, ServeError, ShardHandle, ShardedStore, SubmitError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -591,8 +591,8 @@ impl WriteQueue {
         if proto::encode_response_frame_into(&mut buf, resp) {
             self.q.push_back(buf);
         } else {
-            // Over-size response: dropped, matching the blocking
-            // writer's ignored write_frame error.
+            // Cannot occur: the only reply that could outgrow a frame
+            // is refused as a request (`proto::check_answerable`).
             self.recycle(buf);
         }
     }
@@ -721,6 +721,9 @@ pub(crate) struct EventLoop {
     requests: u64,
     draining_all: bool,
     accepting: bool,
+    /// When `accept` last failed under resource pressure; the listener
+    /// is not polled again until a tick has passed.
+    accept_paused: Option<Instant>,
 }
 
 enum Step {
@@ -767,6 +770,7 @@ impl EventLoop {
             requests: 0,
             draining_all: false,
             accepting: true,
+            accept_paused: None,
         })
     }
 
@@ -781,6 +785,13 @@ impl EventLoop {
                 && self.cleanup_retry.is_empty()
             {
                 break;
+            }
+            if self.accepting
+                && self
+                    .accept_paused
+                    .is_some_and(|since| since.elapsed() >= EVLOOP_TICK)
+            {
+                self.poll_listener(true);
             }
             let tick = if self.draining_all {
                 DRAIN_TICK
@@ -839,6 +850,19 @@ impl EventLoop {
         }
     }
 
+    /// Start or stop polling the listener. A poller that cannot be told
+    /// is as fatal as one that cannot wait.
+    fn poll_listener(&mut self, on: bool) {
+        if self
+            .poller
+            .modify(self.listener.as_raw(), TOK_LISTENER, on, false)
+            .is_err()
+        {
+            self.stop.store(true, Ordering::SeqCst);
+        }
+        self.accept_paused = (!on).then(Instant::now);
+    }
+
     fn accept_ready(&mut self) {
         if !self.accepting {
             return;
@@ -888,6 +912,14 @@ impl EventLoop {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Shed load: the backlog stays with the kernel and the
+                // listener goes unpolled for a tick — both pollers are
+                // level-triggered, so a listener left readable would
+                // spin the loop.
+                Err(e) if accept_backpressure(&e) => {
+                    self.poll_listener(false);
+                    break;
+                }
                 // Fatal listener error stops the server gracefully.
                 Err(_) => {
                     self.stop.store(true, Ordering::SeqCst);
@@ -1051,13 +1083,10 @@ impl EventLoop {
             WireBody::Req(req) => {
                 let iid = self.next_iid;
                 self.next_iid += 1;
-                match self.handle.submit_with_notify(
-                    iid,
-                    req,
-                    deadline,
-                    &self.ctx,
-                    Some(&self.waker),
-                ) {
+                match proto::check_answerable(&req).and_then(|()| {
+                    self.handle
+                        .submit_with_notify(iid, req, deadline, &self.ctx, Some(&self.waker))
+                }) {
                     Ok(()) => {
                         self.pending.insert(iid, Owner::Conn { slot, wire_id });
                         self.requests += 1;

@@ -354,6 +354,24 @@ pub fn serve_with(
     Ok(ServerHandle { addr, stop, join })
 }
 
+/// Whether an `accept` failure says the process or the kernel is short
+/// of a resource (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`) or the queued
+/// peer gave up (`ECONNABORTED`). The listener itself is still good, so
+/// the server sheds load and looks again shortly rather than shutting
+/// down. std has no stable `ErrorKind` for the first three.
+pub(crate) fn accept_backpressure(e: &io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+    matches!(
+        e.kind(),
+        io::ErrorKind::OutOfMemory | io::ErrorKind::ConnectionAborted
+    ) || matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS))
+}
+
 fn accept_loop(
     listener: Listener,
     store: ShardedStore,
@@ -377,7 +395,9 @@ fn accept_loop(
                         .expect("spawn connection thread"),
                 );
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            // Nothing queued, or nothing to take it with: look again
+            // shortly.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock || accept_backpressure(&e) => {
                 std::thread::sleep(ACCEPT_INTERVAL);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -476,6 +496,9 @@ fn wire_of(resp: Response) -> WireResponse {
 fn send_direct(write: &Mutex<Stream>, resp: &WireResponse) {
     let frame = proto::encode_response(resp);
     let mut w = write.lock().expect("write half poisoned");
+    // The ignored error is a dead client's socket. It is never an
+    // over-size frame: the only reply that could outgrow one is refused
+    // as a request (`proto::check_answerable`).
     let _ = proto::write_frame(&mut *w, &frame);
 }
 
@@ -619,7 +642,9 @@ fn handle_request(
             false
         }
         WireBody::Req(req) => {
-            match handle.submit_with_id(id, req, deadline, rtx) {
+            match proto::check_answerable(&req)
+                .and_then(|()| handle.submit_with_id(id, req, deadline, rtx))
+            {
                 Ok(()) => {
                     requests.fetch_add(1, Ordering::Relaxed);
                 }

@@ -20,7 +20,7 @@
 //!
 //! | op | body |
 //! |----|------|
-//! | `READ` (1)       | `addr: u64`, `len: u32` |
+//! | `READ` (1)       | `addr: u64`, `len: u32` (at most [`MAX_READ_LEN`], or the reply could not be framed: `ERR`) |
 //! | `WRITE` (2)      | `addr: u64`, payload = rest of frame |
 //! | `FLUSH` (3)      | `shard: u32` |
 //! | `PING` (4)       | `shard: u32` |
@@ -67,7 +67,7 @@
 //! *foreign* id. `NO_TXN` only echoes the id the client itself
 //! presented.
 
-use crate::shard::{Busy, Reply, Request, ServeError};
+use crate::shard::{Busy, Reply, Request, ServeError, SubmitError};
 use envy_sim::time::Ns;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -75,6 +75,37 @@ use std::time::Duration;
 
 /// Maximum frame payload size (1 MiB).
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// Bytes of a response payload before its body: `status`, `id`, `shard`.
+const RESPONSE_HEADER: usize = 1 + 8 + 4;
+
+/// The most bytes one wire `READ` may ask for: its `DATA` reply must
+/// fit a frame behind the response header.
+pub const MAX_READ_LEN: usize = MAX_FRAME - RESPONSE_HEADER;
+
+/// Refuse a decoded request whose reply could not be framed — a `READ`
+/// longer than [`MAX_READ_LEN`] — before it is routed or anything is
+/// allocated for it. Both connection drivers call this on every store
+/// request and answer the refusal as `ERR` under the request's own id.
+/// With it in place no reply can outgrow a frame: the other
+/// variable-size replies are a KV value (4 KiB) and a clamped `KV_SCAN`
+/// (526 KiB).
+///
+/// The in-process API has no frame and is not bounded here.
+///
+/// # Errors
+///
+/// [`SubmitError::Rejected`] carrying [`ServeError::Store`].
+pub(crate) fn check_answerable(req: &Request) -> Result<(), SubmitError> {
+    match *req {
+        Request::Read { len, .. } if len as usize > MAX_READ_LEN => {
+            Err(SubmitError::Rejected(ServeError::Store(format!(
+                "read of {len} bytes exceeds the {MAX_READ_LEN} a reply frame carries"
+            ))))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// Request opcodes.
 pub mod op {
@@ -388,8 +419,8 @@ pub fn encode_response_into(buf: &mut Vec<u8>, resp: &WireResponse) {
 
 /// Encode a whole response **frame** (length prefix + payload) into
 /// `buf`, clearing it first. Returns `false` — with `buf` cleared —
-/// if the payload would exceed [`MAX_FRAME`] (the blocking writer
-/// swallows the same condition as an ignored `write_frame` error).
+/// if the payload would exceed [`MAX_FRAME`], which no reply to a
+/// request the wire drivers admit can (see [`MAX_READ_LEN`]).
 pub fn encode_response_frame_into(buf: &mut Vec<u8>, resp: &WireResponse) -> bool {
     buf.clear();
     buf.extend_from_slice(&[0u8; 4]);
@@ -1116,5 +1147,27 @@ mod tests {
         // Reuse leaves no stale bytes behind.
         assert!(encode_response_frame_into(&mut buf, &resp));
         assert_eq!(buf, blocking);
+    }
+
+    /// The read bound is the frame bound seen from the request side:
+    /// the longest read admitted is answered by a frame of exactly
+    /// `MAX_FRAME` bytes, and one byte more would not encode.
+    #[test]
+    fn longest_answerable_read_fills_a_frame_exactly() {
+        let read = |len| Request::Read { addr: 0, len };
+        assert!(check_answerable(&read(MAX_READ_LEN as u32)).is_ok());
+        assert!(check_answerable(&read(MAX_READ_LEN as u32 + 1)).is_err());
+        let data = |len| WireResponse {
+            id: 1,
+            shard: 0,
+            outcome: WireOutcome::Reply(Reply::Data(vec![0; len])),
+        };
+        let mut buf = Vec::new();
+        assert!(encode_response_frame_into(&mut buf, &data(MAX_READ_LEN)));
+        assert_eq!(buf.len(), 4 + MAX_FRAME);
+        assert!(!encode_response_frame_into(
+            &mut buf,
+            &data(MAX_READ_LEN + 1)
+        ));
     }
 }

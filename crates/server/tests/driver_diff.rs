@@ -4,7 +4,7 @@
 //! and identical `ServeSummary` accounting — and must run the same
 //! disconnect cleanup for half-closed sockets.
 
-use envy_server::proto::{self, WireBody, WireRequest};
+use envy_server::proto::{self, WireBody, WireOutcome, WireRequest, MAX_FRAME};
 use envy_server::{
     serve_with, Client, Listener, NetConfig, NetDriver, Request, ServeConfig, ServeError,
     ShardedStore,
@@ -14,11 +14,31 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+/// Wire id of the over-long `READ` that [`seeded_blob`] plants halfway.
+const OVERLONG_ID: u64 = u64::MAX;
+
+/// One framed `READ` of `MAX_FRAME` bytes: 13 bytes of reply header more
+/// than a frame can carry, so it is refused before it is routed.
+fn overlong_read_frame() -> Vec<u8> {
+    let payload = proto::encode_request(&WireRequest {
+        id: OVERLONG_ID,
+        deadline_us: 0,
+        body: WireBody::Req(Request::Read {
+            addr: 0,
+            len: MAX_FRAME as u32,
+        }),
+    });
+    let mut frame = Vec::new();
+    proto::write_frame(&mut frame, &payload).unwrap();
+    frame
+}
+
 /// Build a seeded pipelined request blob: a deterministic interleave of
-/// writes, reads, pings, the four KV operations, and a few malformed
-/// (unknown-opcode) frames. One shard + FIFO dispatch means completion
-/// order equals admission order, so both drivers must answer with
-/// identical byte streams.
+/// writes, reads, pings, the four KV operations, a few malformed
+/// (unknown-opcode) frames and, halfway, one extra frame — a `READ` too
+/// long to answer ([`OVERLONG_ID`]; refused, so not admitted). One
+/// shard + FIFO dispatch means completion order equals admission
+/// order, so both drivers must answer with identical byte streams.
 ///
 /// Raw writes draw from the top half of the shard only: the KV store's
 /// B-Tree nodes grow from the region base, and a raw write landing in a
@@ -34,6 +54,9 @@ fn seeded_blob(frames: usize) -> (Vec<u8>, u64) {
     let mut blob = Vec::new();
     let mut admitted = 0u64;
     for i in 0..frames as u64 {
+        if i == frames as u64 / 2 {
+            blob.extend_from_slice(&overlong_read_frame());
+        }
         if rng.chance(0.05) {
             // Unknown opcode: syntactically a frame, semantically
             // garbage. Answered with a typed error under id 0; not
@@ -118,9 +141,10 @@ fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<u8>, u64) {
 fn drivers_produce_identical_wire_bytes_and_counts() {
     const FRAMES: usize = 200;
     let (blob, admitted) = seeded_blob(FRAMES);
-    let (epoll_bytes, epoll_reqs) = run_driver(NetDriver::Epoll, &blob, FRAMES);
-    let (poll_bytes, poll_reqs) = run_driver(NetDriver::Poll, &blob, FRAMES);
-    let (thread_bytes, thread_reqs) = run_driver(NetDriver::Threads, &blob, FRAMES);
+    // One reply per seeded frame plus the refusal of the over-long read.
+    let (epoll_bytes, epoll_reqs) = run_driver(NetDriver::Epoll, &blob, FRAMES + 1);
+    let (poll_bytes, poll_reqs) = run_driver(NetDriver::Poll, &blob, FRAMES + 1);
+    let (thread_bytes, thread_reqs) = run_driver(NetDriver::Threads, &blob, FRAMES + 1);
 
     assert_eq!(epoll_reqs, admitted, "epoll driver request count");
     assert_eq!(poll_reqs, admitted, "poll driver request count");
@@ -134,6 +158,58 @@ fn drivers_produce_identical_wire_bytes_and_counts() {
         epoll_bytes, poll_bytes,
         "epoll and poll backends must answer byte-identically"
     );
+
+    // The over-long read is answered where it was sent — a typed `ERR`
+    // under its own id, behind one reply per earlier frame and ahead of
+    // the rest.
+    let mut rest = &epoll_bytes[..];
+    let mut replies = Vec::new();
+    while let Some(payload) = proto::read_frame(&mut rest).unwrap() {
+        replies.push(proto::decode_response(&payload).unwrap());
+    }
+    assert_eq!(replies.len(), FRAMES + 1);
+    let at = replies
+        .iter()
+        .position(|r| r.id == OVERLONG_ID)
+        .expect("the over-long read is answered under its own id");
+    assert!(
+        matches!(replies[at].outcome, WireOutcome::Err(ServeError::Store(_))),
+        "expected ERR, got {:?}",
+        replies[at].outcome
+    );
+    assert_eq!(at, FRAMES / 2);
+}
+
+/// On a shard larger than a frame the same read passes routing, so
+/// nothing but the length bound stands between it and a megabyte-long
+/// walk of the timing model whose reply could not be sent. It must come
+/// back as the typed `ERR` with the shard never having run a request.
+#[test]
+fn read_longer_than_a_frame_is_refused_before_it_reaches_the_shard() {
+    let config = ServeConfig::scaled(1);
+    assert!(config.store.logical_bytes() > MAX_FRAME as u64);
+    let store = ShardedStore::launch(config).unwrap();
+    let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+    let server = serve_with(listener, store, NetConfig::default()).unwrap();
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    // A server that runs the read and drops the reply would block this
+    // test forever; fail instead.
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    raw.write_all(&overlong_read_frame()).unwrap();
+    let payload = proto::read_frame(&mut raw)
+        .expect("a reply within the timeout")
+        .expect("a reply, not a close");
+    let reply = proto::decode_response(&payload).unwrap();
+    assert_eq!(reply.id, OVERLONG_ID);
+    assert!(
+        matches!(reply.outcome, WireOutcome::Err(ServeError::Store(_))),
+        "expected ERR, got {:?}",
+        reply.outcome
+    );
+    drop(raw);
+    let summary = server.shutdown();
+    assert_eq!(summary.requests, 0, "the read must not be admitted");
+    assert_eq!(summary.outcome.total_served(), 0);
 }
 
 /// A malformed KV frame — a valid `KV_PUT` opcode whose payload is
@@ -184,7 +260,7 @@ fn malformed_kv_frame_errors_id0_and_survives(driver: NetDriver) {
     let first = proto::decode_response(&first).unwrap();
     assert_eq!(first.id, 0, "malformed frames are answered under id 0");
     assert!(
-        matches!(first.outcome, envy_server::proto::WireOutcome::Err(_)),
+        matches!(first.outcome, WireOutcome::Err(_)),
         "malformed KV frame must surface a typed error, got {:?} ({driver:?})",
         first.outcome,
     );
@@ -194,7 +270,7 @@ fn malformed_kv_frame_errors_id0_and_survives(driver: NetDriver) {
     assert!(
         matches!(
             second.outcome,
-            envy_server::proto::WireOutcome::Reply(envy_server::Reply::KvValue(None))
+            WireOutcome::Reply(envy_server::Reply::KvValue(None))
         ),
         "the truncated put must not have executed, got {:?} ({driver:?})",
         second.outcome,

@@ -11,9 +11,8 @@
 //! * [`dist`] — the access distributions used in the paper's evaluation:
 //!   uniform, the bimodal "x/y" locality-of-reference distributions of
 //!   Figures 8–10, and exponential inter-arrival times (§5.2).
-//! * [`stats`] — counters, histograms, time-weighted means, and EWMA used
+//! * [`stats`] — counters, histograms, EWMA and windowed time series used
 //!   for latency/throughput/cleaning-cost accounting.
-//! * [`event`] — a stable-ordered event queue for event-driven workloads.
 //! * [`report`] — plain-text table formatting shared by the figure binaries.
 //!
 //! # Example
@@ -31,14 +30,12 @@
 
 pub mod check;
 pub mod dist;
-pub mod event;
 pub mod report;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use dist::{Bimodal, Exponential, Latest, UniformRange, Zipf};
-pub use event::EventQueue;
 pub use rng::Rng;
-pub use stats::{Counter, Histogram, MeanVar, TimeSeries, TimeWeighted};
+pub use stats::{Counter, Histogram, TimeSeries};
 pub use time::Ns;

@@ -1,5 +1,5 @@
-//! Statistics gathering: counters, running moments, histograms, and
-//! time-weighted averages.
+//! Statistics gathering: counters, histograms, moving averages and
+//! windowed time series.
 //!
 //! These are the building blocks for the paper's reported metrics: average
 //! read/write latency (Figure 15), achieved throughput (Figures 13–14),
@@ -48,77 +48,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Running mean and variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MeanVar {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanVar {
-    /// Create an empty accumulator.
-    pub fn new() -> MeanVar {
-        MeanVar {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if no observations).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
     }
 }
 
@@ -271,55 +200,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant quantity (e.g. write
-/// buffer occupancy, device utilization).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TimeWeighted {
-    last_time: Ns,
-    last_value: f64,
-    integral: f64,
-    started: bool,
-}
-
-impl TimeWeighted {
-    /// Create an empty accumulator.
-    pub fn new() -> TimeWeighted {
-        TimeWeighted::default()
-    }
-
-    /// Record that the quantity changed to `value` at time `now`.
-    ///
-    /// The previous value is integrated over `[last_time, now)`. Calls must
-    /// have non-decreasing `now`; an earlier `now` is ignored.
-    pub fn set(&mut self, now: Ns, value: f64) {
-        if self.started && now > self.last_time {
-            self.integral += self.last_value * (now.as_nanos() - self.last_time.as_nanos()) as f64;
-        }
-        if !self.started || now >= self.last_time {
-            self.last_time = now;
-            self.last_value = value;
-            self.started = true;
-        }
-    }
-
-    /// Time-weighted mean over `[first set, now)`.
-    pub fn mean_until(&self, now: Ns) -> f64 {
-        if !self.started || now <= Ns::ZERO {
-            return 0.0;
-        }
-        let mut integral = self.integral;
-        if now > self.last_time {
-            integral += self.last_value * (now.as_nanos() - self.last_time.as_nanos()) as f64;
-        }
-        let span = now.as_nanos() as f64;
-        if span == 0.0 {
-            0.0
-        } else {
-            integral / span
-        }
-    }
-}
-
 /// Exponentially-weighted moving average.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
@@ -448,29 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn meanvar_known_values() {
-        let mut m = MeanVar::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            m.record(x);
-        }
-        assert_eq!(m.count(), 8);
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 4.0).abs() < 1e-12);
-        assert!((m.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(m.min(), Some(2.0));
-        assert_eq!(m.max(), Some(9.0));
-    }
-
-    #[test]
-    fn meanvar_empty() {
-        let m = MeanVar::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.variance(), 0.0);
-        assert_eq!(m.min(), None);
-        assert_eq!(m.max(), None);
-    }
-
-    #[test]
     fn histogram_mean_and_extremes() {
         let mut h = Histogram::new();
         h.record(Ns::from_nanos(100));
@@ -586,23 +443,6 @@ mod tests {
         h.record(Ns::ZERO);
         assert_eq!(h.count(), 1);
         assert_eq!(h.mean(), Ns::ZERO);
-    }
-
-    #[test]
-    fn time_weighted_square_wave() {
-        let mut tw = TimeWeighted::new();
-        tw.set(Ns::from_nanos(0), 0.0);
-        tw.set(Ns::from_nanos(50), 1.0);
-        // 0 for 50ns, 1 for 50ns -> mean 0.5 at t=100.
-        let mean = tw.mean_until(Ns::from_nanos(100));
-        assert!((mean - 0.5).abs() < 1e-12, "mean {mean}");
-    }
-
-    #[test]
-    fn time_weighted_constant() {
-        let mut tw = TimeWeighted::new();
-        tw.set(Ns::ZERO, 3.0);
-        assert!((tw.mean_until(Ns::from_secs(1)) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! multiple writes to hot pages, and the **page table** lives in SRAM
 //! because mappings change frequently and must update in place.
 //!
-//! * [`array::SramArray`] — a raw SRAM device with access timing and
-//!   battery-backed/volatile persistence semantics.
-//! * [`buffer::WriteBuffer`] — the FIFO page buffer: pages enter at the
-//!   head, are flushed from the tail, and track their segment of origin
-//!   (needed by the locality-gathering cleaner, §4.3).
+//! This crate holds the first of the two: [`buffer::WriteBuffer`], the
+//! FIFO page buffer — pages enter at the head, are flushed from the
+//! tail, and track their segment of origin (needed by the
+//! locality-gathering cleaner, §4.3). The page table is
+//! `envy_core::page_table`, and the SRAM's 100 ns access time is charged
+//! by `envy_core`'s timed store paths; there is no separate device object.
 
-pub mod array;
 pub mod buffer;
 
-pub use array::SramArray;
 pub use buffer::{BufferedPage, FrameMut, InsertError, WriteBuffer};

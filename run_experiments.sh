@@ -3,9 +3,15 @@
 # Usage: ./run_experiments.sh [--quick] [--jobs N] [--paper]
 # All flags are forwarded to every benchmark binary; --jobs N runs each
 # binary's parameter sweep on N worker threads (default: all cores).
+# A --quick run is a smoke test, not a result: its tables go to
+# results/ci_smoke_<bin>.txt (git-ignored), as its JSON reports do.
 set -e
 OUT=results
 mkdir -p "$OUT"
+case " $* " in
+  *" --quick "*) PREFIX=ci_smoke_ ;;
+  *) PREFIX= ;;
+esac
 # Build the bench package once up front and invoke the binaries directly:
 # `cargo run` per figure pays a rebuild check ~20 times per sweep
 # (visible in results/run.log).
@@ -18,6 +24,6 @@ for bin in table_fig01 table_fig12 fig06_cleaning_cost fig08_policy_comparison \
            abl_buffer_size abl_page_size abl_wear_threshold abl_lg_mechanisms abl_mmu \
            abl_drifting_hotspot; do
   echo "=== $bin ==="
-  "$BIN/$bin" "$@" > "$OUT/$bin.txt"
+  "$BIN/$bin" "$@" > "$OUT/$PREFIX$bin.txt"
 done
 echo "all results in $OUT/"
