@@ -42,6 +42,16 @@ cargo test --workspace --doc -q
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== smoke: every example runs to completion =="
+# Nothing else executes examples/: an example that panics (or no longer
+# demonstrates what it says) would otherwise go unnoticed. Each takes
+# well under a second once built; a nonzero exit fails the step.
+mkdir -p results
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  cargo run --release -q --example "$name" > "results/ci_smoke_example_$name.txt"
+done
+
 echo "== smoke: concurrent read path (seqlock stress + digest anchors) =="
 # Release-mode rerun of the concurrency suites: the seqlock read path
 # only exhibits real races under optimized codegen and free-running

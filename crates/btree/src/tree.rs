@@ -126,11 +126,6 @@ impl BTree {
         Ok(addr)
     }
 
-    /// The root node address.
-    pub fn root_addr(&self) -> u64 {
-        self.root
-    }
-
     /// Bytes of the region consumed by nodes.
     pub fn bytes_used(&self) -> u64 {
         self.next_free - self.region
@@ -231,12 +226,12 @@ impl BTree {
         if node.is_full() {
             let left_first = node.key(0);
             let (sep, right_addr, _) = self.split_node(mem, addr, &mut node)?;
-            let new_root_addr = self.alloc(mem)?;
+            let new_root_at = self.alloc(mem)?;
             let new_root = Node::with_entries(false, &[(left_first, addr), (sep, right_addr)]);
-            new_root.store(mem, new_root_addr)?;
-            self.root = new_root_addr;
+            new_root.store(mem, new_root_at)?;
+            self.root = new_root_at;
             self.write_header(mem)?;
-            addr = new_root_addr;
+            addr = new_root_at;
             node = new_root;
         }
         loop {

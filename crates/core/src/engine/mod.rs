@@ -258,15 +258,6 @@ impl Engine {
         self.order[pos as usize]
     }
 
-    /// Live-data fraction of the segment at a position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of range.
-    pub fn position_utilization(&self, pos: u32) -> f64 {
-        self.flash.utilization(self.order[pos as usize])
-    }
-
     /// First erased page index of a physical segment (pages are written
     /// sequentially from the head, so erased pages form the tail).
     pub(crate) fn write_cursor(&self, phys: u32) -> u32 {

@@ -2,8 +2,8 @@
 //! permanent storage system should be provided by means of word-sized
 //! reads and writes, just as with conventional memory".
 //!
-//! Data structures built on top of eNVy (B-Trees, the RAM-disk layer)
-//! program against [`Memory`] so they also run on plain RAM
+//! Data structures built on top of eNVy (the B-Tree, the heap arena, the
+//! KV store) program against [`Memory`] so they also run on plain RAM
 //! ([`VecMemory`]) for differential testing.
 
 use crate::error::EnvyError;

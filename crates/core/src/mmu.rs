@@ -12,7 +12,7 @@
 
 use crate::addr::LogicalPage;
 use envy_sim::stats::Counter;
-use envy_sync::{SharedWords, WordsView};
+use envy_sync::SharedWords;
 
 /// Tag value for an empty MMU slot. Logical page numbers are bounded far
 /// below `u64::MAX` by the configuration's logical array size, so the
@@ -90,12 +90,6 @@ impl Mmu {
     #[inline]
     pub fn peek(&self, lp: LogicalPage) -> bool {
         !self.tags.is_empty() && self.tags.get(self.slot(lp)) == lp
-    }
-
-    /// Reader handle to the tag words plus the slot mask, for lock-free
-    /// concurrent residency probes.
-    pub fn reader_tags(&self) -> (WordsView, Option<u64>) {
-        (self.tags.view(), self.mask)
     }
 
     /// Drop a translation after its mapping changed (copy-on-write, flush,

@@ -5,17 +5,13 @@
 //! applications keep their data structures *directly* in stable storage
 //! ("substantial reductions in code size and in instruction pathlengths"),
 //! and §7 points at the main-memory database work (Starburst) that
-//! benefits. This crate supplies the two primitives such applications
-//! need on top of the raw array:
+//! benefits. This crate supplies the primitive such applications need on
+//! top of the raw array, [`Arena`]: a persistent free-list allocator —
+//! `alloc`/`free` inside a region of the array, with all metadata stored
+//! in the array itself so the heap survives restarts and power failures.
+//! `envy-kv` keeps its records in one.
 //!
-//! * [`Arena`] — a persistent free-list allocator: `alloc`/`free` inside
-//!   a region of the array, with all metadata stored in the array itself
-//!   so the heap survives restarts and power failures.
-//! * [`Log`] — a crash-safe append-only record log with per-record
-//!   checksums: replay stops at the first torn or corrupt record, the
-//!   classic write-ahead-log recovery contract.
-//!
-//! Both work over any [`envy_core::Memory`] — plain RAM for tests, an
+//! It works over any [`envy_core::Memory`] — plain RAM for tests, an
 //! [`envy_core::EnvyStore`] for the real thing.
 //!
 //! ```
@@ -33,12 +29,8 @@
 //! ```
 
 mod arena;
-mod crc;
-mod log;
 
 pub use arena::{Arena, ArenaStats};
-pub use crc::crc32;
-pub use log::{Log, LogIter, LogRecord};
 
 use envy_core::EnvyError;
 use std::error::Error;
@@ -61,11 +53,6 @@ pub enum HeapError {
         /// The requested size.
         size: u64,
     },
-    /// A record is too large for the log region.
-    RecordTooLarge {
-        /// The record length.
-        len: usize,
-    },
     /// An error from the underlying memory.
     Memory(EnvyError),
 }
@@ -79,9 +66,6 @@ impl fmt::Display for HeapError {
                 write!(f, "address {addr:#x} is not an allocated block")
             }
             HeapError::BadSize { size } => write!(f, "invalid allocation size {size}"),
-            HeapError::RecordTooLarge { len } => {
-                write!(f, "record of {len} bytes exceeds the log region")
-            }
             HeapError::Memory(e) => write!(f, "memory error: {e}"),
         }
     }

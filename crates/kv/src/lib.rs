@@ -148,7 +148,6 @@ impl From<HeapError> for KvError {
                 what: "impossible record allocation size",
                 addr: size,
             },
-            HeapError::RecordTooLarge { len } => KvError::ValueTooLarge { len },
             HeapError::Memory(e) => KvError::Memory(e),
         }
     }

@@ -142,13 +142,6 @@ impl LoadSpec {
         self
     }
 
-    /// Set the per-request deadline (builder-style).
-    #[must_use]
-    pub fn with_deadline(mut self, d: Duration) -> LoadSpec {
-        self.deadline = Some(d);
-        self
-    }
-
     /// Switch to the read-heavy record mix with the given read
     /// probability (builder-style); `0.95` is the 95/5 serving mix.
     #[must_use]
@@ -587,6 +580,7 @@ struct ClientLoop {
     report: LoadReport,
     end: Option<Instant>,
     txns_target: u64,
+    txns_drawn: u64,
     interval: Option<Duration>,
     next_start: Instant,
 }
@@ -611,6 +605,7 @@ impl ClientLoop {
             report: LoadReport::default(),
             end: spec.duration.map(|d| started + d),
             txns_target: spec.txns_per_client,
+            txns_drawn: 0,
             interval,
             next_start: (started + offset).max(Instant::now()),
         }
@@ -619,15 +614,17 @@ impl ClientLoop {
     /// Wait for the next scheduled start (open loop) and decide whether
     /// to run another transaction. Returns the latency origin.
     fn next_txn(&mut self) -> Option<Instant> {
-        // Aborted transactions count toward the per-client target —
-        // "run N transactions" bounds work, not commit luck.
-        let done = self.report.completed_txns + self.report.aborted_txns;
-        if self.txns_target > 0 && done >= self.txns_target {
+        // Every transaction drawn counts toward the per-client target —
+        // committed, aborted, or given up on as an error: "run N
+        // transactions" bounds work, not commit luck (and a shard that
+        // refuses everything must not keep a count-bounded client alive).
+        if self.txns_target > 0 && self.txns_drawn >= self.txns_target {
             return None;
         }
         if self.end.is_some_and(|end| Instant::now() >= end) {
             return None;
         }
+        self.txns_drawn += 1;
         match self.interval {
             None => Some(Instant::now()),
             Some(gap) => {
@@ -1640,6 +1637,27 @@ mod tests {
             &report,
             LoadReport {
                 completed_ops: 5,
+                ..LoadReport::default()
+            },
+        );
+    }
+
+    /// A begin refused with anything but `TxnBusy` (here: a poisoned
+    /// shard's `Store` error) ends that transaction as one error, and it
+    /// still counts toward the client's target: three transactions are
+    /// drawn, not one per refusal until the server goes away.
+    #[test]
+    fn refused_begins_count_toward_the_txn_target() {
+        let spec = LoadSpec::closed(1, 3).atomic(0.0);
+        let plan = ShardPlan::new(1, 1 << 20);
+        let poisoned = (0..10).map(|_| Ok(Err(ServeError::Store("poisoned".into()))));
+        let mut refused = Scripted::new(poisoned.chain([Err(Gone)]));
+        let report = run_client(&mut refused, &spec, plan, 0, Instant::now());
+        assert_eq!(refused.emitted, vec![Request::TxnBegin { shard: 0 }; 3]);
+        assert_counters(
+            &report,
+            LoadReport {
+                errors: 3,
                 ..LoadReport::default()
             },
         );

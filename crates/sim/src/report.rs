@@ -48,12 +48,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Append a row of displayable values.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings);
-    }
-
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -149,13 +143,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("\"x,y\",z\n"));
         assert!(csv.contains("\"a\"\"b\",plain"));
-    }
-
-    #[test]
-    fn row_display_converts() {
-        let mut t = Table::new(&["n", "v"]);
-        t.row_display(&[1.5, 2.25]);
-        assert!(t.render().contains("1.5"));
     }
 
     #[test]

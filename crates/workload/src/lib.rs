@@ -5,8 +5,6 @@
 //!   "x/y" localities of reference used by the cleaning studies
 //!   (Figures 6, 8, 9, 10), plus the harness that measures cleaning cost
 //!   in steady state.
-//! * [`trace`] — access-trace recording, text serialization, and timed
-//!   or untimed replay.
 //! * [`tpca`] — the TPC-A storage workload of §5.2: branch/teller/account
 //!   records (1 : 10 : 100 000), three order-32 B-Tree indexes, uniform
 //!   account selection, exponential arrivals. Provided in two forms: a
@@ -20,12 +18,10 @@
 
 pub mod synthetic;
 pub mod tpca;
-pub mod trace;
 pub mod ycsb;
 
 pub use synthetic::{CleaningOutcome, CleaningStudy};
 pub use tpca::{
     run_timed, AnalyticTpca, FunctionalTpca, RunResult, TpcaLayout, TpcaScale, Transaction,
 };
-pub use trace::{ReplayStats, Trace, TraceEvent, TracingMemory};
 pub use ycsb::{YcsbConfig, YcsbMix, YcsbOp, YcsbStream};

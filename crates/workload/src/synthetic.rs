@@ -42,14 +42,9 @@ pub struct CleaningStudy {
 }
 
 impl CleaningStudy {
-    /// The paper's Figure 8 setup: a 128-segment array at 80 %
-    /// utilization, with warm-up and measurement windows of four array
-    /// turnovers each.
-    pub fn figure8(policy: PolicyKind, locality: (u32, u32)) -> CleaningStudy {
-        CleaningStudy::sized(128, 256, policy, locality)
-    }
-
-    /// A study over `segments` segments of `pages_per_segment` pages.
+    /// A study over `segments` segments of `pages_per_segment` pages at
+    /// the paper's 80 % utilization, with warm-up and measurement windows
+    /// of four array turnovers each.
     pub fn sized(
         segments: u32,
         pages_per_segment: u32,

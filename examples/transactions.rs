@@ -21,19 +21,30 @@ fn balance(store: &mut EnvyStore, addr: u64) -> Result<i64, EnvyError> {
     Ok(i64::from_le_bytes(b))
 }
 
-fn set_balance(store: &mut EnvyStore, addr: u64, v: i64) -> Result<(), EnvyError> {
-    store.write(addr, &v.to_le_bytes())
+/// Write a balance, inside `txn` when one is given: a plain write never
+/// joins an open transaction, so every write a rollback must undo goes
+/// through `txn_write`.
+fn set_balance(
+    store: &mut EnvyStore,
+    txn: Option<u64>,
+    addr: u64,
+    v: i64,
+) -> Result<(), EnvyError> {
+    match txn {
+        Some(txn) => store.txn_write(txn, addr, &v.to_le_bytes()),
+        None => store.write(addr, &v.to_le_bytes()),
+    }
 }
 
 fn main() -> Result<(), EnvyError> {
     let mut store = EnvyStore::new(EnvyConfig::small_test())?;
-    set_balance(&mut store, ALICE, 1_000)?;
-    set_balance(&mut store, BOB, 250)?;
+    set_balance(&mut store, None, ALICE, 1_000)?;
+    set_balance(&mut store, None, BOB, 250)?;
 
     // A committed transfer.
     let txn = store.txn_begin()?;
-    set_balance(&mut store, ALICE, 700)?;
-    set_balance(&mut store, BOB, 550)?;
+    set_balance(&mut store, Some(txn), ALICE, 700)?;
+    set_balance(&mut store, Some(txn), BOB, 550)?;
     store.txn_commit(txn)?;
     println!(
         "after committed transfer: alice={} bob={}",
@@ -43,8 +54,8 @@ fn main() -> Result<(), EnvyError> {
 
     // An aborted transfer: rollback restores the shadow copies.
     let txn = store.txn_begin()?;
-    set_balance(&mut store, ALICE, 0)?;
-    set_balance(&mut store, BOB, 1_250)?;
+    set_balance(&mut store, Some(txn), ALICE, 0)?;
+    set_balance(&mut store, Some(txn), BOB, 1_250)?;
     println!(
         "  mid-transaction: alice=0 bob=1250, shadows={}",
         store.engine().shadow_pages()
@@ -61,7 +72,7 @@ fn main() -> Result<(), EnvyError> {
     // Shadows survive cleaning: the cleaner relocates them (§6: the
     // controller must "protect them from being cleaned").
     let txn = store.txn_begin()?;
-    set_balance(&mut store, ALICE, 9_999)?;
+    set_balance(&mut store, Some(txn), ALICE, 9_999)?;
     let positions = store.engine().positions();
     let mut ops = Vec::new();
     for pos in 0..positions {

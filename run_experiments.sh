@@ -13,8 +13,8 @@ case " $* " in
   *) PREFIX= ;;
 esac
 # Build the bench package once up front and invoke the binaries directly:
-# `cargo run` per figure pays a rebuild check ~20 times per sweep
-# (visible in results/run.log).
+# `cargo run` per figure would pay a cargo rebuild check once per binary,
+# ~20 times per sweep.
 cargo build --release -p envy-bench
 BIN=target/release
 for bin in table_fig01 table_fig12 fig06_cleaning_cost fig08_policy_comparison \

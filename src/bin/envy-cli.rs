@@ -6,8 +6,6 @@
 //! envy-cli tpca [options]                run a timed TPC-A experiment
 //! envy-cli stats [options]               timed run + percentiles, breakdown, wear
 //! envy-cli trace [options]               timed run + controller trace tail
-//! envy-cli trace-gen [options]           generate a TPC-A access trace
-//! envy-cli trace-replay --file <path>    replay a trace on an eNVy store
 //! envy-cli bench-serve [options]         closed-loop load against sharded shards
 //! envy-cli kv-get|kv-put|kv-del|kv-scan  key-value ops against a live server
 //! ```
@@ -18,7 +16,7 @@ use envy::core::{EnvyConfig, EnvyStore, PolicyKind};
 use envy::server::{loadgen, Client, LoadSpec, ServeConfig, ShardPlan, ShardedStore};
 use envy::sim::report::{fmt_f64, Table};
 use envy::sim::time::Ns;
-use envy::workload::{run_timed, AnalyticTpca, CleaningStudy, TpcaScale, Trace};
+use envy::workload::{run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -33,8 +31,6 @@ fn main() -> ExitCode {
         "tpca" => cmd_tpca(&args[1..]),
         "stats" => cmd_stats(&args[1..]),
         "trace" => cmd_trace(&args[1..]),
-        "trace-gen" => cmd_trace_gen(&args[1..]),
-        "trace-replay" => cmd_trace_replay(&args[1..]),
         "bench-serve" => cmd_bench_serve(&args[1..]),
         "kv-get" => cmd_kv(&args[1..], KvCmd::Get),
         "kv-put" => cmd_kv(&args[1..], KvCmd::Put),
@@ -79,13 +75,6 @@ commands:
       --txns <n>            measured transactions           (default 20000)
       --util <f>            array utilization               (default 0.8)
       --last <n>            trace records to print          (default 40)
-  trace-gen                 emit a timed TPC-A access trace (text) to stdout
-      --rate <tps>          arrival rate                    (default 1000)
-      --txns <n>            transactions                    (default 100)
-      --seed <n>            RNG seed                        (default 42)
-  trace-replay              replay a trace file on a fresh eNVy store
-      --file <path>         trace file (required)
-      --untimed             ignore timestamps (state-only replay)
   bench-serve               closed-loop load against an in-process sharded store,
                             or a live server (--unix/--connect; --shards/--scale
                             must then match the server's)
@@ -393,60 +382,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         ]);
     }
     print!("{}", t.render());
-    Ok(())
-}
-
-fn cmd_trace_gen(args: &[String]) -> Result<(), String> {
-    let rate: f64 = opt_parse(args, "--rate", 1_000.0)?;
-    let txns: u64 = opt_parse(args, "--txns", 100)?;
-    let seed: u64 = opt_parse(args, "--seed", 42)?;
-    let driver = AnalyticTpca::new(TpcaScale { branches: 1 });
-    let trace = Trace::from_tpca(&driver, rate, txns, seed);
-    println!("# TPC-A trace: {txns} transactions at {rate} TPS, seed {seed}");
-    print!("{}", trace.to_text());
-    Ok(())
-}
-
-fn cmd_trace_replay(args: &[String]) -> Result<(), String> {
-    let path = opt(args, "--file").ok_or("trace-replay requires --file <path>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
-    // Size the store to cover the trace's address range.
-    let max_addr = trace
-        .events()
-        .iter()
-        .map(|e| e.addr + e.len as u64)
-        .max()
-        .unwrap_or(4096);
-    let pps = 2048u32;
-    let pages = (max_addr / 256 + 1) * 10 / 8;
-    let segments = ((pages / pps as u64) + 2).next_multiple_of(4).max(8) as u32;
-    let mut config = EnvyConfig::scaled(4, segments, pps, 256).with_store_data(false);
-    config.word_bytes = 8;
-    let config = config.with_utilization(0.8);
-    let mut store = EnvyStore::new(config).map_err(|e| e.to_string())?;
-    store.prefill().map_err(|e| e.to_string())?;
-
-    let mut t = Table::new(&["metric", "value"]);
-    if flag(args, "--untimed") {
-        trace.replay(&mut store).map_err(|e| e.to_string())?;
-        t.row(&["events".into(), trace.len().to_string()]);
-    } else {
-        let stats = trace.replay_timed(&mut store).map_err(|e| e.to_string())?;
-        t.row(&["events".into(), stats.events.to_string()]);
-        t.row(&["simulated time".into(), stats.sim_time.to_string()]);
-        t.row(&["read latency".into(), stats.read_latency.to_string()]);
-        t.row(&["write latency".into(), stats.write_latency.to_string()]);
-    }
-    t.row(&[
-        "flushes".into(),
-        store.stats().pages_flushed.get().to_string(),
-    ]);
-    t.row(&["cleans".into(), store.stats().cleans.get().to_string()]);
-    print!("{}", t.render());
-    store
-        .check_invariants()
-        .map_err(|e| format!("invariant violation: {e}"))?;
     Ok(())
 }
 

@@ -12,8 +12,7 @@
 //! * [`sim`] — simulated time, deterministic PRNG, distributions, stats.
 //! * [`btree`] — an order-32 B-Tree over the linear memory interface.
 //! * [`workload`] — TPC-A and synthetic access-pattern generators.
-//! * [`ramdisk`] — a block-device adapter and a minimal filesystem.
-//! * [`heap`] — a persistent allocator and a crash-safe append log.
+//! * [`heap`] — a persistent free-list allocator.
 //! * [`kv`] — a key-value store layering a [`btree`] index over [`heap`]
 //!   records: variable-size values, ordered scans, delete.
 //! * [`server`] — a sharded concurrent front end: passive shards that
@@ -45,7 +44,6 @@ pub use envy_core as core;
 pub use envy_flash as flash;
 pub use envy_heap as heap;
 pub use envy_kv as kv;
-pub use envy_ramdisk as ramdisk;
 pub use envy_server as server;
 pub use envy_sim as sim;
 pub use envy_sram as sram;

@@ -1,8 +1,8 @@
-//! Cross-crate integration: the persistent heap structures over the
-//! eNVy controller, across cleaning and power failures.
+//! Cross-crate integration: the persistent allocator over the eNVy
+//! controller, across cleaning and power failures.
 
-use envy::core::{EnvyConfig, EnvyError, EnvyStore, PolicyKind, TxnMemory};
-use envy::heap::{Arena, HeapError, Log};
+use envy::core::{EnvyConfig, EnvyStore, PolicyKind};
+use envy::heap::Arena;
 use envy::sim::rng::Rng;
 
 fn store() -> EnvyStore {
@@ -62,62 +62,5 @@ fn arena_churn_under_cleaning() {
         "heap churn should trigger cleaning"
     );
     arena.check(&mut s).unwrap();
-    s.check_invariants().unwrap();
-}
-
-#[test]
-fn log_survives_interrupted_clean() {
-    let mut s = store();
-    let log = Log::create(&mut s, 4096, 128 * 1024).unwrap();
-    for i in 0..200u32 {
-        log.append(&mut s, format!("record {i}").as_bytes())
-            .unwrap();
-    }
-    // Push the buffered log pages into Flash so the clean has real work.
-    s.flush_all().unwrap();
-    let pos = (0..s.engine().positions())
-        .max_by_key(|&p| s.engine().flash().valid_pages(s.engine().segment_at(p)))
-        .unwrap();
-    let mut ops = Vec::new();
-    s.engine_mut().clean_interrupted(pos, 6, &mut ops).unwrap();
-    s.power_failure();
-    assert!(s.recover().unwrap().resumed_clean);
-    let log = Log::open(&mut s, 4096).unwrap();
-    let records = log.records(&mut s).unwrap();
-    assert_eq!(records.len(), 200);
-    assert_eq!(records[199].payload, b"record 199");
-    s.check_invariants().unwrap();
-}
-
-#[test]
-fn log_inside_storage_transaction() {
-    // A storage-level transaction (§6) wraps log appends when the writes
-    // are routed through its write set: abort makes the records vanish
-    // atomically. Writes never join a transaction implicitly — a plain
-    // append while the transaction owns the log's pages is refused with
-    // a typed conflict, not folded into the rollback.
-    let mut s = store();
-    let log = Log::create(&mut s, 0, 64 * 1024).unwrap();
-    log.append(&mut s, b"before").unwrap();
-    let txn = s.txn_begin().unwrap();
-    {
-        let mut mem = TxnMemory::new(&mut s, txn);
-        log.append(&mut mem, b"inside-1").unwrap();
-        log.append(&mut mem, b"inside-2").unwrap();
-        assert_eq!(log.len(&mut mem).unwrap(), 3);
-    }
-    // The log's pages are in the transaction's write set, so the plain
-    // path is refused up front — nothing lands, nothing joins.
-    assert!(matches!(
-        log.append(&mut s, b"plain"),
-        Err(HeapError::Memory(EnvyError::TxnConflict { .. }))
-    ));
-    s.txn_abort(txn).unwrap();
-    let records = log.records(&mut s).unwrap();
-    assert_eq!(records.len(), 1);
-    assert_eq!(records[0].payload, b"before");
-    // And the log still accepts new records.
-    log.append(&mut s, b"after").unwrap();
-    assert_eq!(log.len(&mut s).unwrap(), 2);
     s.check_invariants().unwrap();
 }
