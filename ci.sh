@@ -88,28 +88,27 @@ fi
 echo "== smoke: fig13_throughput --quick --jobs 2 =="
 # A --quick run writes its report to results/ci_smoke_BENCH_<name>.json
 # (git-ignored, like every other file this script leaves in results/);
-# results/BENCH_<name>.json is written by full runs only.
+# results/BENCH_<name>.json is written by full runs only. Every experiment
+# is one subcommand of the single envy-bench binary, built once here.
 mkdir -p results
-cargo run --release -q -p envy-bench --bin fig13_throughput -- --quick --jobs 2 \
-  > results/ci_smoke_fig13.txt
+cargo build --release -q -p envy-bench
+BENCH=./target/release/envy-bench
+$BENCH fig13_throughput --quick --jobs 2 > results/ci_smoke_fig13.txt
 test -s results/ci_smoke_fig13.txt
 test -s results/ci_smoke_BENCH_fig13_throughput.json
 
 echo "== smoke: ext_fault_recovery --quick --jobs 2 =="
 # Deterministic fault-injection smoke: crash at every injection point
 # once (fixed seeds); the binary exits nonzero if any recovery fails.
-cargo run --release -q -p envy-bench --bin ext_fault_recovery -- --quick --jobs 2 \
-  > results/ci_smoke_fault_recovery.txt
+$BENCH ext_fault_recovery --quick --jobs 2 > results/ci_smoke_fault_recovery.txt
 grep -q "23/23 injection points crashed and recovered" results/ci_smoke_fault_recovery.txt
 test -s results/ci_smoke_BENCH_ext_fault_recovery.json
 
 echo "== smoke: trace overhead (tracing must be behavior-neutral) =="
 # The controller trace observes, never perturbs: the same benchmark run
 # with tracing enabled (ENVY_TRACE=1) must produce byte-identical output.
-cargo run --release -q -p envy-bench --bin fig13_throughput -- --quick --jobs 2 \
-  > results/ci_smoke_fig13_plain.txt
-ENVY_TRACE=1 cargo run --release -q -p envy-bench --bin fig13_throughput -- --quick --jobs 2 \
-  > results/ci_smoke_fig13_traced.txt
+$BENCH fig13_throughput --quick --jobs 2 > results/ci_smoke_fig13_plain.txt
+ENVY_TRACE=1 $BENCH fig13_throughput --quick --jobs 2 > results/ci_smoke_fig13_traced.txt
 cmp results/ci_smoke_fig13_plain.txt results/ci_smoke_fig13_traced.txt
 rm -f results/ci_smoke_fig13_plain.txt results/ci_smoke_fig13_traced.txt
 
@@ -117,8 +116,7 @@ echo "== smoke: ext_serve --quick (sharded serving scalability) =="
 # Closed-loop shard-count sweep plus the determinism anchor: a 1-shard
 # front-end run must land on exactly the monolithic store's simulated
 # clock and stats — the binary asserts it and prints the anchor line.
-cargo run --release -q -p envy-bench --bin ext_serve -- --quick \
-  > results/ci_smoke_ext_serve.txt
+$BENCH ext_serve --quick > results/ci_smoke_ext_serve.txt
 grep -q "anchor: 1-shard front end == monolithic store" results/ci_smoke_ext_serve.txt
 # The quick run also drives the event-loop connection axis: a closed-loop
 # socket-vs-in-process ratio, a 100/1000-connection open-loop mini-sweep
@@ -134,8 +132,7 @@ echo "== smoke: ext_txn --quick (atomic transactions over the wire) =="
 # seeded atomic TPC-A run (nonzero aborts) through a real TCP server
 # must match the monolithic in-process replay exactly — the binary
 # asserts it (clock, stats, bytes) and prints the anchor line.
-cargo run --release -q -p envy-bench --bin ext_txn -- --quick \
-  > results/ci_smoke_ext_txn.txt
+$BENCH ext_txn --quick > results/ci_smoke_ext_txn.txt
 grep -q "anchor: atomic TPC-A over the wire == monolithic replay" results/ci_smoke_ext_txn.txt
 test -s results/ci_smoke_BENCH_ext_txn.json
 
@@ -145,8 +142,7 @@ echo "== smoke: ext_ycsb --quick (KV serving under YCSB mixes) =="
 # monolithic in-process replay exactly — the binary asserts it (clock,
 # stats, bytes) and prints the anchor line. The report also carries the
 # uniform-vs-zipfian wear rows (see docs/KV.md).
-cargo run --release -q -p envy-bench --bin ext_ycsb -- --quick \
-  > results/ci_smoke_ext_ycsb.txt
+$BENCH ext_ycsb --quick > results/ci_smoke_ext_ycsb.txt
 grep -q "anchor: atomic YCSB-A over the wire == monolithic replay" results/ci_smoke_ext_ycsb.txt
 test -s results/ci_smoke_BENCH_ext_ycsb.json
 

@@ -1,10 +1,14 @@
 #![warn(missing_docs)]
-//! Shared harness utilities for the figure-regeneration binaries.
+//! Shared harness utilities for the `envy-bench` figure-regeneration
+//! binary.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation section and prints both an aligned text table and a
-//! CSV block. Pass `--quick` for a scaled-down run (fewer writes /
-//! transactions); the default parameters match EXPERIMENTS.md.
+//! Every experiment in `src/experiments/` (run as `envy-bench <name>`)
+//! regenerates one table or figure of the paper's evaluation section and
+//! prints both an aligned text table and a CSV block. The binary parses
+//! the command line once and hands each experiment its flags; nothing in
+//! this library reads the command line. `--quick` selects a scaled-down
+//! run (fewer writes / transactions); the default parameters match
+//! EXPERIMENTS.md.
 
 pub mod json;
 pub mod sweep;
@@ -14,21 +18,15 @@ use envy_sim::report::Table;
 use envy_workload::{AnalyticTpca, TpcaScale};
 
 pub use sweep::{
-    jobs_arg, point_seed, render_report, time_series_json, trace_json, write_report, PointResult,
+    point_seed, render_report, time_series_json, trace_json, write_report, PointResult,
     SweepOutcome, SweepSpec, REPORT_VERSION,
 };
 
-/// The timed TPC-A configuration: the paper's 2 GB array with `--paper`,
-/// otherwise a 256 MB scaled version (same geometry ratios: 128 segments,
-/// 8 banks, one-segment write buffer, and an erase time scaled with the
-/// segment size so erase work per reclaimed page matches the paper's
-/// hardware), at the given utilization.
-pub fn timed_config(utilization: f64) -> EnvyConfig {
-    timed_config_for(std::env::args().any(|a| a == "--paper"), utilization)
-}
-
-/// [`timed_config`] with the scale chosen by the caller instead of
-/// sniffed from the command line.
+/// The timed TPC-A configuration: the paper's 2 GB array when `paper`
+/// (`--paper`), otherwise a 256 MB scaled version (same geometry ratios:
+/// 128 segments, 8 banks, one-segment write buffer, and an erase time
+/// scaled with the segment size so erase work per reclaimed page matches
+/// the paper's hardware), at the given utilization.
 pub fn timed_config_for(paper: bool, utilization: f64) -> EnvyConfig {
     let mut config = if paper {
         EnvyConfig::paper_2gb()
@@ -56,13 +54,7 @@ pub fn timed_driver(config: &EnvyConfig) -> AnalyticTpca {
 /// (2.5 times at the paper's 2 GB, where the measured windows are
 /// comparatively shorter), so a timed window runs at steady-state
 /// cleaning — the paper measures a long-running system, not a freshly
-/// formatted one.
-pub fn churn_to_steady_state(store: &mut EnvyStore, driver: &AnalyticTpca) {
-    churn_to_steady_state_for(std::env::args().any(|a| a == "--paper"), store, driver);
-}
-
-/// [`churn_to_steady_state`] with the scale chosen by the caller (the
-/// churn multiple differs between the scaled and 2 GB configurations).
+/// formatted one. `paper` selects the 2 GB churn multiple.
 pub fn churn_to_steady_state_for(paper: bool, store: &mut EnvyStore, driver: &AnalyticTpca) {
     let total = store.config().geometry.total_pages();
     let free = total - store.config().logical_pages;
@@ -76,18 +68,12 @@ pub fn churn_to_steady_state_for(paper: bool, store: &mut EnvyStore, driver: &An
     }
 }
 
-/// Build the timed TPC-A system ([`timed_config`]), prefilled at
+/// Build the timed TPC-A system ([`timed_config_for`]), prefilled at
 /// `utilization` and churned to cleaning steady state
-/// ([`churn_to_steady_state`]).
+/// ([`churn_to_steady_state_for`]).
 ///
 /// Sweeps that vary only workload parameters should build this once and
 /// [`EnvyStore::fork`] it per point instead of rebuilding.
-pub fn timed_system(utilization: f64) -> (EnvyStore, AnalyticTpca) {
-    timed_system_for(std::env::args().any(|a| a == "--paper"), utilization)
-}
-
-/// [`timed_system`] with the scale chosen by the caller instead of
-/// sniffed from the command line.
 pub fn timed_system_for(paper: bool, utilization: f64) -> (EnvyStore, AnalyticTpca) {
     let config = timed_config_for(paper, utilization);
     let driver = timed_driver(&config);
@@ -100,7 +86,7 @@ pub fn timed_system_for(paper: bool, utilization: f64) -> (EnvyStore, AnalyticTp
     (store, driver)
 }
 
-/// The `ENVY_TRACE` environment variable: when set, [`timed_system`]
+/// The `ENVY_TRACE` environment variable: when set, [`timed_system_for`]
 /// enables controller tracing on the baseline store with the given ring
 /// capacity (or 65 536 records for non-numeric values like `1`).
 /// Tracing is behavior-neutral, so a benchmark's output must be
@@ -111,29 +97,6 @@ pub fn trace_capacity_env() -> Option<usize> {
         return None;
     }
     Some(v.parse().ok().filter(|&n| n > 1).unwrap_or(65_536))
-}
-
-/// Whether `--quick` was passed (scaled-down runs for smoke testing).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Parse `--name=value` or `--name value` as u64, with a default.
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    let prefix = format!("--{name}=");
-    let flag = format!("--{name}");
-    let mut args = std::env::args().peekable();
-    while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix(&prefix).and_then(|v| v.parse().ok()) {
-            return v;
-        }
-        if a == flag {
-            if let Some(v) = args.peek().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    default
 }
 
 /// Print a figure's results: header line, aligned table, CSV block.
@@ -163,10 +126,5 @@ mod tests {
     fn locality_labels() {
         assert_eq!(locality_label((10, 90)), "10/90");
         assert_eq!(LOCALITIES.len(), 6);
-    }
-
-    #[test]
-    fn arg_parsing_defaults() {
-        assert_eq!(arg_u64("nonexistent-option", 42), 42);
     }
 }

@@ -1,13 +1,14 @@
-//! Shared sweep execution for the figure-regeneration binaries.
+//! Shared sweep execution for the figure-regeneration experiments.
 //!
-//! Every figure or ablation binary evaluates a list of independent
+//! Every figure or ablation experiment evaluates a list of independent
 //! points (arrival rates, utilizations, policies, …) and renders the
 //! results as a table. This module factors that shape out: a
 //! [`SweepSpec`] names the sweep and lists its points, and a per-point
 //! closure produces the table rows and JSON metrics for one point.
 //!
-//! Points run on a scoped [`std::thread`] pool sized by `--jobs=N`
-//! (default: available cores; `1` reproduces a fully sequential run).
+//! Points run on a scoped [`std::thread`] pool of the caller's size
+//! (`envy-bench`'s `--jobs N`, default: available cores; `1` reproduces
+//! a fully sequential run).
 //! Each point builds its state from fixed seeds or from a shared
 //! immutable baseline (see `EnvyStore::fork`), so results are
 //! independent of execution order; collection is in point order, which
@@ -17,7 +18,8 @@
 //! Every run also records a machine-readable report — point labels,
 //! per-point metrics, wall-clock seconds and the number of jobs used —
 //! at `results/BENCH_<name>.json`; a `--quick` run writes
-//! `results/ci_smoke_BENCH_<name>.json` instead (see [`write_report`]).
+//! `results/ci_smoke_BENCH_<name>.json` and a `--paper` run
+//! `results/BENCH_<name>_paper.json` instead (see [`write_report`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,27 +88,27 @@ impl<'a, P: Sync> SweepSpec<'a, P> {
         SweepSpec { name, points }
     }
 
-    /// Evaluate every point with `--jobs` worker threads and write the
-    /// JSON report under `results/`.
+    /// Evaluate every point with `jobs` worker threads and write the
+    /// JSON report under `results/` (`quick` and `paper` choose the file,
+    /// see [`write_report`]).
     ///
     /// The closure receives `(point index, point)` and must derive all
     /// randomness from fixed or per-point seeds (see [`point_seed`]) so
     /// its result does not depend on execution order.
-    pub fn run<F>(self, run_point: F) -> SweepOutcome
+    pub fn run<F>(self, quick: bool, paper: bool, jobs: usize, run_point: F) -> SweepOutcome
     where
         F: Fn(usize, &P) -> PointResult + Sync,
     {
-        let outcome = self.run_with_jobs(jobs_arg(), run_point);
-        match write_report(
+        let outcome = self.run_with_jobs(jobs, run_point);
+        write_report(
             self.name,
+            quick,
+            paper,
             outcome.jobs,
             outcome.wall_seconds,
             &outcome.points,
             &[],
-        ) {
-            Ok(path) => eprintln!("  report: {}", path.display()),
-            Err(e) => eprintln!("  warning: could not write report: {e}"),
-        }
+        );
         outcome
     }
 
@@ -174,12 +176,6 @@ impl<'a, P: Sync> SweepSpec<'a, P> {
     }
 }
 
-/// The `--jobs=N` argument; defaults to the available cores.
-pub fn jobs_arg() -> usize {
-    let default = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    crate::arg_u64("jobs", default as u64).max(1) as usize
-}
-
 /// Derive an independent per-point seed from a sweep's base seed.
 ///
 /// SplitMix64-style mixing: nearby indices give unrelated seeds, and the
@@ -192,33 +188,46 @@ pub fn point_seed(base: u64, index: u64) -> u64 {
 }
 
 /// Write a run's report: `results/BENCH_<name>.json`, or
-/// `results/ci_smoke_BENCH_<name>.json` (git-ignored) under `--quick`,
-/// so a smoke run can never replace a committed full-run report. This
-/// is the only place a report path is formed.
+/// `results/ci_smoke_BENCH_<name>.json` (git-ignored) when `quick`, so a
+/// smoke run can never replace a committed full-run report. A `paper`
+/// (2 GB) run reports as `<name>_paper`, beside the scaled run's report
+/// rather than over it. `report_file` is the only place a report path
+/// is formed.
 ///
 /// Each `extras` pair is spliced in as a top-level `"key": value`, where
 /// `value` must already be valid JSON (see [`time_series_json`] and
-/// [`trace_json`]) — how observability-oriented binaries embed a sampled
+/// [`trace_json`]) — how observability-oriented experiments embed a sampled
 /// time series or a trace excerpt alongside the point metrics.
 ///
-/// # Errors
-///
-/// I/O errors creating `results/` or writing the file.
+/// The path written, or why nothing was, goes to stderr: a run whose
+/// report cannot be saved still stands on the tables it printed.
 pub fn write_report(
     name: &str,
+    quick: bool,
+    paper: bool,
     jobs: usize,
     wall_seconds: f64,
     points: &[(String, Vec<(&'static str, f64)>)],
     extras: &[(&str, String)],
-) -> std::io::Result<PathBuf> {
-    let quick = crate::quick_mode();
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir)?;
+) {
+    let (bench, path) = report_file(name, quick, paper);
+    let json = render_report(&bench, quick, jobs, wall_seconds, points, extras);
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => eprintln!("  report: {}", path.display()),
+        Err(e) => eprintln!("  warning: could not write report: {e}"),
+    }
+}
+
+/// The report's `bench` name and path for a run of experiment `name`.
+fn report_file(name: &str, quick: bool, paper: bool) -> (String, PathBuf) {
+    let bench = if paper {
+        format!("{name}_paper")
+    } else {
+        name.to_string()
+    };
     let prefix = if quick { "ci_smoke_" } else { "" };
-    let path = dir.join(format!("{prefix}BENCH_{name}.json"));
-    let json = render_report(name, quick, jobs, wall_seconds, points, extras);
-    std::fs::write(&path, json)?;
-    Ok(path)
+    let path = PathBuf::from("results").join(format!("{prefix}BENCH_{bench}.json"));
+    (bench, path)
 }
 
 /// Render the report document (see [`write_report`]). Public so
@@ -381,25 +390,20 @@ mod tests {
         assert_eq!(seq.points, par.points);
         assert_eq!(seq.jobs, 1);
         assert_eq!(par.jobs, 4);
+        let wide = spec.run_with_jobs(64, run);
+        assert_eq!(wide.points, seq.points);
+        assert_eq!(wide.jobs, 7, "more workers than points: one per point");
     }
 
     #[test]
-    fn defaulted_jobs_match_sequential() {
-        // The `--jobs` default (available cores) must produce the same
-        // rows and metrics as a fully sequential run — the path every
-        // binary takes when no `--jobs` flag is passed.
-        let default_jobs = jobs_arg();
-        assert!(default_jobs >= 1);
-        let spec = SweepSpec::new("unit-default-jobs", (0u64..9).collect());
-        let run = |i: usize, p: &u64| {
-            PointResult::row(format!("d{p}"), vec![point_seed(7, i as u64).to_string()])
-                .metric("seeded", point_seed(7, i as u64) as f64)
-        };
-        let seq = spec.run_with_jobs(1, run);
-        let def = spec.run_with_jobs(default_jobs, run);
-        assert_eq!(seq.rows, def.rows);
-        assert_eq!(seq.points, def.points);
-        // jobs is clamped to the point count, never below 1.
-        assert_eq!(def.jobs, default_jobs.clamp(1, 9));
+    fn report_path_depends_on_quick_and_paper() {
+        for (quick, paper, bench, file) in [
+            (false, false, "x", "BENCH_x.json"),
+            (true, false, "x", "ci_smoke_BENCH_x.json"),
+            (false, true, "x_paper", "BENCH_x_paper.json"),
+        ] {
+            let want = (bench.to_string(), PathBuf::from("results").join(file));
+            assert_eq!(report_file("x", quick, paper), want);
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! Schema check for the committed benchmark reports: every
 //! `results/BENCH_*.json` must parse as JSON, carry the fields the
 //! tooling relies on — in particular `report_version`, so report
-//! consumers can detect shape changes — and come from a full run; and a
-//! `--quick` run must not be able to write one. Run directly by `ci.sh`.
+//! consumers can detect shape changes — come from a full run and name
+//! an `envy-bench` experiment, every experiment must have its committed
+//! results, and a `--quick` run must not be able to write a report. Run
+//! directly by `ci.sh`.
 
 use envy_bench::json::{parse, Value};
 use std::path::{Path, PathBuf};
@@ -12,9 +14,34 @@ fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
+/// The experiments `envy-bench` dispatches, read from the usage it
+/// prints when run without one.
+fn experiments() -> Vec<String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_envy-bench")).output();
+    let usage = String::from_utf8(out.expect("spawn envy-bench").stderr).unwrap();
+    let lines = usage.lines().skip_while(|l| *l != "experiments:").skip(1);
+    let names: Vec<String> = lines
+        .map_while(|l| l.strip_prefix("  ").map(String::from))
+        .collect();
+    assert!(names.len() >= 20, "usage lists only {names:?}");
+    names
+}
+
+#[test]
+fn every_experiment_has_committed_results() {
+    let committed = |file: &str| results_dir().join(file).is_file();
+    for name in experiments() {
+        let (report, table) = (format!("BENCH_{name}.json"), format!("{name}.txt"));
+        assert!(committed(&report), "{report} not committed");
+        // calib_saturation is an internal calibration: JSON only.
+        let json_only = name == "calib_saturation";
+        assert!(json_only || committed(&table), "{table} not committed");
+    }
+}
+
 #[test]
 fn every_committed_report_parses_and_is_versioned() {
-    let dir = results_dir();
+    let (dir, experiments) = (results_dir(), experiments());
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("results/ exists") {
         let path = entry.expect("readable entry").path();
@@ -42,6 +69,10 @@ fn every_committed_report_parses_and_is_versioned() {
             format!("BENCH_{bench}.json"),
             "{name}: bench field must match the file name"
         );
+        assert!(
+            bench.ends_with("_paper") || experiments.iter().any(|e| e == bench),
+            "{name}: envy-bench has no experiment {bench:?}"
+        );
         assert_eq!(
             doc.get("quick"),
             Some(&Value::Bool(false)),
@@ -68,7 +99,8 @@ fn every_committed_report_parses_and_is_versioned() {
 /// files it left under `dir/results`.
 fn reports_written_by_table_fig01(dir: &Path, args: &[&str]) -> Vec<String> {
     std::fs::create_dir_all(dir).expect("scratch directory");
-    let status = Command::new(env!("CARGO_BIN_EXE_table_fig01"))
+    let status = Command::new(env!("CARGO_BIN_EXE_envy-bench"))
+        .arg("table_fig01")
         .args(args)
         .current_dir(dir)
         .stdout(std::process::Stdio::null())

@@ -1,6 +1,6 @@
-//! Plain-text table formatting shared by the figure-regeneration binaries.
+//! Plain-text table formatting shared by the figure-regeneration experiments.
 //!
-//! Every benchmark binary in `envy-bench` prints its figure or table as an
+//! Every experiment of the `envy-bench` binary prints its figure or table as an
 //! aligned text table plus a machine-readable CSV block, so results can be
 //! both eyeballed and re-plotted.
 

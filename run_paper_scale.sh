@@ -2,18 +2,18 @@
 # Full-scale (2 GB) timed runs, as in the paper's Figure 12 configuration.
 # The measurement windows must be long relative to the 64 MB write buffer
 # (32 768-page flush headroom), hence the large transaction counts.
+# Tables go to results/<name>_paper.txt and reports to
+# results/BENCH_<name>_paper.json, beside the 256 MB runs' files.
 set -e
 OUT=results
 mkdir -p "$OUT"
-# One build up front; the binaries are then invoked directly instead of
-# paying a `cargo run` rebuild check per figure.
 cargo build --release -p envy-bench
-BIN=target/release
-"$BIN/fig13_throughput" --paper --txns=250000 > "$OUT/fig13_throughput_paper.txt"
+BENCH=./target/release/envy-bench
+$BENCH fig13_throughput --paper --txns=250000 > "$OUT/fig13_throughput_paper.txt"
 echo fig13 done
-"$BIN/fig15_latency"    --paper --txns=250000 > "$OUT/fig15_latency_paper.txt"
+$BENCH fig15_latency    --paper --txns=250000 > "$OUT/fig15_latency_paper.txt"
 echo fig15 done
-"$BIN/breakdown_53"     --paper --txns=200000 > "$OUT/breakdown_53_paper.txt"
+$BENCH breakdown_53     --paper --txns=200000 > "$OUT/breakdown_53_paper.txt"
 echo breakdown done
-"$BIN/lifetime_55"      --paper --txns=200000 > "$OUT/lifetime_55_paper.txt"
+$BENCH lifetime_55      --paper --txns=200000 > "$OUT/lifetime_55_paper.txt"
 echo lifetime done
