@@ -121,7 +121,7 @@ grep -q "anchor: 1-shard front end == monolithic store" results/ci_smoke_ext_ser
 # The quick run also drives the event-loop connection axis: a closed-loop
 # socket-vs-in-process ratio, a 100/1000-connection open-loop mini-sweep
 # (the 10k point is full-run only), and the idle-connection cost table.
-grep -q "socket drivers at" results/ci_smoke_ext_serve.txt
+grep -q "socket tax at" results/ci_smoke_ext_serve.txt
 grep -q "p999 growth 100 -> 1000 connections" results/ci_smoke_ext_serve.txt
 grep -q "idle-connection cost" results/ci_smoke_ext_serve.txt
 test -s results/ci_smoke_BENCH_ext_serve.json
@@ -190,24 +190,29 @@ grep -q "(0 timed out)" results/ci_smoke_serve_daemon.txt
 grep -q "epoll driver" results/ci_smoke_serve_daemon.txt
 test ! -e "$SERVE_SOCK"
 
-echo "== smoke: envy-served (threads driver A/B) =="
-# The legacy thread-per-connection driver stays selectable and must
-# serve the same load cleanly — the cross-driver equivalence tests in
-# crates/server/tests/driver_diff.rs pin the wire bytes; this leg pins
-# the daemon wiring.
+echo "== smoke: envy-served (poll backend A/B) =="
+# The portable poll(2) backend stays selectable and must serve the same
+# load cleanly — crates/server/tests/driver_diff.rs pins both backends'
+# wire bytes to a socket-free replay; this leg pins the daemon wiring,
+# the idle-timeout flag included. An unknown backend is refused.
+if ./target/release/envy-served --net-driver threads \
+  > results/ci_smoke_serve_bad_driver.txt 2>&1; then
+  echo "envy-served accepted --net-driver threads"; exit 1
+fi
+grep -qF "use epoll|poll" results/ci_smoke_serve_bad_driver.txt
 rm -f "$SERVE_SOCK"
 ./target/release/envy-served --unix "$SERVE_SOCK" --shards 2 --txn-slots 4 --scale small \
-  --net-driver threads --idle-timeout-ms 30000 \
-  > results/ci_smoke_serve_daemon_threads.txt 2>&1 &
+  --net-driver poll --idle-timeout-ms 30000 \
+  > results/ci_smoke_serve_daemon_poll.txt 2>&1 &
 SERVED_PID=$!
 for _ in $(seq 1 100); do test -S "$SERVE_SOCK" && break; sleep 0.1; done
 test -S "$SERVE_SOCK"
 ./target/release/envy-cli bench-serve --unix "$SERVE_SOCK" --shards 2 --scale small \
-  --clients 4 --txns 250 --shutdown > results/ci_smoke_serve_load_threads.txt
+  --clients 4 --txns 250 --shutdown > results/ci_smoke_serve_load_poll.txt
 wait "$SERVED_PID"
-grep -Eq "completed txns +1000" results/ci_smoke_serve_load_threads.txt
-grep -Eq "errors +0" results/ci_smoke_serve_load_threads.txt
-grep -q "threads driver" results/ci_smoke_serve_daemon_threads.txt
+grep -Eq "completed txns +1000" results/ci_smoke_serve_load_poll.txt
+grep -Eq "errors +0" results/ci_smoke_serve_load_poll.txt
+grep -q "poll driver" results/ci_smoke_serve_daemon_poll.txt
 test ! -e "$SERVE_SOCK"
 
 echo "== benchmark/: build, --quick, its own tests =="

@@ -23,8 +23,7 @@ use envy_bench::{churn_to_steady_state_for, emit, time_series_json, PointResult,
 use envy_core::EnvyStore;
 use envy_server::loadgen::{run_inproc, run_monolithic, run_socket};
 use envy_server::{
-    raise_nofile, serve_with, Client, Listener, LoadSpec, NetConfig, NetDriver, ReadPath,
-    ServeConfig, ShardPlan, ShardedStore,
+    raise_nofile, serve, Client, Listener, LoadSpec, ReadPath, ServeConfig, ShardPlan, ShardedStore,
 };
 use envy_sim::report::Table;
 use envy_workload::{AnalyticTpca, TpcaScale};
@@ -406,38 +405,33 @@ pub fn run(args: &Args) {
     );
 
     // Event-driven socket path: the connection-count load axis. All
-    // socket stages run the epoll driver over a Unix socket against an
-    // 8-shard Inline front end (the fastest in-process read path, so
-    // the comparison is against the strongest baseline).
+    // socket stages run the event loop on its default (epoll) backend
+    // over a Unix socket against an 8-shard Inline front end (the
+    // fastest in-process read path, so the comparison is against the
+    // strongest baseline).
     let sock_shards = *SHARD_COUNTS.last().unwrap();
     let active = args
         .u64("active-conns", if quick { 50 } else { 100 })
         .max(1) as u32;
     let sock_path =
         std::env::temp_dir().join(format!("envy-ext-serve-{}.sock", std::process::id()));
-    let launch_sock = |driver: NetDriver| {
+    let launch_sock = || {
         let config = ServeConfig::scaled(sock_shards).with_read_path(ReadPath::Inline);
         let stores = (0..sock_shards).map(|_| baseline.fork()).collect();
         let front = ShardedStore::launch_from(stores, &config);
         let plan: ShardPlan = *front.plan();
         let listener = Listener::bind_unix(&sock_path).expect("bind unix socket");
-        let server = serve_with(
-            listener,
-            front,
-            NetConfig {
-                driver,
-                idle_timeout: None,
-            },
-        )
-        .expect("serve over unix socket");
+        let server = serve(listener, front).expect("serve over unix socket");
         (server, plan)
     };
 
     // Socket-vs-in-process wall TPS at `active` connections: the same
     // read-heavy closed-loop load through the wire and through the
     // in-process handle. The gap is the whole socket tax — syscalls,
-    // framing, and the event loop itself.
-    let conn_txns = args.u64("conn-txns", if quick { 10 } else { 40 });
+    // framing, and the event loop itself. A full run is 100 000
+    // transactions at 100 connections, long enough that process
+    // start-up does not set the figure.
+    let conn_txns = args.u64("conn-txns", if quick { 10 } else { 1_000 });
     let ratio_spec = LoadSpec::closed(active, conn_txns)
         .with_seed(0xC099)
         .read_mostly(0.95);
@@ -447,29 +441,15 @@ pub fn run(args: &Args) {
     );
     let inproc_report = run_inproc(&inproc_front.handle(), &ratio_spec);
     inproc_front.shutdown();
-    let (server, plan) = launch_sock(NetDriver::Epoll);
+    let (server, plan) = launch_sock();
     let sock_report = run_socket(|| Client::connect_unix(&sock_path), plan, &ratio_spec)
         .expect("socket ratio load run");
     server.shutdown();
     assert_eq!(sock_report.errors, 0, "socket ratio serving errors");
-    // The same wire load under the thread-per-connection driver: the
-    // apples-to-apples comparison for the event-loop rewrite (both pay
-    // the full socket tax; only the connection model differs).
-    let (server_t, plan_t) = launch_sock(NetDriver::Threads);
-    let sock_t_report = run_socket(|| Client::connect_unix(&sock_path), plan_t, &ratio_spec)
-        .expect("socket ratio load run (threads)");
-    server_t.shutdown();
-    assert_eq!(sock_t_report.errors, 0, "threads ratio serving errors");
     let inproc_tps = inproc_report.throughput_tps();
     let sock_tps = sock_report.throughput_tps();
-    let sock_t_tps = sock_t_report.throughput_tps();
     let sock_gap = if sock_tps > 0.0 {
         inproc_tps / sock_tps
-    } else {
-        f64::INFINITY
-    };
-    let epoll_over_threads = if sock_t_tps > 0.0 {
-        sock_tps / sock_t_tps
     } else {
         f64::INFINITY
     };
@@ -480,13 +460,6 @@ pub fn run(args: &Args) {
         sock_tps / 1e3,
         sock_gap
     );
-    println!(
-        "socket drivers at {active} connections: epoll {:.1} ktps vs threads {:.1} ktps \
-         -> {:.2}x",
-        sock_tps / 1e3,
-        sock_t_tps / 1e3,
-        epoll_over_threads
-    );
     println!();
     let ratio_point = (
         format!("conn_ratio/{active}conns"),
@@ -494,9 +467,7 @@ pub fn run(args: &Args) {
             ("active_conns", f64::from(active)),
             ("inproc_wall_tps", inproc_tps),
             ("socket_wall_tps", sock_tps),
-            ("socket_threads_wall_tps", sock_t_tps),
             ("inproc_over_socket", sock_gap),
-            ("epoll_over_threads", epoll_over_threads),
         ],
     );
 
@@ -542,7 +513,7 @@ pub fn run(args: &Args) {
             );
             continue;
         }
-        let (server, plan) = launch_sock(NetDriver::Epoll);
+        let (server, plan) = launch_sock();
         let idle_count = count.saturating_sub(u64::from(active));
         let holder = if idle_count > 0 {
             let exe = std::env::current_exe().expect("current exe");
@@ -641,44 +612,36 @@ pub fn run(args: &Args) {
     }
 
     // Idle-connection memory: fd and RSS cost per quiet connection
-    // under the event loop vs thread-per-connection (two OS threads
-    // and stacks each) — the memory win that motivates the rewrite.
+    // under the event loop (client and server end both in this
+    // process, so 2 fds per connection is the floor).
     let mem_conns = args.u64("mem-conns", if quick { 200 } else { 500 });
+    let (server, _plan) = launch_sock();
+    let fd0 = fd_count();
+    let rss0 = rss_kb();
+    let idle: Vec<Client> = (0..mem_conns).map(|_| connect_retry(&sock_path)).collect();
+    // Let the loop accept and register every connection.
+    std::thread::sleep(Duration::from_millis(200));
+    let fd_per = (fd_count().saturating_sub(fd0)) as f64 / mem_conns as f64;
+    let rss_per = (rss_kb().saturating_sub(rss0)) as f64 / mem_conns as f64;
+    drop(idle);
+    server.shutdown();
     let mut mem_table = Table::new(&["driver", "idle conns", "fds/conn", "rss KiB/conn"]);
-    let mut mem_points: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
-    for driver in [NetDriver::Epoll, NetDriver::Threads] {
-        let (server, _plan) = launch_sock(driver);
-        let fd0 = fd_count();
-        let rss0 = rss_kb();
-        let idle: Vec<Client> = (0..mem_conns).map(|_| connect_retry(&sock_path)).collect();
-        // Let the server finish materializing per-connection state
-        // (the threads driver spawns two threads per connection).
-        std::thread::sleep(Duration::from_millis(200));
-        let fd_per = (fd_count().saturating_sub(fd0)) as f64 / mem_conns as f64;
-        let rss_per = (rss_kb().saturating_sub(rss0)) as f64 / mem_conns as f64;
-        drop(idle);
-        server.shutdown();
-        mem_table.row(&[
-            driver.name().to_string(),
-            mem_conns.to_string(),
-            format!("{fd_per:.2}"),
-            format!("{rss_per:.1}"),
-        ]);
-        mem_points.push((
-            format!("conn_mem/{}", driver.name()),
-            vec![
-                ("idle_conns", mem_conns as f64),
-                ("fds_per_conn", fd_per),
-                ("rss_kb_per_conn", rss_per),
-            ],
-        ));
-    }
-    emit(
-        "Section 6",
-        "idle-connection cost: event loop vs thread-per-connection",
-        &mem_table,
-    );
+    mem_table.row(&[
+        "epoll".to_string(),
+        mem_conns.to_string(),
+        format!("{fd_per:.2}"),
+        format!("{rss_per:.1}"),
+    ]);
+    emit("Section 6", "idle-connection cost: event loop", &mem_table);
     println!();
+    let mem_point = (
+        "conn_mem/epoll".to_string(),
+        vec![
+            ("idle_conns", mem_conns as f64),
+            ("fds_per_conn", fd_per),
+            ("rss_kb_per_conn", rss_per),
+        ],
+    );
 
     let mut points = vec![anchor_point];
     points.extend(sweep.points.iter().cloned());
@@ -687,7 +650,7 @@ pub fn run(args: &Args) {
     points.push(burst_point);
     points.push(ratio_point);
     points.extend(conn_points);
-    points.extend(mem_points);
+    points.push(mem_point);
     let extras = match depth_json.into_inner().expect("no poisoned lock") {
         Some(json) => vec![("queue_depth", json)],
         None => Vec::new(),

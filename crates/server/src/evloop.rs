@@ -1,11 +1,9 @@
 //! Readiness-driven serving: one event-loop thread multiplexes every
 //! connection over epoll(7) (Linux) or poll(2) (portable fallback).
 //!
-//! The thread-per-connection driver in [`net`](crate::net) spends two
-//! OS threads (and two stacks) per connection; this module replaces
-//! that with per-connection **state machines** driven by readiness
-//! events, so 10 000 mostly-idle connections cost a few hundred bytes
-//! each instead of megabytes:
+//! Each connection is a **state machine** driven by readiness events,
+//! not a thread, so 10 000 mostly-idle connections cost a few hundred
+//! bytes and one descriptor each:
 //!
 //! ```text
 //!            readable                admitted             completion
@@ -37,13 +35,14 @@
 //!   shutdown ack) goes behind every completion already posted, so a
 //!   pipeline on an uncontended shard is answered in request order.
 //!
-//! The wire contract is identical to the threads driver — same bytes,
-//! same `Busy` backpressure (the client owns the retry), same
-//! abort-on-disconnect ordering (cleanup aborts are submitted only
-//! after every admitted request has completed, so an admitted commit
-//! always wins) — which `tests/driver_diff.rs` proves byte-for-byte.
+//! Both poller backends run this same loop. `tests/driver_diff.rs`
+//! holds each to the answer a socket-free, in-order replay of the same
+//! frames through the shard gives, byte for byte. `Busy` backpressure
+//! leaves the retry to the client, and cleanup aborts are submitted
+//! only after every admitted request has completed, so an admitted
+//! commit always wins over the disconnect.
 
-use crate::net::{accept_backpressure, Listener, NetConfig, ServeSummary, Stream};
+use crate::net::{Listener, NetConfig, ServeSummary, Stream};
 use crate::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse};
 use crate::shard::{Reply, Request, Response, ServeError, ShardHandle, ShardedStore, SubmitError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -238,14 +237,32 @@ pub fn raise_nofile(target: u64) -> io::Result<u64> {
     Err(last_err())
 }
 
+/// Whether an `accept` failure says the process or the kernel is short
+/// of a resource (`EMFILE`, `ENFILE`, `ENOBUFS`, `ENOMEM`) or the queued
+/// peer gave up (`ECONNABORTED`). The listener itself is still good, so
+/// the server sheds load and looks again shortly rather than shutting
+/// down. std has no stable `ErrorKind` for the first three.
+fn accept_backpressure(e: &io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+    matches!(
+        e.kind(),
+        io::ErrorKind::OutOfMemory | io::ErrorKind::ConnectionAborted
+    ) || matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS))
+}
+
 // ---------------------------------------------------------------------
 // Waker
 // ---------------------------------------------------------------------
 
 /// Cross-thread wakeup for a parked event loop: an eventfd on Linux, a
 /// nonblocking self-pipe elsewhere. A thread that completes one of the
-/// loop's requests for it — a shard's lock holder draining its queue, a
-/// reader thread — [`wake`](Waker::wake)s after posting the completion
+/// loop's requests for it — a shard's lock holder draining its queue —
+/// [`wake`](Waker::wake)s after posting the completion
 /// (see [`ShardHandle::submit_with_notify`]); the loop drains the fd
 /// and then the completion channel. Writes coalesce, so waking is
 /// cheap and idempotent.
@@ -668,8 +685,9 @@ struct Conn {
     fd: RawFd,
     decoder: proto::FrameDecoder,
     wq: WriteQueue,
-    /// Transactions this connection opened and has not yet resolved
-    /// (same key discipline as the threads driver's table).
+    /// Transactions this connection opened and has not yet resolved,
+    /// keyed by (owning shard, txn id) so that an id completing on
+    /// another shard can never resolve the wrong entry.
     open_txns: HashSet<(u32, u64)>,
     /// Admitted requests whose completions are still due.
     pending: usize,
@@ -802,7 +820,7 @@ impl EventLoop {
             events.clear();
             if self.poller.wait(tick, &mut events).is_err() {
                 // Fatal poller failure: drain and shut down, like a
-                // fatal listener error under the threads driver.
+                // fatal listener error.
                 self.stop.store(true, Ordering::SeqCst);
             }
             for &ev in &events {
@@ -962,8 +980,7 @@ impl EventLoop {
         let mut budget = READ_BUDGET;
         // EOF is recorded locally and applied only after the parse
         // loop, so every complete frame that arrived before the EOF is
-        // still processed — matching the blocking reader, which
-        // returns buffered frames before it can observe the EOF.
+        // still processed.
         let mut saw_eof = false;
         {
             let Some(conn) = self.conns[slot].as_mut() else {
@@ -1022,8 +1039,7 @@ impl EventLoop {
                     Ok(None) => break,
                     Err(_) => {
                         // Over-large announcement: the stream cannot
-                        // be resynchronized; drop the connection like
-                        // the blocking reader's InvalidData.
+                        // be resynchronized; drop the connection.
                         conn.read_closed = true;
                         conn.dead = true;
                         break;

@@ -17,10 +17,10 @@
 //!   drains every queue.
 //! * [`proto`] — a length-prefixed binary wire protocol for the same
 //!   request set.
-//! * [`net`] — TCP and Unix-socket serving with two interchangeable
-//!   connection drivers (a readiness-driven event loop, default, and
-//!   the original thread-per-connection model — see [`NetDriver`]),
-//!   plus a blocking/pipelined [`Client`].
+//! * [`net`] — TCP and Unix-socket serving on one readiness-driven
+//!   event loop with two poller backends (epoll, default, and the
+//!   portable poll — see [`NetDriver`]), plus a blocking/pipelined
+//!   [`Client`].
 //! * [`evloop`] — the event-loop internals: an epoll/poll readiness
 //!   shim over raw syscalls, a cross-thread [`Waker`], and the
 //!   per-connection state machines.

@@ -85,8 +85,8 @@ pub const MAX_READ_LEN: usize = MAX_FRAME - RESPONSE_HEADER;
 
 /// Refuse a decoded request whose reply could not be framed — a `READ`
 /// longer than [`MAX_READ_LEN`] — before it is routed or anything is
-/// allocated for it. Both connection drivers call this on every store
-/// request and answer the refusal as `ERR` under the request's own id.
+/// allocated for it. The event loop calls this on every store request
+/// and answers the refusal as `ERR` under the request's own id.
 /// With it in place no reply can outgrow a frame: the other
 /// variable-size replies are a KV value (4 KiB) and a clamped `KV_SCAN`
 /// (526 KiB).
@@ -336,8 +336,8 @@ pub fn encode_response(resp: &WireResponse) -> Vec<u8> {
 }
 
 /// Append a response frame payload to `buf` (no length prefix). The
-/// allocation-reusing twin of [`encode_response`]: the event-loop
-/// driver encodes every response into a pooled buffer.
+/// allocation-reusing twin of [`encode_response`]: the event loop
+/// encodes every response into a pooled buffer.
 pub fn encode_response_into(buf: &mut Vec<u8>, resp: &WireResponse) {
     let st = match &resp.outcome {
         WireOutcome::Reply(Reply::Data(_)) => status::DATA,
@@ -420,7 +420,7 @@ pub fn encode_response_into(buf: &mut Vec<u8>, resp: &WireResponse) {
 /// Encode a whole response **frame** (length prefix + payload) into
 /// `buf`, clearing it first. Returns `false` — with `buf` cleared —
 /// if the payload would exceed [`MAX_FRAME`], which no reply to a
-/// request the wire drivers admit can (see [`MAX_READ_LEN`]).
+/// request the event loop admits can (see [`MAX_READ_LEN`]).
 pub fn encode_response_frame_into(buf: &mut Vec<u8>, resp: &WireResponse) -> bool {
     buf.clear();
     buf.extend_from_slice(&[0u8; 4]);

@@ -1,10 +1,11 @@
-//! Driver-equivalence tests: the event-loop drivers (`epoll`, `poll`)
-//! and the thread-per-connection driver must be indistinguishable on
-//! the wire — byte-identical responses for a seeded pipelined workload
-//! and identical `ServeSummary` accounting — and must run the same
-//! disconnect cleanup for half-closed sockets.
+//! Wire-contract tests for the event loop under both poller backends
+//! (`epoll`, `poll`): a seeded pipelined workload must be answered
+//! byte for byte as a socket-free replay of the same frames through the
+//! shard answers it, with the `ServeSummary` counting exactly the
+//! admitted requests; and both backends must run the same disconnect
+//! cleanup for half-closed and silent sockets.
 
-use envy_server::proto::{self, WireBody, WireOutcome, WireRequest, MAX_FRAME};
+use envy_server::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse, MAX_FRAME};
 use envy_server::{
     serve_with, Client, Listener, NetConfig, NetDriver, Request, ServeConfig, ServeError,
     ShardedStore,
@@ -12,6 +13,7 @@ use envy_server::{
 use envy_sim::rng::Rng;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Wire id of the over-long `READ` that [`seeded_blob`] plants halfway.
@@ -38,13 +40,14 @@ fn overlong_read_frame() -> Vec<u8> {
 /// (unknown-opcode) frames and, halfway, one extra frame — a `READ` too
 /// long to answer ([`OVERLONG_ID`]; refused, so not admitted). One
 /// shard + FIFO dispatch means completion order equals admission
-/// order, so both drivers must answer with identical byte streams.
+/// order, so the answer is the one [`replay`] computes.
 ///
 /// Raw writes draw from the top half of the shard only: the KV store's
 /// B-Tree nodes grow from the region base, and a raw write landing in a
 /// live index node could forge a cyclic child pointer (a hang, not a
 /// typed error). Clobbered *heap* blocks in the top half surface as
-/// typed `Corrupt` errors, which both drivers must report identically.
+/// typed `Corrupt` errors, which the server must report as the replay
+/// does.
 fn seeded_blob(frames: usize) -> (Vec<u8>, u64) {
     let shard_bytes = {
         let cfg = ServeConfig::small(1);
@@ -108,9 +111,57 @@ fn seeded_blob(frames: usize) -> (Vec<u8>, u64) {
     (blob, admitted)
 }
 
+/// The canonical answer to `blob` as response payloads, computed with
+/// no socket: each frame is decoded; one that does not decode is
+/// answered `ERR` under id 0, and every other runs, in order, through a
+/// fresh 1-shard store. The over-long `READ` is skipped: the wire
+/// refuses it before routing, and the in-process API has no frame to
+/// bound it by.
+fn replay(mut blob: &[u8]) -> Vec<Vec<u8>> {
+    let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
+    let handle = store.handle();
+    let (tx, rx) = mpsc::channel();
+    let mut replies = Vec::new();
+    while let Some(payload) = proto::read_frame(&mut blob).unwrap() {
+        let resp = match proto::decode_request(&payload) {
+            Err(_) => WireResponse {
+                id: 0,
+                shard: 0,
+                outcome: WireOutcome::Err(ServeError::Store("malformed request".into())),
+            },
+            Ok(WireRequest {
+                id: OVERLONG_ID, ..
+            }) => continue,
+            Ok(WireRequest {
+                id,
+                body: WireBody::Req(req),
+                ..
+            }) => {
+                handle
+                    .submit_with_id(id, req, None, &tx)
+                    .expect("a lone submitter is admitted");
+                let done = rx.recv().unwrap();
+                WireResponse {
+                    id,
+                    shard: done.shard,
+                    outcome: match done.result {
+                        Ok(reply) => WireOutcome::Reply(reply),
+                        Err(e) => WireOutcome::Err(e),
+                    },
+                }
+            }
+            Ok(other) => panic!("the blob holds no {other:?}"),
+        };
+        replies.push(proto::encode_response(&resp));
+    }
+    store.shutdown();
+    replies
+}
+
 /// Run the blob against a fresh 1-shard server under `driver`; return
-/// the raw response bytes and the summary's request count.
-fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<u8>, u64) {
+/// the first `frames` response payloads and the summary's request
+/// count.
+fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<Vec<u8>>, u64) {
     let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
     let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
     let server = serve_with(
@@ -124,60 +175,55 @@ fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<u8>, u64) {
     .unwrap();
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.write_all(blob).unwrap();
-    let mut bytes = Vec::new();
-    for _ in 0..frames {
-        let payload = proto::read_frame(&mut raw)
-            .expect("read response frame")
-            .expect("response before eof");
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-    }
+    let replies = (0..frames)
+        .map(|_| {
+            proto::read_frame(&mut raw)
+                .expect("read response frame")
+                .expect("response before eof")
+        })
+        .collect();
     drop(raw);
     let summary = server.shutdown();
-    (bytes, summary.requests)
+    (replies, summary.requests)
 }
 
 #[test]
 fn drivers_produce_identical_wire_bytes_and_counts() {
     const FRAMES: usize = 200;
     let (blob, admitted) = seeded_blob(FRAMES);
-    // One reply per seeded frame plus the refusal of the over-long read.
-    let (epoll_bytes, epoll_reqs) = run_driver(NetDriver::Epoll, &blob, FRAMES + 1);
-    let (poll_bytes, poll_reqs) = run_driver(NetDriver::Poll, &blob, FRAMES + 1);
-    let (thread_bytes, thread_reqs) = run_driver(NetDriver::Threads, &blob, FRAMES + 1);
+    let expected = replay(&blob);
+    assert_eq!(expected.len(), FRAMES);
+    for driver in [NetDriver::Epoll, NetDriver::Poll] {
+        // One reply per seeded frame plus the refusal of the over-long
+        // read.
+        let (mut replies, requests) = run_driver(driver, &blob, FRAMES + 1);
+        assert_eq!(requests, admitted, "{driver:?} request count");
 
-    assert_eq!(epoll_reqs, admitted, "epoll driver request count");
-    assert_eq!(poll_reqs, admitted, "poll driver request count");
-    assert_eq!(thread_reqs, admitted, "threads driver request count");
-    assert!(!epoll_bytes.is_empty());
-    assert_eq!(
-        epoll_bytes, thread_bytes,
-        "epoll and threads drivers must answer byte-identically"
-    );
-    assert_eq!(
-        epoll_bytes, poll_bytes,
-        "epoll and poll backends must answer byte-identically"
-    );
+        let at = replies
+            .iter()
+            .position(|r| proto::decode_response(r).unwrap().id == OVERLONG_ID)
+            .expect("the over-long read is answered under its own id");
+        let overlong = proto::decode_response(&replies.remove(at)).unwrap();
 
-    // The over-long read is answered where it was sent — a typed `ERR`
-    // under its own id, behind one reply per earlier frame and ahead of
-    // the rest.
-    let mut rest = &epoll_bytes[..];
-    let mut replies = Vec::new();
-    while let Some(payload) = proto::read_frame(&mut rest).unwrap() {
-        replies.push(proto::decode_response(&payload).unwrap());
+        // Every other reply is the replay's, byte for byte.
+        if let Some(i) = (0..FRAMES).find(|&i| replies[i] != expected[i]) {
+            panic!(
+                "{driver:?} reply {i} differs from the replay: got {:?}, want {:?}",
+                proto::decode_response(&replies[i]),
+                proto::decode_response(&expected[i]),
+            );
+        }
+
+        // The over-long read is answered where it was sent — a typed
+        // `ERR` under its own id, behind one reply per earlier frame and
+        // ahead of the rest.
+        assert!(
+            matches!(overlong.outcome, WireOutcome::Err(ServeError::Store(_))),
+            "{driver:?}: expected ERR, got {:?}",
+            overlong.outcome
+        );
+        assert_eq!(at, FRAMES / 2, "{driver:?}: over-long reply out of place");
     }
-    assert_eq!(replies.len(), FRAMES + 1);
-    let at = replies
-        .iter()
-        .position(|r| r.id == OVERLONG_ID)
-        .expect("the over-long read is answered under its own id");
-    assert!(
-        matches!(replies[at].outcome, WireOutcome::Err(ServeError::Store(_))),
-        "expected ERR, got {:?}",
-        replies[at].outcome
-    );
-    assert_eq!(at, FRAMES / 2);
 }
 
 /// On a shard larger than a frame the same read passes routing, so
@@ -289,11 +335,6 @@ fn malformed_kv_frame_survives_under_poll_backend() {
     malformed_kv_frame_errors_id0_and_survives(NetDriver::Poll);
 }
 
-#[test]
-fn malformed_kv_frame_survives_under_threads() {
-    malformed_kv_frame_errors_id0_and_survives(NetDriver::Threads);
-}
-
 /// A half-closed socket — the client shuts down only its **write**
 /// side and keeps reading — must still get its open transactions
 /// aborted (the EOF runs the same disconnect cleanup as a full close),
@@ -360,11 +401,6 @@ fn half_closed_socket_aborts_txn_under_poll_backend() {
     half_close_aborts_open_txn(NetDriver::Poll);
 }
 
-#[test]
-fn half_closed_socket_aborts_txn_under_threads() {
-    half_close_aborts_open_txn(NetDriver::Threads);
-}
-
 /// A connection that goes fully silent (no EOF at all) is reaped by
 /// the idle timeout and its transaction aborted — the teardown path
 /// that EOF-based cleanup alone can never catch.
@@ -415,6 +451,6 @@ fn silent_connection_reaped_under_epoll() {
 }
 
 #[test]
-fn silent_connection_reaped_under_threads() {
-    silent_connection_reaped_by_idle_timeout(NetDriver::Threads);
+fn silent_connection_reaped_under_poll_backend() {
+    silent_connection_reaped_by_idle_timeout(NetDriver::Poll);
 }
