@@ -345,13 +345,18 @@ impl From<io::Error> for ClientError {
     }
 }
 
+/// Bytes the client asks of one socket `read`.
+const CLIENT_READ_CHUNK: usize = 16 * 1024;
+
 /// A blocking protocol client. Requests may be pipelined with
 /// [`submit`](Client::submit) / [`recv`](Client::recv); the convenience
 /// calls assume no other completions are outstanding.
 ///
-/// For deep pipelines, [`set_corked`](Client::set_corked) batches
-/// submitted frames into one buffer flushed by the next
-/// [`recv`](Client::recv) (or an explicit
+/// Every request is encoded straight into one reused output buffer,
+/// length prefix and payload together, so a submit allocates nothing
+/// and an uncorked submit is one `write`. For deep pipelines,
+/// [`set_corked`](Client::set_corked) keeps submitted frames in that
+/// buffer until the next [`recv`](Client::recv) (or an explicit
 /// [`flush_submits`](Client::flush_submits)), turning N tiny writes
 /// into one syscall.
 #[derive(Debug)]
@@ -359,6 +364,9 @@ pub struct Client {
     stream: Stream,
     next_id: u64,
     outbuf: Vec<u8>,
+    /// Socket reads land here; allocated by the first read, so an idle
+    /// client holds no buffer.
+    inbuf: Vec<u8>,
     corked: bool,
     decoder: proto::FrameDecoder,
 }
@@ -370,13 +378,7 @@ impl Client {
     ///
     /// Socket errors.
     pub fn connect_tcp<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            stream: Stream::Tcp(TcpStream::connect(addr)?),
-            next_id: 0,
-            outbuf: Vec::new(),
-            corked: false,
-            decoder: proto::FrameDecoder::new(),
-        })
+        Ok(Client::over(Stream::Tcp(TcpStream::connect(addr)?)))
     }
 
     /// Connect over a Unix-domain socket.
@@ -385,13 +387,18 @@ impl Client {
     ///
     /// Socket errors.
     pub fn connect_unix<P: AsRef<Path>>(path: P) -> io::Result<Client> {
-        Ok(Client {
-            stream: Stream::Unix(UnixStream::connect(path)?),
+        Ok(Client::over(Stream::Unix(UnixStream::connect(path)?)))
+    }
+
+    fn over(stream: Stream) -> Client {
+        Client {
+            stream,
             next_id: 0,
             outbuf: Vec::new(),
+            inbuf: Vec::new(),
             corked: false,
             decoder: proto::FrameDecoder::new(),
-        })
+        }
     }
 
     /// Batch submitted frames in memory instead of writing each one
@@ -412,12 +419,36 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Socket errors.
+    /// Socket errors. The buffered frames are discarded either way: a
+    /// failed write may already have put some of them on the wire, and
+    /// a later call must not send those bytes twice.
     pub fn flush_submits(&mut self) -> io::Result<()> {
-        if !self.outbuf.is_empty() {
-            self.stream.write_all(&self.outbuf)?;
-            self.outbuf.clear();
+        if self.outbuf.is_empty() {
+            return Ok(());
         }
+        let sent = self.stream.write_all(&self.outbuf);
+        self.outbuf.clear();
+        sent
+    }
+
+    /// Append one whole frame — length prefix and payload — to the
+    /// output buffer: a 4-byte slot, the payload encoded behind it, then
+    /// the slot patched with the payload's length. A payload over
+    /// [`proto::MAX_FRAME`] is taken back out, leaving the frames
+    /// buffered before it intact.
+    fn push_frame(&mut self, req: &WireRequest) -> io::Result<()> {
+        let at = self.outbuf.len();
+        self.outbuf.extend_from_slice(&[0; 4]);
+        proto::encode_request_into(&mut self.outbuf, req);
+        let len = self.outbuf.len() - at - 4;
+        if len > proto::MAX_FRAME {
+            self.outbuf.truncate(at);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame exceeds MAX_FRAME",
+            ));
+        }
+        self.outbuf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
         Ok(())
     }
 
@@ -427,7 +458,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Socket errors.
+    /// Socket errors; `InvalidInput`, with nothing sent or buffered, if
+    /// the encoded request exceeds [`proto::MAX_FRAME`].
     pub fn submit(&mut self, req: Request, deadline: Option<Duration>) -> io::Result<u64> {
         let id = self.next_id;
         self.next_id += 1;
@@ -440,7 +472,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Socket errors.
+    /// As [`submit`](Client::submit).
     pub fn submit_with_id(
         &mut self,
         id: u64,
@@ -450,18 +482,15 @@ impl Client {
         let deadline_us = deadline
             .map(|d| d.as_micros().clamp(1, u32::MAX as u128) as u32)
             .unwrap_or(0);
-        let frame = proto::encode_request(&WireRequest {
+        self.push_frame(&WireRequest {
             id,
             deadline_us,
             body: WireBody::Req(req),
-        });
+        })?;
         if self.corked {
-            self.outbuf
-                .extend_from_slice(&(frame.len() as u32).to_le_bytes());
-            self.outbuf.extend_from_slice(&frame);
             Ok(())
         } else {
-            proto::write_frame(&mut self.stream, &frame)
+            self.flush_submits()
         }
     }
 
@@ -473,7 +502,6 @@ impl Client {
     /// protocol errors.
     pub fn recv(&mut self) -> Result<WireResponse, ClientError> {
         self.flush_submits()?;
-        let mut chunk = [0u8; 16 * 1024];
         loop {
             match self.decoder.next_frame() {
                 Ok(Some(payload)) => {
@@ -489,7 +517,10 @@ impl Client {
             }
             // One read may deliver many pipelined responses; they drain
             // from the decoder without further syscalls.
-            match self.stream.read(&mut chunk) {
+            if self.inbuf.is_empty() {
+                self.inbuf = vec![0; CLIENT_READ_CHUNK];
+            }
+            match self.stream.read(&mut self.inbuf) {
                 Ok(0) => {
                     return if self.decoder.mid_frame() {
                         Err(ClientError::Io(io::Error::from(
@@ -499,7 +530,7 @@ impl Client {
                         Err(ClientError::Disconnected)
                     }
                 }
-                Ok(n) => self.decoder.push(&chunk[..n]),
+                Ok(n) => self.decoder.push(&self.inbuf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ClientError::Io(e)),
             }
@@ -733,13 +764,12 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = proto::encode_request(&WireRequest {
+        self.push_frame(&WireRequest {
             id,
             deadline_us: 0,
             body: WireBody::Shutdown,
-        });
+        })?;
         self.flush_submits()?;
-        proto::write_frame(&mut self.stream, &frame)?;
         loop {
             // Outstanding pipelined completions may land first.
             match self.recv()?.outcome {

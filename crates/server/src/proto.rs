@@ -252,6 +252,15 @@ fn put_u64(buf: &mut Vec<u8>, x: u64) {
 /// Encode a request frame payload.
 pub fn encode_request(req: &WireRequest) -> Vec<u8> {
     let mut buf = Vec::with_capacity(32);
+    encode_request_into(&mut buf, req);
+    buf
+}
+
+/// Append a request frame payload to `buf` (no length prefix). The
+/// allocation-reusing twin of [`encode_request`]: the client encodes
+/// every request straight into its output buffer, behind the length
+/// slot it patches afterwards.
+pub fn encode_request_into(buf: &mut Vec<u8>, req: &WireRequest) {
     let opcode = match &req.body {
         WireBody::Req(Request::Read { .. }) => op::READ,
         WireBody::Req(Request::Write { .. }) => op::WRITE,
@@ -268,35 +277,35 @@ pub fn encode_request(req: &WireRequest) -> Vec<u8> {
         WireBody::Shutdown => op::SHUTDOWN,
     };
     buf.push(opcode);
-    put_u64(&mut buf, req.id);
-    put_u32(&mut buf, req.deadline_us);
+    put_u64(buf, req.id);
+    put_u32(buf, req.deadline_us);
     match &req.body {
         WireBody::Req(Request::Read { addr, len }) => {
-            put_u64(&mut buf, *addr);
-            put_u32(&mut buf, *len);
+            put_u64(buf, *addr);
+            put_u32(buf, *len);
         }
         WireBody::Req(Request::Write { addr, bytes }) => {
-            put_u64(&mut buf, *addr);
+            put_u64(buf, *addr);
             buf.extend_from_slice(bytes);
         }
         WireBody::Req(Request::Flush { shard })
         | WireBody::Req(Request::Ping { shard })
         | WireBody::Req(Request::TxnBegin { shard }) => {
-            put_u32(&mut buf, *shard);
+            put_u32(buf, *shard);
         }
         WireBody::Req(Request::TxnWrite { addr, bytes, txn }) => {
-            put_u64(&mut buf, *addr);
-            put_u64(&mut buf, *txn);
+            put_u64(buf, *addr);
+            put_u64(buf, *txn);
             buf.extend_from_slice(bytes);
         }
         WireBody::Req(Request::TxnCommit { shard, txn })
         | WireBody::Req(Request::TxnAbort { shard, txn }) => {
-            put_u32(&mut buf, *shard);
-            put_u64(&mut buf, *txn);
+            put_u32(buf, *shard);
+            put_u64(buf, *txn);
         }
         WireBody::Req(Request::KvGet { shard, key }) => {
-            put_u32(&mut buf, *shard);
-            put_u64(&mut buf, *key);
+            put_u32(buf, *shard);
+            put_u64(buf, *key);
         }
         WireBody::Req(Request::KvPut {
             shard,
@@ -304,28 +313,27 @@ pub fn encode_request(req: &WireRequest) -> Vec<u8> {
             txn,
             value,
         }) => {
-            put_u32(&mut buf, *shard);
-            put_u64(&mut buf, *key);
-            put_u64(&mut buf, *txn);
+            put_u32(buf, *shard);
+            put_u64(buf, *key);
+            put_u64(buf, *txn);
             buf.extend_from_slice(value);
         }
         WireBody::Req(Request::KvDelete { shard, key, txn }) => {
-            put_u32(&mut buf, *shard);
-            put_u64(&mut buf, *key);
-            put_u64(&mut buf, *txn);
+            put_u32(buf, *shard);
+            put_u64(buf, *key);
+            put_u64(buf, *txn);
         }
         WireBody::Req(Request::KvScan {
             shard,
             start,
             limit,
         }) => {
-            put_u32(&mut buf, *shard);
-            put_u64(&mut buf, *start);
-            put_u32(&mut buf, *limit);
+            put_u32(buf, *shard);
+            put_u64(buf, *start);
+            put_u32(buf, *limit);
         }
         WireBody::Shutdown => {}
     }
-    buf
 }
 
 /// Encode a response frame payload.

@@ -13,6 +13,7 @@ use envy_server::{
 use envy_sim::rng::Rng;
 use std::io::Write;
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -333,6 +334,87 @@ fn malformed_kv_frame_survives_under_epoll() {
 #[test]
 fn malformed_kv_frame_survives_under_poll_backend() {
     malformed_kv_frame_errors_id0_and_survives(NetDriver::Poll);
+}
+
+/// Frames torn across writes, on a real socket: a header sent alone,
+/// then its payload after a pause; then a frame cut mid-payload. The
+/// client writes each frame whole, so only this test makes the loop
+/// park on a partial frame and finish it on a later readiness event.
+/// Each frame must be answered, and the connection must stay open.
+fn torn_frames_are_reassembled(driver: NetDriver) {
+    let path = std::env::temp_dir().join(format!(
+        "envy-torn-{}-{}.sock",
+        std::process::id(),
+        driver.name()
+    ));
+    let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
+    let listener = Listener::bind_unix(&path).unwrap();
+    let server = serve_with(
+        listener,
+        store,
+        NetConfig {
+            driver,
+            idle_timeout: None,
+        },
+    )
+    .unwrap();
+    let mut raw = UnixStream::connect(&path).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let frame = |id, req| {
+        let payload = proto::encode_request(&WireRequest {
+            id,
+            deadline_us: 0,
+            body: WireBody::Req(req),
+        });
+        let mut bytes = Vec::new();
+        proto::write_frame(&mut bytes, &payload).unwrap();
+        bytes
+    };
+    let put = frame(
+        1,
+        Request::KvPut {
+            shard: 0,
+            key: 5,
+            txn: 0,
+            value: vec![0x5A; 64],
+        },
+    );
+    let get = frame(2, Request::KvGet { shard: 0, key: 5 });
+    let ping = frame(3, Request::Ping { shard: 0 });
+    // The header alone, then a cut halfway into the payload.
+    let mid = 4 + (get.len() - 4) / 2;
+    for (cut, whole) in [(4, &put), (mid, &get)] {
+        raw.write_all(&whole[..cut]).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        raw.write_all(&whole[cut..]).unwrap();
+    }
+    raw.write_all(&ping).unwrap();
+    let want = [
+        (1, envy_server::Reply::KvPutDone),
+        (2, envy_server::Reply::KvValue(Some(vec![0x5A; 64]))),
+        (3, envy_server::Reply::Pong),
+    ];
+    for (id, answer) in want {
+        let payload = proto::read_frame(&mut raw)
+            .expect("a reply within the timeout")
+            .expect("a reply, not a close");
+        let got = proto::decode_response(&payload).unwrap();
+        assert_eq!(got.id, id, "{driver:?}");
+        assert_eq!(got.outcome, WireOutcome::Reply(answer), "{driver:?}");
+    }
+    drop(raw);
+    let summary = server.shutdown();
+    assert_eq!(summary.requests, 3, "{driver:?}");
+}
+
+#[test]
+fn torn_frames_are_reassembled_under_epoll() {
+    torn_frames_are_reassembled(NetDriver::Epoll);
+}
+
+#[test]
+fn torn_frames_are_reassembled_under_poll_backend() {
+    torn_frames_are_reassembled(NetDriver::Poll);
 }
 
 /// A half-closed socket — the client shuts down only its **write**

@@ -124,6 +124,34 @@ fn malformed_frame_answers_error_and_connection_survives() {
     server.shutdown();
 }
 
+/// A request too long to frame is refused at `submit`, corked or not,
+/// before a byte of it is buffered. Sent anyway, the server would drop
+/// the connection on the announcement and every reply queued behind it
+/// with it; instead the frames around it are untouched and answered.
+#[test]
+fn over_long_submit_is_refused_and_frames_around_it_survive() {
+    let (server, addr) = launch_tcp(ServeConfig::small(1));
+    let mut client = Client::connect_tcp(&addr).unwrap();
+    let too_long = || Request::Write {
+        addr: 0,
+        bytes: vec![7; proto::MAX_FRAME],
+    };
+    for corked in [true, false] {
+        client.set_corked(corked).unwrap();
+        let first = client.submit(Request::Ping { shard: 0 }, None).unwrap();
+        let err = client.submit(too_long(), None).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let second = client.submit(Request::Ping { shard: 0 }, None).unwrap();
+        for want in [first, second] {
+            let resp = client.recv().unwrap();
+            assert_eq!(resp.id, want, "corked: {corked}");
+            assert!(matches!(resp.outcome, WireOutcome::Reply(Reply::Pong)));
+        }
+    }
+    let summary = server.shutdown();
+    assert_eq!(summary.requests, 4, "only the pings were admitted");
+}
+
 #[test]
 fn killed_connection_leaves_other_clients_intact() {
     let config = ServeConfig::small(1).with_service_delay(Duration::from_millis(2));
