@@ -64,10 +64,13 @@ echo "== smoke: concurrent read path (seqlock stress + digest anchors) =="
 # idle-boundary hand-off, shutdown against live submitters), which
 # likewise only means something at full speed, as does the
 # accept-pressure suite (the server's accept retries race a client
-# holding the process's last descriptor).
+# holding the process's last descriptor). The wire-contract suite's
+# reply-order test races an occupant's last posted completions against
+# the event loop's first inline one; at full speed that race is close.
 cargo test --release -q -p envy-core --test concurrent_reads
 cargo test --release -q -p envy-server --test concurrent_read_path
 cargo test --release -q -p envy-server --test run_to_completion
+cargo test --release -q -p envy-server --test driver_diff
 cargo test --release -q -p envy-server --test accept_pressure
 
 # Opt-in ThreadSanitizer pass over the same suites: CI_TSAN=1 ./ci.sh.
@@ -155,6 +158,15 @@ SERVE_SOCK="results/ci_serve.sock"
 rm -f "$SERVE_SOCK"
 cargo build --release -q -p envy-server --bin envy-served
 cargo build --release -q --bin envy-cli
+# The admission path's shape is fixed in source: ShardHandle::admit and
+# ShardHandle::localize are #[inline(always)]. An outlined copy of
+# either means the link step is choosing that shape again, which moved
+# the in-process txn_tpca benchmark by up to 18 % although it never runs
+# the event loop (docs/PERFORMANCE.md, "Inline completions skip the
+# channel").
+if nm -C target/release/envy-served | grep -E 'ShardHandle::(admit|localize)'; then
+  echo "envy-served carries an outlined ShardHandle::admit or ::localize"; exit 1
+fi
 ./target/release/envy-served --unix "$SERVE_SOCK" --shards 2 --txn-slots 4 --scale small \
   --net-driver epoll > results/ci_smoke_serve_daemon.txt 2>&1 &
 SERVED_PID=$!

@@ -13,11 +13,30 @@
 //!     └────────────────────────────────────────────────── [write queue]
 //! ```
 //!
-//! A shard is a passive object (see [`shard`](crate::shard)): the loop
-//! thread itself executes each admitted request, so its completion is
-//! already in the loop's channel when the submit returns and goes out
-//! in the same tick.
+//! A shard is a passive object (see [`shard`](crate::shard)), so a
+//! completion reaches the loop by one of two routes:
 //!
+//! * **Inline** — the usual case. The shard was idle, the loop thread
+//!   executed the request itself, and the result comes back from the
+//!   submit and goes straight into the connection's write queue: no
+//!   channel, no wake, no `pending` entry. It goes out in the same tick.
+//! * **Queued** — the request found its shard held by another thread,
+//!   which completes it, posts the completion to the loop's channel and
+//!   then rings a [`Waker`] (eventfd on Linux, self-pipe elsewhere), so
+//!   the loop never blocks on a channel recv. Such a request waits in
+//!   the `pending` map until the loop drains the channel.
+//!
+//! Both routes end in one delivery routine, and on both a reply keeps
+//! its place in its connection:
+//!
+//! * **Per-connection reply order** — before an inline result or a
+//!   reply the loop writes itself (`ERR` id 0 for a malformed frame,
+//!   `Busy`, a rejection, the shutdown ack) is queued, every completion
+//!   already posted is delivered. A queued request on a shard is posted
+//!   before a later one runs inline on it, so a pipeline to one shard
+//!   is answered in request order whichever route each request took
+//!   (a read under `ReadPath::Inline` never waits for its shard, so it
+//!   may overtake a queued request).
 //! * **No per-request buffer allocation** — frames are parsed out of
 //!   one compacting buffer per connection
 //!   ([`FrameDecoder`](crate::proto::FrameDecoder)) and responses are
@@ -26,14 +45,6 @@
 //! * **Vectored writes** — pipelined responses flush with a single
 //!   `writev` (up to `MAX_IOVECS` frames), continuing after partial
 //!   writes under `EPOLLOUT` interest.
-//! * **Completion wakeup** — only a request that found its shard held
-//!   by another thread is completed elsewhere; that thread rings a
-//!   [`Waker`] (eventfd on Linux, self-pipe elsewhere) after posting
-//!   the completion, so the loop never blocks on a channel recv.
-//! * **Per-connection reply order** — a reply the loop writes itself
-//!   (`ERR` id 0 for a malformed frame, `Busy`, a rejection, the
-//!   shutdown ack) goes behind every completion already posted, so a
-//!   pipeline on an uncontended shard is answered in request order.
 //!
 //! Both poller backends run this same loop. `tests/driver_diff.rs`
 //! holds each to the answer a socket-free, in-order replay of the same
@@ -261,11 +272,11 @@ fn accept_backpressure(e: &io::Error) -> bool {
 
 /// Cross-thread wakeup for a parked event loop: an eventfd on Linux, a
 /// nonblocking self-pipe elsewhere. A thread that completes one of the
-/// loop's requests for it — a shard's lock holder draining its queue —
-/// [`wake`](Waker::wake)s after posting the completion
-/// (see [`ShardHandle::submit_with_notify`]); the loop drains the fd
-/// and then the completion channel. Writes coalesce, so waking is
-/// cheap and idempotent.
+/// loop's queued requests for it — a shard's lock holder draining its
+/// queue — [`wake`](Waker::wake)s after posting the completion; the
+/// loop drains the fd and then the completion channel. A request the
+/// loop runs itself needs no wake. Writes coalesce, so waking is cheap
+/// and idempotent.
 #[derive(Debug)]
 pub struct Waker {
     rfd: RawFd,
@@ -698,6 +709,8 @@ struct Conn {
     dead: bool,
     /// Disconnect cleanup (orphan aborts) has been submitted.
     cleaned: bool,
+    /// Listed in `EventLoop::dirty` for this tick's flush.
+    dirty: bool,
     reg_read: bool,
     reg_write: bool,
     last_activity: Instant,
@@ -902,6 +915,7 @@ impl EventLoop {
                         read_closed: false,
                         dead: false,
                         cleaned: false,
+                        dirty: false,
                         reg_read: true,
                         reg_write: false,
                         last_activity: Instant::now(),
@@ -971,8 +985,11 @@ impl EventLoop {
     }
 
     fn mark_dirty(&mut self, slot: usize) {
-        if !self.dirty.contains(&slot) {
-            self.dirty.push(slot);
+        if let Some(conn) = self.conns[slot].as_mut() {
+            if !conn.dirty {
+                conn.dirty = true;
+                self.dirty.push(slot);
+            }
         }
     }
 
@@ -1101,9 +1118,16 @@ impl EventLoop {
                 self.next_iid += 1;
                 match proto::check_answerable(&req).and_then(|()| {
                     self.handle
-                        .submit_with_notify(iid, req, deadline, &self.ctx, Some(&self.waker))
+                        .submit_or_run(iid, req, deadline, &self.ctx, &self.waker)
                 }) {
-                    Ok(()) => {
+                    // Ran on this thread: straight to the connection,
+                    // behind whatever the shard's holder posted before.
+                    Ok(Some((shard, result))) => {
+                        self.requests += 1;
+                        self.drain_completions();
+                        self.deliver(slot, wire_id, shard, result);
+                    }
+                    Ok(None) => {
                         self.pending.insert(iid, Owner::Conn { slot, wire_id });
                         self.requests += 1;
                         if let Some(conn) = self.conns[slot].as_mut() {
@@ -1132,9 +1156,8 @@ impl EventLoop {
     }
 
     /// Queue a reply the loop originates itself, behind the completions
-    /// already posted: requests that ran to completion inside
-    /// `submit_with_notify` must not be overtaken by a later frame's
-    /// refusal.
+    /// already posted: a queued request that another thread has
+    /// completed must not be overtaken by a later frame's refusal.
     fn enqueue(&mut self, slot: usize, resp: WireResponse) {
         self.drain_completions();
         let Some(conn) = self.conns[slot].as_mut() else {
@@ -1146,41 +1169,61 @@ impl EventLoop {
         self.mark_dirty(slot);
     }
 
+    /// Deliver every completion posted to the loop's channel. Only a
+    /// request that queued behind another thread is posted there, and
+    /// each has a `pending` entry until it is delivered, so an empty
+    /// map means an empty channel.
     fn drain_completions(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
         while let Ok(resp) = self.crx.try_recv() {
-            match self.pending.remove(&resp.id) {
-                Some(Owner::Conn { slot, wire_id }) => {
-                    let Some(conn) = self.conns[slot].as_mut() else {
-                        continue;
-                    };
-                    conn.pending -= 1;
-                    match &resp.result {
-                        Ok(Reply::TxnStarted { txn }) => {
-                            conn.open_txns.insert((resp.shard, *txn));
-                        }
-                        Ok(Reply::Committed { txn }) | Ok(Reply::Aborted { txn }) => {
-                            conn.open_txns.remove(&(resp.shard, *txn));
-                        }
-                        _ => {}
-                    }
-                    if !conn.dead {
-                        conn.wq.push(&WireResponse {
-                            id: wire_id,
-                            shard: resp.shard,
-                            outcome: match resp.result {
-                                Ok(reply) => WireOutcome::Reply(reply),
-                                Err(e) => WireOutcome::Err(e),
-                            },
-                        });
-                    }
-                    if conn.read_closed && conn.pending == 0 && !conn.cleaned {
-                        self.finalize.push(slot);
-                    }
-                    self.mark_dirty(slot);
-                }
-                Some(Owner::Cleanup) | None => {}
+            if let Some(Owner::Conn { slot, wire_id }) = self.pending.remove(&resp.id) {
+                let Some(conn) = self.conns[slot].as_mut() else {
+                    continue;
+                };
+                conn.pending -= 1;
+                self.deliver(slot, wire_id, resp.shard, resp.result);
             }
         }
+    }
+
+    /// Hand one completion to its connection, by either route — from
+    /// the channel or straight from a request the loop ran itself:
+    /// transaction bookkeeping, the reply frame, the finalize check.
+    fn deliver(
+        &mut self,
+        slot: usize,
+        wire_id: u64,
+        shard: u32,
+        result: Result<Reply, ServeError>,
+    ) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        match &result {
+            Ok(Reply::TxnStarted { txn }) => {
+                conn.open_txns.insert((shard, *txn));
+            }
+            Ok(Reply::Committed { txn }) | Ok(Reply::Aborted { txn }) => {
+                conn.open_txns.remove(&(shard, *txn));
+            }
+            _ => {}
+        }
+        if !conn.dead {
+            conn.wq.push(&WireResponse {
+                id: wire_id,
+                shard,
+                outcome: match result {
+                    Ok(reply) => WireOutcome::Reply(reply),
+                    Err(e) => WireOutcome::Err(e),
+                },
+            });
+        }
+        if conn.read_closed && conn.pending == 0 && !conn.cleaned {
+            self.finalize.push(slot);
+        }
+        self.mark_dirty(slot);
     }
 
     /// Submit the disconnect cleanup for a connection whose read side
@@ -1210,14 +1253,14 @@ impl EventLoop {
     fn submit_cleanup(&mut self, shard: u32, txn: u64) {
         let iid = self.next_iid;
         self.next_iid += 1;
-        match self.handle.submit_with_notify(
-            iid,
-            Request::TxnAbort { shard, txn },
-            None,
-            &self.ctx,
-            Some(&self.waker),
-        ) {
-            Ok(()) => {
+        let abort = Request::TxnAbort { shard, txn };
+        match self
+            .handle
+            .submit_or_run(iid, abort, None, &self.ctx, &self.waker)
+        {
+            // Ran here: nobody waits for the answer.
+            Ok(Some(_)) => {}
+            Ok(None) => {
                 self.pending.insert(iid, Owner::Cleanup);
             }
             Err(SubmitError::Busy(b)) => {
@@ -1286,6 +1329,9 @@ impl EventLoop {
 
     fn flush_dirty(&mut self) {
         while let Some(slot) = self.dirty.pop() {
+            if let Some(conn) = self.conns[slot].as_mut() {
+                conn.dirty = false;
+            }
             self.try_flush(slot);
         }
     }

@@ -31,6 +31,7 @@
 //! simulated-time metrics depend only on the request subsequence it
 //! received — the determinism anchor the differential tests pin.
 
+use crate::evloop::Waker;
 use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, ReadView, TraceEvent, TxnMemory};
 use envy_sim::stats::TimeSeries;
 use envy_sim::time::Ns;
@@ -39,7 +40,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -553,8 +554,63 @@ struct Job {
     reply: Sender<Response>,
     /// Rung after the completion is posted, so a parked event loop
     /// wakes without polling the channel (see
-    /// [`ShardHandle::submit_with_notify`]).
-    notify: Option<Arc<crate::evloop::Waker>>,
+    /// [`ShardHandle::submit_or_run`]).
+    notify: Option<Arc<Waker>>,
+}
+
+/// A request that ran on its submitter's thread: its shard and result
+/// (see [`ShardHandle::submit_or_run`]).
+pub(crate) type RanInline = (u32, Result<Reply, ServeError>);
+
+/// Where the completion of an admitted request goes — the one thing
+/// the three ways into [`ShardHandle::admit`] differ in. An enum and
+/// not a pair of closures, so `admit` has one shape, fixed in source
+/// (see `docs/PERFORMANCE.md`, "Inline completions skip the channel").
+enum Completion<'a> {
+    /// [`ShardHandle::submit_with_id`]: every completion is posted here,
+    /// an inline one while the shard is still held — so completions
+    /// leave a shard in execution order.
+    Post(&'a Sender<Response>),
+    /// [`ShardHandle::submit_or_run`], the event loop: an inline result
+    /// is returned; a queued request posts here and rings the waker.
+    Return(&'a Sender<Response>, &'a Arc<Waker>),
+    /// [`ShardHandle::call`]: an inline result is returned; a queued
+    /// request posts to a fresh channel whose receiver is left here.
+    Channel(&'a mut Option<Receiver<Response>>),
+}
+
+impl Completion<'_> {
+    /// Hand over the result of a request that ran on the submitting
+    /// thread: posted (`None`) or returned to the caller (`Some`).
+    #[inline(always)]
+    fn done(
+        self,
+        id: u64,
+        shard: u32,
+        result: Result<Reply, ServeError>,
+    ) -> Option<Result<Reply, ServeError>> {
+        match self {
+            Completion::Post(reply) => {
+                let _ = reply.send(Response { id, shard, result });
+                None
+            }
+            Completion::Return(..) | Completion::Channel(_) => Some(result),
+        }
+    }
+
+    /// Where a queued request's holder posts its completion, and whom
+    /// it wakes after posting.
+    fn queued(self) -> (Sender<Response>, Option<Arc<Waker>>) {
+        match self {
+            Completion::Post(reply) => (reply.clone(), None),
+            Completion::Return(reply, waker) => (reply.clone(), Some(Arc::clone(waker))),
+            Completion::Channel(slot) => {
+                let (tx, rx) = mpsc::channel();
+                *slot = Some(rx);
+                (tx, None)
+            }
+        }
+    }
 }
 
 impl Job {
@@ -630,6 +686,10 @@ impl ShardLink {
     /// Start a dispatch of the requests `ids`: count it, trace
     /// admission + dispatch and, if `timed`, read the wall clock for
     /// the depth series and for [`settle`](ShardLink::settle).
+    /// Forced inline, as [`execute`](ShardLink::execute) is: `admit`
+    /// has three callers, and an outlined copy of either costs the
+    /// in-process path (`docs/PERFORMANCE.md`, inventory).
+    #[inline(always)]
     fn begin(
         &self,
         core: &mut ShardCore,
@@ -657,6 +717,7 @@ impl ShardLink {
     /// [`apply`] outside tests) and count its completion — unless its
     /// deadline lapsed in the queue, or an earlier request panicked. A
     /// panic stops here instead of unwinding the submitter's thread.
+    #[inline(always)]
     fn execute(
         &self,
         core: &mut ShardCore,
@@ -715,7 +776,7 @@ impl ShardLink {
             let t0 = self.begin(core, batch.iter().map(|job| job.id), true);
             // One wake per distinct event loop per batch (not per job):
             // wakes coalesce, so ringing after the batch is enough.
-            let mut wakers: Vec<&Arc<crate::evloop::Waker>> = Vec::new();
+            let mut wakers: Vec<&Arc<Waker>> = Vec::new();
             for job in &batch {
                 let run = |store: &mut EnvyStore| apply(store, &job.req);
                 job.complete(self.execute(core, job.id, job.deadline, run));
@@ -1063,6 +1124,7 @@ impl ShardHandle {
     /// # Errors
     ///
     /// The same range errors as [`ShardPlan::locate`].
+    #[inline] // part of `localize`, which every submit inlines
     pub fn route(&self, req: &Request) -> Result<u32, ServeError> {
         match *req {
             Request::Read { addr, len } => self.plan.locate(addr, len as u64).map(|(s, _)| s),
@@ -1092,9 +1154,12 @@ impl ShardHandle {
     }
 
     /// Submit a request. On admission the request id is returned and
-    /// exactly one [`Response`] with that id will arrive on `reply` —
-    /// it already has, if the shard was idle (see
-    /// [`submit_with_notify`](ShardHandle::submit_with_notify)).
+    /// exactly one [`Response`] with that id will arrive on `reply`.
+    /// When the shard is idle — its lock free and nothing admitted
+    /// earlier still waiting — the request runs on the calling thread
+    /// and its completion is on `reply` before this returns, exactly
+    /// like an inline read (see [`ReadPath::Inline`]); otherwise it is
+    /// queued and the thread that holds the shard completes it.
     /// On [`SubmitError`] nothing was admitted and no completion will
     /// follow — the caller owns the retry.
     ///
@@ -1128,38 +1193,32 @@ impl ShardHandle {
         deadline: Option<Duration>,
         reply: &Sender<Response>,
     ) -> Result<(), SubmitError> {
-        self.submit_with_notify(id, req, deadline, reply, None)
+        let (shard, req) = self.localize(req).map_err(SubmitError::Rejected)?;
+        let to = Completion::Post(reply);
+        self.admit(shard, id, Cow::Owned(req), deadline, to)?;
+        Ok(())
     }
 
-    /// [`submit_with_id`](ShardHandle::submit_with_id) with a
-    /// completion wakeup. When the shard is idle — its lock free and
-    /// nothing admitted earlier still waiting — the request runs on the
-    /// calling thread and its completion is on `reply` before this
-    /// returns, with no wake, exactly like an inline read (see
-    /// [`ReadPath::Inline`]). Otherwise it is queued, another thread
-    /// completes it, and that thread rings the given
-    /// [`Waker`](crate::evloop::Waker) after posting to `reply`, so an
-    /// event loop parked in `epoll_wait`/`poll` observes the completion
-    /// without polling the channel.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](ShardHandle::submit).
-    pub fn submit_with_notify(
+    /// The event loop's submit. A request that runs on the calling
+    /// thread returns its `(shard, result)` here and is never posted
+    /// (`Some`); one queued behind another thread (`None`) is posted to
+    /// `reply` by that thread, which then rings `notify`, so a loop
+    /// parked in `epoll_wait`/`poll` sees the completion without
+    /// polling the channel. Anything that thread posted before this
+    /// returned `Some` is already on `reply`: a caller that keeps
+    /// per-connection order delivers those first.
+    pub(crate) fn submit_or_run(
         &self,
         id: u64,
         req: Request,
         deadline: Option<Duration>,
         reply: &Sender<Response>,
-        notify: Option<&Arc<crate::evloop::Waker>>,
-    ) -> Result<(), SubmitError> {
+        notify: &Arc<Waker>,
+    ) -> Result<Option<RanInline>, SubmitError> {
         let (shard, req) = self.localize(req).map_err(SubmitError::Rejected)?;
-        let post = |result| {
-            let _ = reply.send(Response { id, shard, result });
-        };
-        let sender = || reply.clone();
-        self.admit(shard, id, Cow::Owned(req), deadline, post, sender, notify)?;
-        Ok(())
+        let to = Completion::Return(reply, notify);
+        let done = self.admit(shard, id, Cow::Owned(req), deadline, to)?;
+        Ok(done.map(|result| (shard, result)))
     }
 
     /// Blocking convenience: submit with no deadline, retrying through
@@ -1176,20 +1235,8 @@ impl ShardHandle {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut completion = None;
         loop {
-            let sender = || {
-                let (tx, rx) = mpsc::channel();
-                completion = Some(rx);
-                tx
-            };
-            match self.admit(
-                shard,
-                id,
-                Cow::Borrowed(&req),
-                None,
-                |result| result,
-                sender,
-                None,
-            ) {
+            let to = Completion::Channel(&mut completion);
+            match self.admit(shard, id, Cow::Borrowed(&req), None, to) {
                 Ok(Some(result)) => return result,
                 Ok(None) => break,
                 // Not admitted; back off for the hinted interval and retry.
@@ -1205,6 +1252,7 @@ impl ShardHandle {
 
     /// Admission's front half: refuse once shutdown has begun, route
     /// the request, and rebase its address onto the owning shard.
+    #[inline(always)]
     fn localize(&self, mut req: Request) -> Result<(u32, Request), ServeError> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
@@ -1220,22 +1268,21 @@ impl ShardHandle {
     }
 
     /// Admit one shard-local request. If its shard is idle it runs here
-    /// and now, and `done` gets its result (`Some`) while the shard is
-    /// still held — so completions leave a shard in execution order.
-    /// Otherwise it is queued (`None`) and the completion arrives on
-    /// the channel `reply` makes — asked for only then, just as a
+    /// and now, and [`Completion::done`] either posts its result while
+    /// the shard is still held — so completions leave a shard in
+    /// execution order — or hands it back to return (`Some`). Otherwise
+    /// it is queued (`None`) and its holder posts the completion where
+    /// [`Completion::queued`] says — asked for only then, just as a
     /// borrowed `req` is cloned only then.
-    #[allow(clippy::too_many_arguments)]
-    fn admit<T>(
+    #[inline(always)]
+    fn admit(
         &self,
         shard: u32,
         id: u64,
         req: Cow<'_, Request>,
         deadline: Option<Duration>,
-        done: impl FnOnce(Result<Reply, ServeError>) -> T,
-        reply: impl FnOnce() -> Sender<Response>,
-        notify: Option<&Arc<crate::evloop::Waker>>,
-    ) -> Result<Option<T>, SubmitError> {
+        to: Completion<'_>,
+    ) -> Result<Option<Result<Reply, ServeError>>, SubmitError> {
         let link = &self.links[shard as usize];
         let shutting_down = Err(SubmitError::Rejected(ServeError::ShuttingDown));
         // Inline reads never wait for the shard's lock: they execute on
@@ -1243,7 +1290,7 @@ impl ShardHandle {
         if let (Some(inline), &Request::Read { addr, len }) =
             (self.inline.get(shard as usize), &*req)
         {
-            return Ok(Some(done(inline.read(addr, len))));
+            return Ok(to.done(id, shard, inline.read(addr, len)));
         }
         let Some(mut guard) = link.try_core() else {
             // Someone is inside: queue behind them.
@@ -1258,13 +1305,14 @@ impl ShardHandle {
                 let retry_after = link.retry_hint();
                 return Err(SubmitError::Busy(Busy { shard, retry_after }));
             }
+            let (reply, notify) = to.queued();
             queue.push_back(Job {
                 id,
                 shard,
                 req: req.into_owned(),
                 deadline: deadline.map(|d| Instant::now() + d),
-                reply: reply(),
-                notify: notify.cloned(),
+                reply,
+                notify,
             });
             link.depth.store(queue.len(), Ordering::Relaxed);
             drop(queue);
@@ -1286,10 +1334,10 @@ impl ShardHandle {
         let t0 = link.begin(core, std::iter::once(id), timed);
         let result = link.execute(core, id, None, |store| apply(store, &req));
         link.settle(1, t0);
-        let done = done(result);
+        let done = to.done(id, shard, result);
         drop(guard);
         link.kick();
-        Ok(Some(done))
+        Ok(done)
     }
 }
 

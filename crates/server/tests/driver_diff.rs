@@ -2,9 +2,14 @@
 //! (`epoll`, `poll`): a seeded pipelined workload must be answered
 //! byte for byte as a socket-free replay of the same frames through the
 //! shard answers it, with the `ServeSummary` counting exactly the
-//! admitted requests; and both backends must run the same disconnect
-//! cleanup for half-closed and silent sockets.
+//! admitted requests; a pipeline whose requests reach the loop by both
+//! completion routes must still be answered in request order; and both
+//! backends must run the same disconnect cleanup for half-closed and
+//! silent sockets.
 
+mod common;
+
+use common::{until_contended, Occupant};
 use envy_server::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse, MAX_FRAME};
 use envy_server::{
     serve_with, Client, Listener, NetConfig, NetDriver, Request, ServeConfig, ServeError,
@@ -415,6 +420,124 @@ fn torn_frames_are_reassembled_under_epoll() {
 #[test]
 fn torn_frames_are_reassembled_under_poll_backend() {
     torn_frames_are_reassembled(NetDriver::Poll);
+}
+
+/// Request `i` of the mixed KV pipeline: puts, gets, deletes and scans
+/// over a few keys, so most gets hit and the replies tell the order the
+/// shard ran them in.
+fn mixed_kv(i: u64) -> Request {
+    let key = i * 7 % 11;
+    match i % 5 {
+        0 | 3 => Request::KvPut {
+            shard: 0,
+            key,
+            txn: 0,
+            value: vec![i as u8; 1 + (i as usize * 13) % 90],
+        },
+        1 => Request::KvGet { shard: 0, key },
+        2 => Request::KvScan {
+            shard: 0,
+            start: key,
+            limit: 4,
+        },
+        _ => Request::KvDelete {
+            shard: 0,
+            key,
+            txn: 0,
+        },
+    }
+}
+
+/// Replies keep request order across both completion routes. A
+/// pipelined request reaches the loop either straight from the submit
+/// (the loop ran it) or through the channel (it queued behind a thread
+/// holding the shard, which ran and posted it). A 64-request pipeline
+/// goes out in eight parts. In each, the first half queues behind an
+/// [`Occupant`]; the occupant leaves, and the second half runs on the
+/// loop, whose first inline result can be ready before the loop has
+/// drained what the occupant posted on its way out. Every reply must
+/// still come back in request order, under its own id, with the answer
+/// an in-order replay gives.
+fn replies_keep_order_across_both_routes(driver: NetDriver) {
+    const FRAMES: u64 = 64;
+    const PARTS: u64 = 8;
+    let config = ServeConfig::small(1).with_service_delay(Duration::from_micros(50));
+    let expected: Vec<WireOutcome> = {
+        let store = ShardedStore::launch(config.clone()).unwrap();
+        let handle = store.handle();
+        let outcomes = (0..FRAMES)
+            .map(|i| match handle.call(mixed_kv(i)) {
+                Ok(reply) => WireOutcome::Reply(reply),
+                Err(e) => WireOutcome::Err(e),
+            })
+            .collect();
+        store.shutdown();
+        outcomes
+    };
+    let path = std::env::temp_dir().join(format!(
+        "envy-order-{}-{}.sock",
+        std::process::id(),
+        driver.name()
+    ));
+    let store = ShardedStore::launch(config).unwrap();
+    let handle = store.handle();
+    let listener = Listener::bind_unix(&path).unwrap();
+    let net = NetConfig {
+        driver,
+        idle_timeout: None,
+    };
+    let server = serve_with(listener, store, net).unwrap();
+    let mut client = Client::connect_unix(&path).unwrap();
+
+    let part = FRAMES / PARTS;
+    for first in (0..FRAMES).step_by(part as usize) {
+        let occupant = Occupant::hold(&handle);
+        // A channel per part: the last probe's completion is still due
+        // on it, and would read as a later probe's.
+        let (tx, rx) = mpsc::channel();
+        until_contended(&handle, &tx, &rx);
+        // One write: the loop reads this half-part at once and queues it
+        // behind the occupant, who runs it as one batch.
+        client.set_corked(true).unwrap();
+        for i in first..first + part / 2 {
+            client.submit_with_id(i, mixed_kv(i), None).unwrap();
+        }
+        client.set_corked(false).unwrap();
+        // The occupant drains that batch, posts it, rings the loop and
+        // leaves; the next frame is on its way at once and finds the
+        // shard free.
+        occupant.release();
+        for i in first + part / 2..first + part {
+            client.submit_with_id(i, mixed_kv(i), None).unwrap();
+        }
+    }
+    for (i, want) in expected.iter().enumerate() {
+        let got = client.recv().unwrap();
+        assert_eq!(got.id, i as u64, "{driver:?}: reply out of request order");
+        assert_eq!(&got.outcome, want, "{driver:?}: reply {i}");
+    }
+    drop(client);
+    let summary = server.shutdown();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(summary.requests, FRAMES, "{driver:?}");
+    // Both routes ran: something was queued and drained as a batch.
+    let shard = &summary.outcome.shards[0];
+    assert!(
+        shard.batches < shard.served || shard.max_batch > 1,
+        "{driver:?}: nothing queued ({} batches, {} served)",
+        shard.batches,
+        shard.served
+    );
+}
+
+#[test]
+fn replies_keep_order_across_both_routes_under_epoll() {
+    replies_keep_order_across_both_routes(NetDriver::Epoll);
+}
+
+#[test]
+fn replies_keep_order_across_both_routes_under_poll_backend() {
+    replies_keep_order_across_both_routes(NetDriver::Poll);
 }
 
 /// A half-closed socket — the client shuts down only its **write**
