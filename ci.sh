@@ -96,6 +96,16 @@ echo "== smoke: fig13_throughput --quick --jobs 2 =="
 mkdir -p results
 cargo build --release -q -p envy-bench
 BENCH=./target/release/envy-bench
+# The timed access's shape is fixed in source: EnvyStore::read_at,
+# write_at, timed_access, timed_chunk and move_chunk are
+# #[inline(always)], so the TPC-A driver gets the one-word access inline
+# and only the multi-chunk EnvyStore::timed_walk is out of line. An
+# outlined copy means the link step is choosing that shape again, which
+# moved the tpca_sim benchmark by about 4 % once (docs/PERFORMANCE.md,
+# "One timed access, written once").
+if nm -C "$BENCH" | grep -E 'EnvyStore::(read_at|write_at|timed_access|timed_chunk|move_chunk)$'; then
+  echo "envy-bench carries an outlined copy of the timed access step"; exit 1
+fi
 $BENCH fig13_throughput --quick --jobs 2 > results/ci_smoke_fig13.txt
 test -s results/ci_smoke_fig13.txt
 test -s results/ci_smoke_BENCH_fig13_throughput.json
@@ -106,14 +116,6 @@ echo "== smoke: ext_fault_recovery --quick --jobs 2 =="
 $BENCH ext_fault_recovery --quick --jobs 2 > results/ci_smoke_fault_recovery.txt
 grep -q "23/23 injection points crashed and recovered" results/ci_smoke_fault_recovery.txt
 test -s results/ci_smoke_BENCH_ext_fault_recovery.json
-
-echo "== smoke: trace overhead (tracing must be behavior-neutral) =="
-# The controller trace observes, never perturbs: the same benchmark run
-# with tracing enabled (ENVY_TRACE=1) must produce byte-identical output.
-$BENCH fig13_throughput --quick --jobs 2 > results/ci_smoke_fig13_plain.txt
-ENVY_TRACE=1 $BENCH fig13_throughput --quick --jobs 2 > results/ci_smoke_fig13_traced.txt
-cmp results/ci_smoke_fig13_plain.txt results/ci_smoke_fig13_traced.txt
-rm -f results/ci_smoke_fig13_plain.txt results/ci_smoke_fig13_traced.txt
 
 echo "== smoke: ext_serve --quick (sharded serving scalability) =="
 # Closed-loop shard-count sweep plus the determinism anchor: a 1-shard
@@ -149,6 +151,29 @@ $BENCH ext_ycsb --quick > results/ci_smoke_ext_ycsb.txt
 grep -q "anchor: atomic YCSB-A over the wire == monolithic replay" results/ci_smoke_ext_ycsb.txt
 test -s results/ci_smoke_BENCH_ext_ycsb.json
 
+echo "== smoke: envy-cli commands (small inputs) + a mistyped option =="
+# Nothing else runs these five commands; each must finish with small
+# inputs, and an option the command does not read must be refused with
+# exit status 2 before any work (tests/cli_options.rs covers the rest).
+cargo build --release -q --bin envy-cli
+CLI=./target/release/envy-cli
+CLI_START=$(date +%s)
+$CLI info > results/ci_smoke_cli.txt
+$CLI cleaning --segments 16 --pages 64 >> results/ci_smoke_cli.txt
+$CLI tpca --txns 1000 >> results/ci_smoke_cli.txt
+$CLI stats --txns 1000 >> results/ci_smoke_cli.txt
+$CLI trace --txns 1000 --last 5 >> results/ci_smoke_cli.txt
+grep -q "achieved TPS" results/ci_smoke_cli.txt
+grep -q "latency percentiles" results/ci_smoke_cli.txt
+grep -q "events emitted" results/ci_smoke_cli.txt
+set +e
+$CLI tpca --rat 5000 > results/ci_smoke_cli_refused.txt 2>&1
+CLI_STATUS=$?
+set -e
+test "$CLI_STATUS" = "2"
+grep -q "unknown argument \`--rat\`" results/ci_smoke_cli_refused.txt
+echo "envy-cli leg: $(($(date +%s) - CLI_START)) s"
+
 echo "== smoke: envy-served (epoll driver) + 4-client socket loadgen =="
 # Serve on a Unix socket under the default epoll event loop, drive 4
 # client connections closed-loop, then shut the server down over the
@@ -157,7 +182,6 @@ echo "== smoke: envy-served (epoll driver) + 4-client socket loadgen =="
 SERVE_SOCK="results/ci_serve.sock"
 rm -f "$SERVE_SOCK"
 cargo build --release -q -p envy-server --bin envy-served
-cargo build --release -q --bin envy-cli
 # The admission path's shape is fixed in source: ShardHandle::admit and
 # ShardHandle::localize are #[inline(always)]. An outlined copy of
 # either means the link step is choosing that shape again, which moved

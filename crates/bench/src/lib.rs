@@ -80,23 +80,7 @@ pub fn timed_system_for(paper: bool, utilization: f64) -> (EnvyStore, AnalyticTp
     let mut store = EnvyStore::new(config).expect("config is valid");
     store.prefill().expect("prefill fits");
     churn_to_steady_state_for(paper, &mut store, &driver);
-    if let Some(capacity) = trace_capacity_env() {
-        store.enable_trace(capacity);
-    }
     (store, driver)
-}
-
-/// The `ENVY_TRACE` environment variable: when set, [`timed_system_for`]
-/// enables controller tracing on the baseline store with the given ring
-/// capacity (or 65 536 records for non-numeric values like `1`).
-/// Tracing is behavior-neutral, so a benchmark's output must be
-/// byte-identical with and without it — CI smoke-checks exactly that.
-pub fn trace_capacity_env() -> Option<usize> {
-    let v = std::env::var("ENVY_TRACE").ok()?;
-    if v.is_empty() || v == "0" {
-        return None;
-    }
-    Some(v.parse().ok().filter(|&n| n > 1).unwrap_or(65_536))
 }
 
 /// Print a figure's results: header line, aligned table, CSV block.

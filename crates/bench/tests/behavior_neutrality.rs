@@ -16,7 +16,7 @@
 //! `GOLDEN_PRINT=1` and updating the constants — and say so in the PR.
 
 use envy_bench::render_report;
-use envy_core::{EnvyConfig, EnvyStore, PolicyKind};
+use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, PolicyKind, TimedAccess, TraceEvent};
 use envy_sim::time::Ns;
 use envy_workload::{run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
 
@@ -60,12 +60,15 @@ const GOLDEN_TPCA_TIMED: u64 = 0x735ca28e4277dae6;
 const GOLDEN_HOT_COLD: u64 = 0xecbf35672a43a528;
 const GOLDEN_FUNCTIONAL: u64 = 0xa791df83c16543b9;
 const GOLDEN_REPORT_JSON: u64 = 0x844d6103010e5371;
+// Captured before the timed read and write paths were folded into one
+// per-word step each; nothing else pins a multi-word or page-crossing
+// timed access.
+const GOLDEN_TIMED_MULTI_WORD: u64 = 0x99ce968538e30095;
 
 /// Seeded timed TPC-A through the store: the fig13/fig15 shape, scaled
-/// down. Exercises COW, flushing, cleaning, suspension and stalls; the
-/// digest covers every statistic and the final simulated clock.
-#[test]
-fn tpca_timed_run_matches_golden() {
+/// down, rendered with every statistic and the final simulated clock.
+/// With `traced`, a 65 536-record trace ring records the run.
+fn tpca_timed_rendered(traced: bool) -> String {
     // Must be large enough for TPC-A's minimum 1-branch layout (~12 MB).
     let mut config = EnvyConfig::scaled(4, 64, 2048, 256)
         .with_store_data(false)
@@ -84,6 +87,9 @@ fn tpca_timed_run_matches_golden() {
         let addr = driver.layout().account_addr(rng.below(accounts));
         store.write(addr, &[0u8; 8]).expect("churn write");
     }
+    if traced {
+        store.enable_trace(65_536);
+    }
     store.enable_sampler(Ns::from_micros(500), 32);
     let result = run_timed(&mut store, &driver, 30_000.0, 500, 5_000, 42).expect("timed run");
     let series: Vec<String> = store
@@ -93,13 +99,171 @@ fn tpca_timed_run_matches_golden() {
         .iter()
         .map(|(end, vals)| format!("{}:{vals:?}", end.as_nanos()))
         .collect();
-    let rendered = format!(
+    format!(
         "result={result:?}\nnow={}\nbacklog={}\nstats={:?}\nseries={series:?}",
         store.now().as_nanos(),
         store.backlog().as_nanos(),
         store.stats(),
+    )
+}
+
+/// Exercises COW, flushing, cleaning, suspension and stalls; the digest
+/// covers every statistic and the final simulated clock.
+#[test]
+fn tpca_timed_run_matches_golden() {
+    check(
+        "GOLDEN_TPCA_TIMED",
+        &tpca_timed_rendered(false),
+        GOLDEN_TPCA_TIMED,
     );
-    check("GOLDEN_TPCA_TIMED", &rendered, GOLDEN_TPCA_TIMED);
+}
+
+/// What one seeded run of [`multi_word_run`] produced.
+#[derive(Debug, PartialEq)]
+struct MultiWordRun {
+    accesses: Vec<Result<TimedAccess, EnvyError>>,
+    /// FNV-1a over every byte the timed reads returned.
+    read_bytes: u64,
+    now: Ns,
+    stats: EnvyStats,
+    /// Every trace record, one per line (empty when untraced).
+    trace: String,
+    stalls: usize,
+}
+
+/// Timed accesses of every width the one-word TPC-A golden never issues:
+/// one byte, one word, two to five words, and two- to five-word spans
+/// crossing a page boundary, through `read_at`, `write_at` and
+/// `txn_write_at`. The write buffer is small enough that writes stall
+/// and arrivals are dense enough that host accesses collide with long
+/// Flash operations.
+fn multi_word_run(traced: bool) -> MultiWordRun {
+    let mut config = EnvyConfig::small_test().with_buffer_pages(16);
+    config.word_bytes = 8;
+    let mut store = EnvyStore::new(config).expect("valid config");
+    store.prefill().expect("prefill fits");
+    if traced {
+        store.enable_trace(65_536);
+    }
+    let page = u64::from(store.config().geometry.page_bytes());
+    let word = u64::from(store.config().word_bytes);
+    let pages = store.config().logical_pages;
+    let mut rng = envy_sim::rng::Rng::seed_from(0x3E17_D0C5);
+    let mut now = Ns::ZERO;
+    let mut accesses = Vec::new();
+    let mut read_bytes = 0xcbf2_9ce4_8422_2325u64;
+    let span = |rng: &mut envy_sim::rng::Rng| {
+        let (len, crossing) = match rng.below(4) {
+            0 => (1, false),
+            1 => (word, false),
+            k => (word * rng.range(2, 6), k == 3),
+        };
+        let lp = rng.below(pages - 1);
+        let offset = if crossing {
+            page - rng.range(1, len)
+        } else {
+            rng.below(page - len + 1)
+        };
+        (lp * page + offset, len as usize)
+    };
+    for i in 0..3_000u64 {
+        now += Ns::from_nanos(rng.below(1_500));
+        match rng.below(10) {
+            0..=4 => {
+                let (addr, len) = span(&mut rng);
+                let mut buf = vec![0u8; len];
+                accesses.push(store.read_at(now, addr, &mut buf));
+                for b in &buf {
+                    read_bytes ^= u64::from(*b);
+                    read_bytes = read_bytes.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            5..=8 => {
+                let (addr, len) = span(&mut rng);
+                accesses.push(store.write_at(now, addr, &vec![i as u8; len]));
+            }
+            _ => {
+                let txn = store.txn_begin().expect("a free slot");
+                for _ in 0..2 {
+                    let (addr, len) = span(&mut rng);
+                    accesses.push(store.txn_write_at(now, txn, addr, &vec![!(i as u8); len]));
+                    now = store.now();
+                }
+                if i % 2 == 0 {
+                    store.txn_commit(txn).expect("commit");
+                } else {
+                    store.txn_abort(txn).expect("abort");
+                }
+            }
+        }
+    }
+    let trace: String = store
+        .trace()
+        .records()
+        .map(|r| format!("{r:?}\n"))
+        .collect();
+    let stalls = store
+        .trace()
+        .records()
+        .filter(|r| matches!(r.event, TraceEvent::Stall { .. }))
+        .count();
+    MultiWordRun {
+        accesses,
+        read_bytes,
+        now: store.now(),
+        stats: store.stats().clone(),
+        trace,
+        stalls,
+    }
+}
+
+/// Pins the multi-chunk, multi-word timed paths: every `TimedAccess`,
+/// the bytes read, the final clock, the statistics and the trace ring.
+#[test]
+fn timed_multi_word_run_matches_golden() {
+    let run = multi_word_run(true);
+    // The run must reach both timed-write branches the digest guards.
+    assert!(run.stats.suspensions.get() > 0, "no access was suspended");
+    assert!(run.stalls > 0, "no write stalled on a full buffer");
+    assert!(run.accesses.iter().all(Result::is_ok));
+    assert!(run
+        .accesses
+        .iter()
+        .any(|a| a.as_ref().is_ok_and(|a| a.words > 2)));
+    let rendered = format!(
+        "accesses={:016x}\nread_bytes={:016x}\nnow={}\nstats={:?}\ntrace={:016x} ({} records)",
+        fnv1a(&format!("{:?}", run.accesses)),
+        run.read_bytes,
+        run.now.as_nanos(),
+        run.stats,
+        fnv1a(&run.trace),
+        run.trace.lines().count(),
+    );
+    check(
+        "GOLDEN_TIMED_MULTI_WORD",
+        &rendered,
+        GOLDEN_TIMED_MULTI_WORD,
+    );
+}
+
+/// Tracing observes, never perturbs: both timed goldens give the same
+/// statistics, clock and per-access outputs with a 65 536-record ring
+/// enabled as without one.
+#[test]
+fn tracing_leaves_timed_goldens_unchanged() {
+    assert_eq!(tpca_timed_rendered(true), tpca_timed_rendered(false));
+    let traced = multi_word_run(true);
+    let plain = multi_word_run(false);
+    assert!(!traced.trace.is_empty());
+    assert!(plain.trace.is_empty());
+    assert_eq!(
+        MultiWordRun {
+            trace: String::new(),
+            stalls: 0,
+            ..traced
+        },
+        MultiWordRun { stalls: 0, ..plain }
+    );
 }
 
 /// Seeded hot/cold synthetic cleaning study (the fig06/fig08 shape):

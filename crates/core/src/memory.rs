@@ -41,16 +41,17 @@ impl VecMemory {
             data: vec![0; size as usize],
         }
     }
+}
 
-    fn check(&self, addr: u64, len: usize) -> Result<(), EnvyError> {
-        if addr + len as u64 > self.data.len() as u64 {
-            return Err(EnvyError::OutOfBounds {
-                addr,
-                size: self.data.len() as u64,
-            });
-        }
-        Ok(())
+/// `Ok` if the `len` bytes at `addr` lie inside a `size`-byte array, else
+/// [`EnvyError::OutOfBounds`]. No sum is formed, so an `addr` near
+/// `u64::MAX` is refused instead of overflowing.
+#[inline]
+pub(crate) fn check_range(addr: u64, len: usize, size: u64) -> Result<(), EnvyError> {
+    if addr.checked_add(len as u64).is_none_or(|end| end > size) {
+        return Err(EnvyError::OutOfBounds { addr, size });
     }
+    Ok(())
 }
 
 impl Memory for VecMemory {
@@ -59,14 +60,14 @@ impl Memory for VecMemory {
     }
 
     fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), EnvyError> {
-        self.check(addr, buf.len())?;
+        check_range(addr, buf.len(), self.size())?;
         let start = addr as usize;
         buf.copy_from_slice(&self.data[start..start + buf.len()]);
         Ok(())
     }
 
     fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), EnvyError> {
-        self.check(addr, bytes.len())?;
+        check_range(addr, bytes.len(), self.size())?;
         let start = addr as usize;
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
         Ok(())
@@ -95,6 +96,13 @@ mod tests {
         assert!(m.read(0, &mut buf).is_err());
         // Exactly at the boundary is fine.
         m.write(5, &[0; 3]).unwrap();
+    }
+
+    #[test]
+    fn vec_memory_rejects_ranges_ending_past_u64_max() {
+        let mut m = VecMemory::new(8);
+        assert!(m.read(u64::MAX - 3, &mut [0u8; 16]).is_err());
+        assert!(m.write(u64::MAX - 3, &[0u8; 16]).is_err());
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! The paper's technology constants (Figure 1) and system cost model
 //! (§3.3, §5.1).
 
+use envy_sim::time::Ns;
+
+/// Battery-backed SRAM access time in the simulation (Figure 12): a word
+/// of a buffered or unmapped page, a word written into the buffer, and
+/// the page-table lookup an MMU miss costs.
+pub(crate) const SRAM_ACCESS: Ns = Ns::from_nanos(100);
+
 /// One row of the paper's Figure 1 storage-technology comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Technology {

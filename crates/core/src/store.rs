@@ -9,15 +9,26 @@
 //!   for functional code (B-Trees, filesystems) and the cleaning-cost
 //!   studies, where only program-operation counts matter.
 //! * **Timed** ([`EnvyStore::read_at`] / [`EnvyStore::write_at`]): the
-//!   caller supplies the simulated arrival time of each access; the store
-//!   splits it into host-bus words, replays background work against the
-//!   clock, models long-operation suspension and buffer-full stalls, and
-//!   returns per-access latency — the model behind Figures 13–15.
+//!   caller supplies the simulated arrival time of each access, and both
+//!   directions take one timed walk. The range is split into page
+//!   chunks; the direction moves each chunk's bytes and prices its
+//!   words — a read by where the page was found, a write by its
+//!   buffer-full stall and copy-on-write transfer, both carried by the
+//!   chunk's first word. Every host-bus word then pays one rule: bus
+//!   overhead plus device time, an SRAM page-table lookup when the
+//!   chunk's first word misses the MMU, and the suspend penalty when it
+//!   collides with a long Flash operation on its bank, with background
+//!   work replayed against the clock up to that word. A word or less
+//!   inside one page — every access a word-level workload issues — is
+//!   priced by the same per-chunk step without the chunk iterator. Each
+//!   access returns its latency — the model behind Figures 13–15.
 
+use crate::addr::Chunk;
 use crate::config::EnvyConfig;
 use crate::engine::{Engine, FaultPlan, ReadSource, RecoveryReport, WriteKind};
 use crate::error::EnvyError;
-use crate::memory::Memory;
+use crate::memory::{check_range, Memory};
+use crate::params::SRAM_ACCESS;
 use crate::stats::EnvyStats;
 use crate::timing::{BgOp, TimingState};
 use crate::trace::{TraceEvent, TraceRing};
@@ -50,6 +61,35 @@ struct Sampler {
     last_flushes: u64,
     last_cleans: u64,
     last_erases: u64,
+}
+
+/// What one host-bus word costs on top of bus overhead, as
+/// [`EnvyStore::move_chunk`] prices it for its direction.
+#[derive(Debug, Clone, Copy)]
+struct WordCost {
+    /// Device time, including any copy-on-write transfer and stall.
+    device: Ns,
+    /// The bank the word touches, if any: the one it can collide with.
+    bank: Option<u32>,
+    /// The part of `device` spent waiting out a full write buffer.
+    stall: Ns,
+}
+
+impl WordCost {
+    fn at(device: Ns, bank: Option<u32>) -> WordCost {
+        WordCost {
+            device,
+            bank,
+            stall: Ns::ZERO,
+        }
+    }
+}
+
+/// The bytes a timed access moves: into the caller's buffer, or out of
+/// the caller's bytes (inside transaction `.1` when it is set).
+enum Transfer<'a> {
+    Read(&'a mut [u8]),
+    Write(&'a [u8], Option<u64>),
 }
 
 /// Timing of one host access (a byte range split into word accesses).
@@ -290,14 +330,6 @@ impl EnvyStore {
         self.engine.prefill()
     }
 
-    fn check_range(&self, addr: u64, len: usize) -> Result<(), EnvyError> {
-        let size = self.size();
-        if addr + len as u64 > size {
-            return Err(EnvyError::OutOfBounds { addr, size });
-        }
-        Ok(())
-    }
-
     #[inline]
     fn words_in(&self, len: usize) -> u32 {
         let w = self.engine.config().word_bytes as usize;
@@ -320,7 +352,7 @@ impl EnvyStore {
     ///
     /// [`EnvyError::OutOfBounds`] if the range exceeds the logical array.
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), EnvyError> {
-        self.check_range(addr, buf.len())?;
+        check_range(addr, buf.len(), self.size())?;
         let mut cursor = 0;
         // ChunkIter copies the (plain-value) address map, so iterating
         // holds no borrow on the engine and needs no temporary Vec.
@@ -361,7 +393,7 @@ impl EnvyStore {
     }
 
     fn write_as(&mut self, addr: u64, bytes: &[u8], writer: Option<u64>) -> Result<(), EnvyError> {
-        self.check_range(addr, bytes.len())?;
+        check_range(addr, bytes.len(), self.size())?;
         let _guard = self.epoch.write_guard();
         let mut cursor = 0;
         for c in self.engine.addr_map.chunks(addr, bytes.len()) {
@@ -394,131 +426,14 @@ impl EnvyStore {
     /// # Errors
     ///
     /// [`EnvyError::OutOfBounds`].
-    #[inline]
+    #[inline(always)]
     pub fn read_at(
         &mut self,
         now: Ns,
         addr: u64,
         buf: &mut [u8],
     ) -> Result<TimedAccess, EnvyError> {
-        // Fast path for a word-or-smaller access inside one page — the
-        // shape of every access a word-level workload issues. Identical
-        // semantics to the general path with exactly one chunk and one
-        // word; it only skips the chunk/word loop machinery. The general
-        // path is outlined so this wrapper stays small enough to inline
-        // into the workload driver's access loop.
-        {
-            let cfg = self.engine.config();
-            let w = cfg.word_bytes as usize;
-            let pb = self.engine.addr_map.page_bytes();
-            let offset = self.engine.addr_map.offset_of(addr);
-            if !buf.is_empty() && buf.len() <= w && offset as u64 + buf.len() as u64 <= pb {
-                let (bus, suspend, flash_t) =
-                    (cfg.bus_overhead, cfg.suspend_penalty, cfg.timings.read);
-                let logical_pages = cfg.logical_pages;
-                let size = cfg.logical_bytes();
-                let lp = self.engine.addr_map.page_of(addr);
-                if lp >= logical_pages {
-                    return Err(EnvyError::OutOfBounds { addr, size });
-                }
-                let sram_t = Ns::from_nanos(100);
-                let start = now.max(self.clock);
-                self.engine.trace.set_now(start);
-                let src = self.engine.read_page_bytes(lp, offset, buf)?;
-                let (device_t, bank) = match src {
-                    ReadSource::Sram => (sram_t, None),
-                    ReadSource::Flash { bank } => (flash_t, Some(bank)),
-                    ReadSource::Unmapped => (sram_t, None),
-                };
-                let miss = !self.engine.mmu.access(lp);
-                let collided = self.timing.host_access(start, bank, &mut self.engine.stats);
-                let mut lat = bus + device_t;
-                if miss {
-                    lat += sram_t; // page-table lookup in SRAM
-                }
-                if collided {
-                    lat += suspend;
-                    self.engine.trace.set_now(start);
-                    self.engine.trace.emit(TraceEvent::Suspend {
-                        bank: bank.expect("collisions require a bank"),
-                    });
-                }
-                self.engine.stats.host_reads.incr();
-                self.engine.stats.read_latency.record(lat);
-                self.engine.stats.time_reads += lat;
-                let t = start + lat;
-                self.clock = t;
-                self.sample_if_due();
-                return Ok(TimedAccess {
-                    completed: t,
-                    latency: lat,
-                    words: 1,
-                });
-            }
-        }
-        self.read_at_general(now, addr, buf)
-    }
-
-    /// The general multi-chunk timed read ([`EnvyStore::read_at`]'s
-    /// fallback for accesses wider than a word or crossing a page).
-    #[inline(never)]
-    fn read_at_general(
-        &mut self,
-        now: Ns,
-        addr: u64,
-        buf: &mut [u8],
-    ) -> Result<TimedAccess, EnvyError> {
-        self.check_range(addr, buf.len())?;
-        let start = now.max(self.clock);
-        let mut t = start;
-        let mut words_total = 0;
-        let cfg = self.engine.config();
-        let bus = cfg.bus_overhead;
-        let suspend = cfg.suspend_penalty;
-        let sram_t = Ns::from_nanos(100);
-        let flash_t = cfg.timings.read;
-        let mut cursor = 0;
-        self.engine.trace.set_now(start);
-        for c in self.engine.addr_map.chunks(addr, buf.len()) {
-            let src =
-                self.engine
-                    .read_page_bytes(c.page, c.offset, &mut buf[cursor..cursor + c.len])?;
-            cursor += c.len;
-            let words = self.words_in(c.len);
-            words_total += words;
-            let (device_t, bank) = match src {
-                ReadSource::Sram => (sram_t, None),
-                ReadSource::Flash { bank } => (flash_t, Some(bank)),
-                ReadSource::Unmapped => (sram_t, None),
-            };
-            for w in 0..words {
-                // Only the first word of a page run can miss the MMU.
-                let miss = w == 0 && !self.engine.mmu.access(c.page);
-                let collided = self.timing.host_access(t, bank, &mut self.engine.stats);
-                let mut lat = bus + device_t;
-                if miss {
-                    lat += sram_t; // page-table lookup in SRAM
-                }
-                if collided {
-                    lat += suspend;
-                    self.engine.trace.set_now(t);
-                    self.engine.trace.emit(TraceEvent::Suspend {
-                        bank: bank.expect("collisions require a bank"),
-                    });
-                }
-                self.engine.stats.host_reads.incr();
-                self.engine.stats.read_latency.record(lat);
-                self.engine.stats.time_reads += lat;
-                t += lat;
-            }
-        }
-        self.clock = t;
-        self.sample_if_due();
-        Ok(TimedAccess {
-            completed: t,
-            latency: t - start,
-            words: words_total,
-        })
+        self.timed_access(now, addr, Transfer::Read(buf))
     }
 
     /// Write a byte range with full timing. The first word of each page
@@ -532,9 +447,10 @@ impl EnvyStore {
     /// [`EnvyError::OutOfBounds`], cleaning errors, or
     /// [`EnvyError::TxnConflict`] when the range hits an open
     /// transaction's write set.
-    #[inline]
+    #[inline(always)]
     pub fn write_at(&mut self, now: Ns, addr: u64, bytes: &[u8]) -> Result<TimedAccess, EnvyError> {
-        self.write_at_as(now, addr, bytes, None)
+        let _guard = self.epoch.write_guard();
+        self.timed_access(now, addr, Transfer::Write(bytes, None))
     }
 
     /// Write a byte range with full timing inside transaction `txn` —
@@ -553,186 +469,195 @@ impl EnvyStore {
         addr: u64,
         bytes: &[u8],
     ) -> Result<TimedAccess, EnvyError> {
-        self.write_at_as(now, addr, bytes, Some(txn))
+        let _guard = self.epoch.write_guard();
+        self.timed_access(now, addr, Transfer::Write(bytes, Some(txn)))
     }
 
-    #[inline]
-    fn write_at_as(
+    /// A timed access: one word inside one page — every access a
+    /// word-level workload issues — is priced here as its single chunk
+    /// ([`EnvyStore::timed_chunk`]); anything wider goes through
+    /// [`EnvyStore::timed_walk`], which prices each chunk the same way.
+    #[inline(always)]
+    fn timed_access(
         &mut self,
         now: Ns,
         addr: u64,
-        bytes: &[u8],
-        writer: Option<u64>,
+        mut data: Transfer<'_>,
     ) -> Result<TimedAccess, EnvyError> {
-        let _guard = self.epoch.write_guard();
-        // Fast path mirroring `read_at`'s: one chunk, one word, identical
-        // semantics to the outlined general loop.
+        let len = match &data {
+            Transfer::Read(buf) => buf.len(),
+            Transfer::Write(bytes, _) => bytes.len(),
+        };
+        let map = self.engine.addr_map;
+        let offset = map.offset_of(addr);
+        if len == 0
+            || len > self.engine.config().word_bytes as usize
+            || (offset + len) as u64 > map.page_bytes()
         {
-            let cfg = self.engine.config();
-            let w = cfg.word_bytes as usize;
-            let pb = self.engine.addr_map.page_bytes();
-            let offset = self.engine.addr_map.offset_of(addr);
-            if !bytes.is_empty() && bytes.len() <= w && offset as u64 + bytes.len() as u64 <= pb {
-                let (bus, suspend, flash_t) =
-                    (cfg.bus_overhead, cfg.suspend_penalty, cfg.timings.read);
-                let headroom = cfg.buffer_pages - cfg.flush_threshold;
-                let logical_pages = cfg.logical_pages;
-                let size = cfg.logical_bytes();
-                let lp = self.engine.addr_map.page_of(addr);
-                if lp >= logical_pages {
-                    return Err(EnvyError::OutOfBounds { addr, size });
-                }
-                let sram_t = Ns::from_nanos(100);
-                let start = now.max(self.clock);
-                self.engine.trace.set_now(start);
-                let mut stall = Ns::ZERO;
-                if self.timing.pending_flushes() >= headroom {
-                    stall = self
-                        .timing
-                        .drain_flushes(headroom - 1, &mut self.engine.stats);
-                    if stall > Ns::ZERO {
-                        self.engine.trace.set_now(start);
-                        self.engine.trace.emit(TraceEvent::Stall { waited: stall });
-                    }
-                }
-                self.ops.clear();
-                let result =
-                    self.engine
-                        .write_page_bytes(lp, offset, bytes, writer, &mut self.ops)?;
-                self.timing.enqueue(&self.ops);
-                self.ops.clear();
-                let bank = match result.kind {
-                    WriteKind::CopyOnWrite { bank } => Some(bank),
-                    _ => None,
-                };
-                let miss = !self.engine.mmu.access(lp);
-                let collided = self.timing.host_access(start, bank, &mut self.engine.stats);
-                let mut lat = bus + sram_t;
-                if miss {
-                    lat += sram_t;
-                }
-                if bank.is_some() {
-                    lat += flash_t; // wide-bus Flash→SRAM page transfer
-                }
-                lat += stall;
-                if collided {
-                    lat += suspend;
-                    self.engine.trace.set_now(start);
-                    self.engine.trace.emit(TraceEvent::Suspend {
-                        bank: bank.expect("collisions require a bank"),
-                    });
-                }
-                self.engine.stats.host_writes.incr();
-                self.engine.stats.write_latency.record(lat);
-                self.engine.stats.time_writes += lat.saturating_sub(stall);
-                let t = start + lat;
-                self.clock = t;
-                self.sample_if_due();
-                return Ok(TimedAccess {
-                    completed: t,
-                    latency: lat,
-                    words: 1,
+            return self.timed_walk(now, addr, len, data);
+        }
+        check_range(addr, len, self.size())?;
+        let start = now.max(self.clock);
+        self.engine.trace.set_now(start);
+        let c = Chunk {
+            page: map.page_of(addr),
+            offset,
+            len,
+        };
+        let t = self.timed_chunk(&mut data, c, 0, start, 1)?;
+        Ok(self.finish_timed(start, t, 1))
+    }
+
+    /// The general timed access: split the range at `addr` into page
+    /// chunks and price each with [`EnvyStore::timed_chunk`].
+    #[inline(never)]
+    fn timed_walk(
+        &mut self,
+        now: Ns,
+        addr: u64,
+        len: usize,
+        mut data: Transfer<'_>,
+    ) -> Result<TimedAccess, EnvyError> {
+        check_range(addr, len, self.size())?;
+        let start = now.max(self.clock);
+        self.engine.trace.set_now(start);
+        let (mut t, mut words, mut cursor) = (start, 0, 0);
+        for c in self.engine.addr_map.chunks(addr, len) {
+            let n = self.words_in(c.len);
+            t = self.timed_chunk(&mut data, c, cursor, t, n)?;
+            cursor += c.len;
+            words += n;
+        }
+        Ok(self.finish_timed(start, t, words))
+    }
+
+    /// Chunk `c` of a timed access, reached at `t`: move its bytes
+    /// ([`EnvyStore::move_chunk`]), then charge each of its `n` host-bus
+    /// words the host-visible rule (PAPER.md §1.7) — bus overhead plus
+    /// device time, a page-table lookup in SRAM when the first word
+    /// misses the MMU, and the suspend penalty when a word collides with
+    /// a long Flash operation on its bank. Returns when the last word
+    /// completes.
+    #[inline(always)]
+    fn timed_chunk(
+        &mut self,
+        data: &mut Transfer<'_>,
+        c: Chunk,
+        cursor: usize,
+        mut t: Ns,
+        n: u32,
+    ) -> Result<Ns, EnvyError> {
+        let (mut word, rest) = self.move_chunk(data, c, cursor, t)?;
+        let cfg = self.engine.config();
+        let (bus, suspend) = (cfg.bus_overhead, cfg.suspend_penalty);
+        let mut miss = !self.engine.mmu.access(c.page);
+        for _ in 0..n {
+            let collided = self
+                .timing
+                .host_access(t, word.bank, &mut self.engine.stats);
+            let mut lat = bus + word.device;
+            if miss {
+                lat += SRAM_ACCESS; // page-table lookup in SRAM
+            }
+            if collided {
+                lat += suspend;
+                self.engine.trace.set_now(t);
+                self.engine.trace.emit(TraceEvent::Suspend {
+                    bank: word.bank.expect("collisions require a bank"),
                 });
             }
+            let s = &mut self.engine.stats;
+            let (count, latency, time) = match data {
+                Transfer::Read(_) => (&mut s.host_reads, &mut s.read_latency, &mut s.time_reads),
+                Transfer::Write(..) => {
+                    (&mut s.host_writes, &mut s.write_latency, &mut s.time_writes)
+                }
+            };
+            count.incr();
+            latency.record(lat);
+            // A stall's interval was already attributed to the
+            // background work it executed; charge only the
+            // host-productive part here.
+            *time += lat - word.stall;
+            t += lat;
+            // Only a chunk's first word can miss the MMU, wait out a
+            // stall or carry a copy-on-write transfer.
+            miss = false;
+            word = rest;
         }
-        self.write_at_general(now, addr, bytes, writer)
+        Ok(t)
     }
 
-    /// The general multi-chunk timed write ([`EnvyStore::write_at`]'s
-    /// fallback for accesses wider than a word or crossing a page).
-    #[inline(never)]
-    fn write_at_general(
+    /// Move chunk `c` (at `cursor` in the caller's bytes) of a timed
+    /// access reaching it at `t`, and price its first and its remaining
+    /// words. A read's words cost where the page was found. A write
+    /// first waits out a full buffer, then its first word carries that
+    /// stall and, on a copy-on-write, the wide-bus Flash→SRAM page
+    /// transfer from the source bank.
+    #[inline(always)]
+    fn move_chunk(
         &mut self,
-        now: Ns,
-        addr: u64,
-        bytes: &[u8],
-        writer: Option<u64>,
-    ) -> Result<TimedAccess, EnvyError> {
-        self.check_range(addr, bytes.len())?;
-        let start = now.max(self.clock);
-        let mut t = start;
-        let mut words_total = 0;
-        let cfg = self.engine.config();
-        let bus = cfg.bus_overhead;
-        let suspend = cfg.suspend_penalty;
-        let headroom = cfg.buffer_pages - cfg.flush_threshold;
-        let sram_t = Ns::from_nanos(100);
-        let flash_t = cfg.timings.read;
-        let mut cursor = 0;
-        self.engine.trace.set_now(start);
-        for c in self.engine.addr_map.chunks(addr, bytes.len()) {
-            // Buffer-full condition: pages logically flushed but whose
-            // program time has not executed still occupy (virtual) frames.
-            // Post-saturation (Figure 15): the blocked write waits for
-            // exactly one buffer slot — one flush program plus its
-            // amortized share of the cleaning and erasing queued ahead.
-            let mut stall = Ns::ZERO;
-            if self.timing.pending_flushes() >= headroom {
-                stall = self
-                    .timing
-                    .drain_flushes(headroom - 1, &mut self.engine.stats);
-                if stall > Ns::ZERO {
-                    self.engine.trace.set_now(t);
-                    self.engine.trace.emit(TraceEvent::Stall { waited: stall });
-                }
+        data: &mut Transfer<'_>,
+        c: Chunk,
+        cursor: usize,
+        t: Ns,
+    ) -> Result<(WordCost, WordCost), EnvyError> {
+        let flash_t = self.engine.config().timings.read;
+        let (bytes, writer) = match data {
+            Transfer::Read(buf) => {
+                let dst = &mut buf[cursor..cursor + c.len];
+                let word = match self.engine.read_page_bytes(c.page, c.offset, dst)? {
+                    ReadSource::Flash { bank } => WordCost::at(flash_t, Some(bank)),
+                    ReadSource::Sram | ReadSource::Unmapped => WordCost::at(SRAM_ACCESS, None),
+                };
+                return Ok((word, word));
             }
-            self.ops.clear();
-            let result = self.engine.write_page_bytes(
-                c.page,
-                c.offset,
-                &bytes[cursor..cursor + c.len],
-                writer,
-                &mut self.ops,
-            )?;
-            self.timing.enqueue(&self.ops);
-            self.ops.clear();
-            cursor += c.len;
-            let words = self.words_in(c.len);
-            words_total += words;
-            let cow_bank = match result.kind {
-                WriteKind::CopyOnWrite { bank } => Some(bank),
-                _ => None,
-            };
-            for w in 0..words {
-                let miss = w == 0 && !self.engine.mmu.access(c.page);
-                // The COW transfer happens on the first word and touches
-                // the source bank.
-                let bank = if w == 0 { cow_bank } else { None };
-                let collided = self.timing.host_access(t, bank, &mut self.engine.stats);
-                let mut lat = bus + sram_t;
-                if miss {
-                    lat += sram_t;
-                }
-                if w == 0 {
-                    if bank.is_some() {
-                        lat += flash_t; // wide-bus Flash→SRAM page transfer
-                    }
-                    lat += stall;
-                }
-                if collided {
-                    lat += suspend;
-                    self.engine.trace.set_now(t);
-                    self.engine.trace.emit(TraceEvent::Suspend {
-                        bank: bank.expect("collisions require a bank"),
-                    });
-                }
-                self.engine.stats.host_writes.incr();
-                self.engine.stats.write_latency.record(lat);
-                // The drain stall's interval was already attributed to
-                // the executed background work; charge only the
-                // host-productive part here.
-                self.engine.stats.time_writes +=
-                    lat.saturating_sub(if w == 0 { stall } else { Ns::ZERO });
-                t += lat;
+            Transfer::Write(bytes, writer) => (&bytes[cursor..cursor + c.len], *writer),
+        };
+        // Buffer-full condition: pages logically flushed but whose
+        // program time has not executed still occupy (virtual) frames.
+        // Post-saturation (Figure 15): the blocked write waits for
+        // exactly one buffer slot — one flush program plus its
+        // amortized share of the cleaning and erasing queued ahead.
+        let cfg = self.engine.config();
+        let headroom = cfg.buffer_pages - cfg.flush_threshold;
+        let mut stall = Ns::ZERO;
+        if self.timing.pending_flushes() >= headroom {
+            stall = self
+                .timing
+                .drain_flushes(headroom - 1, &mut self.engine.stats);
+            if stall > Ns::ZERO {
+                self.engine.trace.set_now(t);
+                self.engine.trace.emit(TraceEvent::Stall { waited: stall });
             }
         }
+        self.ops.clear();
+        let result =
+            self.engine
+                .write_page_bytes(c.page, c.offset, bytes, writer, &mut self.ops)?;
+        self.timing.enqueue(&self.ops);
+        self.ops.clear();
+        let (transfer, bank) = match result.kind {
+            WriteKind::CopyOnWrite { bank } => (flash_t, Some(bank)),
+            _ => (Ns::ZERO, None),
+        };
+        let first = WordCost {
+            device: SRAM_ACCESS + transfer + stall,
+            bank,
+            stall,
+        };
+        Ok((first, WordCost::at(SRAM_ACCESS, None)))
+    }
+
+    /// Complete a timed access that started at `start` and ended at `t`.
+    fn finish_timed(&mut self, start: Ns, t: Ns, words: u32) -> TimedAccess {
         self.clock = t;
         self.sample_if_due();
-        Ok(TimedAccess {
+        TimedAccess {
             completed: t,
             latency: t - start,
-            words: words_total,
-        })
+            words,
+        }
     }
 
     /// Let background work execute up to `now` without a host access
@@ -987,6 +912,17 @@ mod tests {
         assert!(s.read(size, &mut buf).is_err());
         // Exactly at the end is fine.
         s.write(size - 4, &[1, 2, 3, 4]).unwrap();
+    }
+
+    #[test]
+    fn ranges_ending_past_u64_max_rejected() {
+        let mut s = store();
+        let addr = u64::MAX - 3;
+        let oob = |r: Result<_, EnvyError>| matches!(r, Err(EnvyError::OutOfBounds { .. }));
+        assert!(oob(s.read_at(Ns::ZERO, addr, &mut [0u8; 16]).map(drop)));
+        assert!(oob(s.write_at(Ns::ZERO, addr, &[0u8; 16]).map(drop)));
+        assert!(oob(s.read(addr, &mut [0u8; 16])));
+        assert!(oob(s.write(addr, &[0u8; 16])));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::addr::AddrMap;
 use crate::engine::Engine;
 use crate::error::EnvyError;
+use crate::memory::check_range;
 use crate::page_table::fwd_decode;
 use envy_sync::{ArenaView, EpochView, SharedEpoch, SlotsView, WordsView};
 
@@ -146,12 +147,7 @@ impl ReadView {
     ///
     /// [`EnvyError::OutOfBounds`] if the range exceeds the logical array.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<u64, EnvyError> {
-        if addr + buf.len() as u64 > self.size {
-            return Err(EnvyError::OutOfBounds {
-                addr,
-                size: self.size,
-            });
-        }
+        check_range(addr, buf.len(), self.size)?;
         let mut retries = 0u64;
         let mut cursor = 0usize;
         for c in self.addr_map.chunks(addr, buf.len()) {
@@ -213,6 +209,15 @@ mod tests {
         let mut buf = [0u8; 8];
         assert!(view.read(store.size(), &mut buf).is_err());
         assert!(view.read(store.size() - 4, &mut buf).is_err());
+    }
+
+    #[test]
+    fn view_rejects_ranges_ending_past_u64_max() {
+        let store = EnvyStore::new(EnvyConfig::small_test()).unwrap();
+        assert!(store
+            .read_view()
+            .read(u64::MAX - 3, &mut [0u8; 16])
+            .is_err());
     }
 
     #[test]

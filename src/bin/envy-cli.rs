@@ -10,7 +10,9 @@
 //! envy-cli kv-get|kv-put|kv-del|kv-scan  key-value ops against a live server
 //! ```
 //!
-//! Run `envy-cli <command> --help` for per-command options.
+//! Run `envy-cli --help` for every command's options. An option the
+//! command does not read, or one missing its value, exits 2 with the
+//! usage before any work.
 
 use envy::core::{EnvyConfig, EnvyStore, PolicyKind};
 use envy::server::{loadgen, Client, LoadSpec, ServeConfig, ShardPlan, ShardedStore};
@@ -23,24 +25,38 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
+    let options = &args[1..];
+    if ["--help", "-h", "help"].contains(&command.as_str()) {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    // A command line is checked whole before any work: an unknown
+    // command, an option the command does not read, or an option
+    // missing its value exits 2 with the usage.
+    let checked = match accepted_options(command) {
+        None => Err(format!("unknown command `{command}`")),
+        Some((valued, switches)) => {
+            check_options(options, valued, switches).map_err(|e| format!("{e} for `{command}`"))
+        }
+    };
+    if let Err(e) = checked {
+        eprintln!("envy-cli: {e}\n{USAGE}");
+        return ExitCode::from(2);
+    }
     let result = match command.as_str() {
         "info" => cmd_info(),
-        "cleaning" => cmd_cleaning(&args[1..]),
-        "tpca" => cmd_tpca(&args[1..]),
-        "stats" => cmd_stats(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
-        "bench-serve" => cmd_bench_serve(&args[1..]),
-        "kv-get" => cmd_kv(&args[1..], KvCmd::Get),
-        "kv-put" => cmd_kv(&args[1..], KvCmd::Put),
-        "kv-del" => cmd_kv(&args[1..], KvCmd::Del),
-        "kv-scan" => cmd_kv(&args[1..], KvCmd::Scan),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        "cleaning" => cmd_cleaning(options),
+        "tpca" => cmd_tpca(options),
+        "stats" => cmd_stats(options),
+        "trace" => cmd_trace(options),
+        "bench-serve" => cmd_bench_serve(options),
+        "kv-get" => cmd_kv(options, KvCmd::Get),
+        "kv-put" => cmd_kv(options, KvCmd::Put),
+        "kv-del" => cmd_kv(options, KvCmd::Del),
+        "kv-scan" => cmd_kv(options, KvCmd::Scan),
+        _ => unreachable!("accepted_options knows every command"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -49,6 +65,69 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The options `command` reads: those taking a value (`--name <value>`)
+/// and bare switches. `None` for an unknown command.
+fn accepted_options(command: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    const TIMED: &[&str] = &["--rate", "--txns", "--util"];
+    Some(match command {
+        "info" => (&[], &[]),
+        "cleaning" => (
+            &["--policy", "--locality", "--segments", "--pages", "--util"],
+            &[],
+        ),
+        "tpca" | "stats" => (TIMED, &[]),
+        "trace" => (&["--rate", "--txns", "--util", "--last"], &[]),
+        "bench-serve" => (
+            &[
+                "--shards",
+                "--txn-slots",
+                "--clients",
+                "--txns",
+                "--scale",
+                "--seed",
+                "--atomic",
+                "--unix",
+                "--connect",
+            ],
+            &["--shutdown"],
+        ),
+        "kv-get" => (&["--connect", "--unix", "--shard", "--key"], &[]),
+        "kv-put" => (
+            &[
+                "--connect",
+                "--unix",
+                "--shard",
+                "--key",
+                "--value",
+                "--txn",
+            ],
+            &[],
+        ),
+        "kv-del" => (&["--connect", "--unix", "--shard", "--key", "--txn"], &[]),
+        "kv-scan" => (
+            &["--connect", "--unix", "--shard", "--start", "--limit"],
+            &[],
+        ),
+        _ => return None,
+    })
+}
+
+/// Refuse any argument that is not one of `valued` followed by its value
+/// or one of `switches`.
+fn check_options(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+    }
+    Ok(())
 }
 
 const USAGE: &str = "usage: envy-cli <command> [options]
