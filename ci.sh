@@ -230,11 +230,13 @@ echo "== smoke: envy-served (poll backend A/B) =="
 # The portable poll(2) backend stays selectable and must serve the same
 # load cleanly — crates/server/tests/driver_diff.rs pins both backends'
 # wire bytes to a socket-free replay; this leg pins the daemon wiring,
-# the idle-timeout flag included. An unknown backend is refused.
-if ./target/release/envy-served --net-driver threads \
-  > results/ci_smoke_serve_bad_driver.txt 2>&1; then
-  echo "envy-served accepted --net-driver threads"; exit 1
-fi
+# the idle-timeout flag included. An unknown backend is refused with
+# exit status 2, like any usage error (crates/server/tests/served_cli.rs).
+set +e
+./target/release/envy-served --net-driver threads > results/ci_smoke_serve_bad_driver.txt 2>&1
+SERVED_STATUS=$?
+set -e
+test "$SERVED_STATUS" = "2"
 grep -qF "use epoll|poll" results/ci_smoke_serve_bad_driver.txt
 rm -f "$SERVE_SOCK"
 ./target/release/envy-served --unix "$SERVE_SOCK" --shards 2 --txn-slots 4 --scale small \

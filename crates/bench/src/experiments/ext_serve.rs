@@ -19,7 +19,7 @@
 //! monolithic store (`loadgen::run_monolithic`).
 
 use crate::{ratio, us, Args};
-use envy_bench::{churn_to_steady_state_for, emit, time_series_json, PointResult, SweepSpec};
+use envy_bench::{churn_to_steady_state_for, emit, PointResult, SweepSpec};
 use envy_core::EnvyStore;
 use envy_server::loadgen::{run_inproc, run_monolithic, run_socket};
 use envy_server::{
@@ -28,10 +28,9 @@ use envy_server::{
 use envy_sim::report::Table;
 use envy_workload::{AnalyticTpca, TpcaScale};
 use std::path::Path;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Shard counts on the x-axis; the last one also samples queue depth.
+/// Shard counts on the x-axis.
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
 /// Open file descriptors of this process (`/proc/self/fd`).
@@ -139,7 +138,6 @@ pub fn run(args: &Args) {
     );
 
     // Closed-loop shard-count sweep at a fixed offered workload.
-    let depth_json: Mutex<Option<String>> = Mutex::new(None);
     let baseline = &baseline;
     let sweep = SweepSpec::new("ext_serve", SHARD_COUNTS.to_vec()).run_with_jobs(
         args.jobs,
@@ -157,10 +155,6 @@ pub fn run(args: &Args) {
                 .txn_latency
                 .percentiles()
                 .expect("latencies recorded");
-            if shards == *SHARD_COUNTS.last().unwrap() {
-                *depth_json.lock().unwrap() =
-                    Some(time_series_json(&outcome.shards[0].depth_series));
-            }
             let max_batch = outcome
                 .shards
                 .iter()
@@ -323,7 +317,7 @@ pub fn run(args: &Args) {
         let front = ShardedStore::launch_from(stores, &config);
         let load = LoadSpec::closed(clients, rh_txns)
             .with_seed(0x95f5)
-            .read_mostly(0.95);
+            .read_mostly();
         let report = run_inproc(&front.handle(), &load);
         let outcome = front.shutdown();
         assert_eq!(report.errors, 0, "read-heavy serving errors ({name})");
@@ -434,7 +428,7 @@ pub fn run(args: &Args) {
     let conn_txns = args.u64("conn-txns", if quick { 10 } else { 1_000 });
     let ratio_spec = LoadSpec::closed(active, conn_txns)
         .with_seed(0xC099)
-        .read_mostly(0.95);
+        .read_mostly();
     let inproc_front = ShardedStore::launch_from(
         (0..sock_shards).map(|_| baseline.fork()).collect(),
         &ServeConfig::scaled(sock_shards).with_read_path(ReadPath::Inline),
@@ -543,14 +537,14 @@ pub fn run(args: &Args) {
             .open(conn_rate)
             .with_duration(Duration::from_millis(if quick { 100 } else { 500 }))
             .with_seed(0xC5EE ^ 1)
-            .read_mostly(0.95);
+            .read_mostly();
         run_socket(|| Client::connect_unix(&sock_path), plan, &warmup)
             .expect("conn sweep warmup run");
         let spec = LoadSpec::closed(active, 0)
             .open(conn_rate)
             .with_duration(conn_dur)
             .with_seed(0xC5EE)
-            .read_mostly(0.95);
+            .read_mostly();
         let report = run_socket(|| Client::connect_unix(&sock_path), plan, &spec)
             .expect("conn sweep load run");
         let fds = fd_count();
@@ -651,9 +645,5 @@ pub fn run(args: &Args) {
     points.push(ratio_point);
     points.extend(conn_points);
     points.push(mem_point);
-    let extras = match depth_json.into_inner().expect("no poisoned lock") {
-        Some(json) => vec![("queue_depth", json)],
-        None => Vec::new(),
-    };
-    args.write_report("ext_serve", sweep.jobs, started, &points, &extras);
+    args.write_report("ext_serve", sweep.jobs, started, &points, &[]);
 }

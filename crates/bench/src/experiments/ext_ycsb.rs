@@ -31,7 +31,7 @@ use envy_core::{lifetime_days, EnvyConfig, EnvyStore};
 use envy_server::loadgen::{run_inproc, ycsb_load_requests};
 use envy_server::{LoadSpec, ServeConfig, ShardedStore};
 use envy_sim::report::{fmt_f64, Table};
-use envy_sim::rng::Rng;
+use envy_workload::churn_to_steady_state;
 use envy_workload::ycsb::{YcsbConfig, YcsbMix};
 use std::time::Instant;
 
@@ -60,21 +60,6 @@ fn kv_config(shards: u32) -> ServeConfig {
     config
 }
 
-/// Churn the store (untimed) to cleaning steady state with uniform
-/// 8-byte record overwrites, consuming the initial free space twice —
-/// the KV twin of `churn_to_steady_state_for` (whose TPC-A layout needs a
-/// larger array than these functional shards).
-fn churn_kv(store: &mut EnvyStore) {
-    let total = store.config().geometry.total_pages();
-    let free = total - store.config().logical_pages;
-    let mut rng = Rng::seed_from(0xC0FFEE);
-    let slots = store.size() / 8;
-    for _ in 0..free * 2 {
-        let slot = rng.below(slots);
-        store.write(slot * 8, &[0u8; 8]).expect("churn write");
-    }
-}
-
 pub fn run(args: &Args) {
     let started = Instant::now();
     let quick = args.quick;
@@ -88,7 +73,12 @@ pub fn run(args: &Args) {
     let config = kv_config(1);
     let mut baseline = EnvyStore::new(config.store.clone()).expect("config is valid");
     baseline.prefill().expect("prefill fits");
-    churn_kv(&mut baseline);
+    // Uniform 8-byte record overwrites over the whole array: the TPC-A
+    // layout of `churn_to_steady_state_for` needs a larger array than
+    // these functional shards.
+    let slots = baseline.size() / 8;
+    churn_to_steady_state(&mut baseline, 0xC0FFEE, 2.0, slots, |slot| slot * 8)
+        .expect("churn write");
 
     // ----------------------------------------------------------------
     // Wire anchor: atomic YCSB-A over TCP == synchronous monolithic

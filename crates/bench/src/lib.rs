@@ -15,7 +15,7 @@ pub mod sweep;
 
 use envy_core::{EnvyConfig, EnvyStore};
 use envy_sim::report::Table;
-use envy_workload::{AnalyticTpca, TpcaScale};
+use envy_workload::{churn_to_steady_state, AnalyticTpca, TpcaScale};
 
 pub use sweep::{
     point_seed, render_report, time_series_json, trace_json, write_report, PointResult,
@@ -23,23 +23,18 @@ pub use sweep::{
 };
 
 /// The timed TPC-A configuration: the paper's 2 GB array when `paper`
-/// (`--paper`), otherwise a 256 MB scaled version (same geometry ratios:
-/// 128 segments, 8 banks, one-segment write buffer, and an erase time
-/// scaled with the segment size so erase work per reclaimed page matches
-/// the paper's hardware), at the given utilization.
+/// (`--paper`), otherwise a 256 MB scaled version
+/// ([`EnvyConfig::scaled_timing`]: same geometry ratios — 128 segments,
+/// 8 banks, one-segment write buffer — and the paper's erase work per
+/// reclaimed page), at the given utilization.
 pub fn timed_config_for(paper: bool, utilization: f64) -> EnvyConfig {
-    let mut config = if paper {
-        EnvyConfig::paper_2gb()
-    } else {
-        let mut c = EnvyConfig::scaled(8, 128, 8192, 256).with_store_data(false);
-        // Erase reclaims pages-per-segment pages; keep erase time per
-        // reclaimed page equal to the paper's 50 ms / 65 536.
-        c.timings.erase = envy_sim::time::Ns::from_nanos(
-            50_000_000u64 * c.geometry.pages_per_segment() as u64 / 65_536,
-        );
+    let config = if paper {
+        let mut c = EnvyConfig::paper_2gb();
+        c.word_bytes = 8; // 64-bit host bus (Figure 11)
         c
+    } else {
+        EnvyConfig::scaled_timing(8, 128, 8192, 256)
     };
-    config.word_bytes = 8; // 64-bit host bus (Figure 11)
     config.with_utilization(utilization)
 }
 
@@ -49,23 +44,16 @@ pub fn timed_driver(config: &EnvyConfig) -> AnalyticTpca {
     AnalyticTpca::new(TpcaScale::fit_bytes(config.logical_bytes()))
 }
 
-/// Churn the store (untimed) to cleaning steady state: overwrite uniform
-/// account records until the initial free space has been consumed twice
-/// (2.5 times at the paper's 2 GB, where the measured windows are
-/// comparatively shorter), so a timed window runs at steady-state
-/// cleaning — the paper measures a long-running system, not a freshly
-/// formatted one. `paper` selects the 2 GB churn multiple.
+/// Churn the store to cleaning steady state with uniform account
+/// overwrites ([`churn_to_steady_state`]), consuming the initial free
+/// space twice — 2.5 times at the paper's 2 GB (`paper`), where the
+/// measured windows are comparatively shorter.
 pub fn churn_to_steady_state_for(paper: bool, store: &mut EnvyStore, driver: &AnalyticTpca) {
-    let total = store.config().geometry.total_pages();
-    let free = total - store.config().logical_pages;
-    let churn = if paper { free * 5 / 2 } else { free * 2 };
-    let mut rng = envy_sim::rng::Rng::seed_from(0xC0FFEE);
-    let accounts = driver.layout().scale.accounts();
-    for _ in 0..churn {
-        let id = rng.below(accounts);
-        let addr = driver.layout().account_addr(id);
-        store.write(addr, &[0u8; 8]).expect("churn write");
-    }
+    let k = if paper { 2.5 } else { 2.0 };
+    let (layout, seed) = (driver.layout(), 0xC0FFEE);
+    let accounts = layout.scale.accounts();
+    churn_to_steady_state(store, seed, k, accounts, |id| layout.account_addr(id))
+        .expect("churn write");
 }
 
 /// Build the timed TPC-A system ([`timed_config_for`]), prefilled at

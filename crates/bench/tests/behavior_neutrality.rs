@@ -18,7 +18,7 @@
 use envy_bench::render_report;
 use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, PolicyKind, TimedAccess, TraceEvent};
 use envy_sim::time::Ns;
-use envy_workload::{run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
+use envy_workload::{churn_to_steady_state, run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
 
 /// FNV-1a over a string: stable, dependency-free digest.
 fn fnv1a(s: &str) -> u64 {
@@ -80,13 +80,9 @@ fn tpca_timed_rendered(traced: bool) -> String {
     // Churn (untimed) past the free space so the timed window below runs
     // at cleaning steady state — the golden must cover CleanCopy/Erase
     // background ops interacting with the simulated clock.
-    let free = store.config().geometry.total_pages() - store.config().logical_pages;
-    let mut rng = envy_sim::rng::Rng::seed_from(0xC0FFEE);
     let accounts = driver.layout().scale.accounts();
-    for _ in 0..free * 2 {
-        let addr = driver.layout().account_addr(rng.below(accounts));
-        store.write(addr, &[0u8; 8]).expect("churn write");
-    }
+    let slot_addr = |id| driver.layout().account_addr(id);
+    churn_to_steady_state(&mut store, 0xC0FFEE, 2.0, accounts, slot_addr).expect("churn write");
     if traced {
         store.enable_trace(65_536);
     }

@@ -184,6 +184,27 @@ impl EnvyConfig {
         }
     }
 
+    /// A [`scaled`](EnvyConfig::scaled) array for timing runs: state
+    /// only (no payload bytes), a 64-bit host bus (Figure 11), and the
+    /// erase time scaled with the segment size, so that erase work per
+    /// reclaimed page stays the paper's 50 ms / 65 536.
+    ///
+    /// # Panics
+    ///
+    /// As [`scaled`](EnvyConfig::scaled).
+    pub fn scaled_timing(
+        banks: u32,
+        segments: u32,
+        pages_per_segment: u32,
+        page_bytes: u32,
+    ) -> EnvyConfig {
+        let mut config = EnvyConfig::scaled(banks, segments, pages_per_segment, page_bytes);
+        config.store_data = false;
+        config.word_bytes = 8;
+        config.timings.erase = Ns::from_nanos(50_000_000 * u64::from(pages_per_segment) / 65_536);
+        config
+    }
+
     /// Set the cleaning policy.
     pub fn with_policy(mut self, policy: PolicyKind) -> EnvyConfig {
         self.policy = policy;

@@ -6,7 +6,9 @@
 //! graceful drain and prints a per-run summary.
 
 use envy_server::{serve_with, Listener, NetConfig, NetDriver, ServeConfig, ShardedStore};
+use std::fmt;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -35,7 +37,7 @@ struct Args {
     unix: Option<String>,
     shards: u32,
     txn_slots: Option<u32>,
-    scale: String,
+    scale: fn(u32) -> ServeConfig,
     queue: Option<usize>,
     batch: Option<usize>,
     trace: Option<usize>,
@@ -44,13 +46,28 @@ struct Args {
     idle_timeout_ms: Option<u64>,
 }
 
+/// An option's value as a number no smaller than `min`.
+fn at_least<T>(name: &str, value: String, min: T) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + fmt::Display,
+    T::Err: fmt::Display,
+{
+    let n: T = value.parse().map_err(|e| format!("{name}: {e}"))?;
+    if n < min {
+        return Err(format!("{name} must be at least {min}"));
+    }
+    Ok(n)
+}
+
+/// The whole command line, checked before any work. `Err("")` asks for
+/// the help text.
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         tcp: "127.0.0.1:7033".into(),
         unix: None,
         shards: 4,
         txn_slots: None,
-        scale: "small".into(),
+        scale: ServeConfig::small,
         queue: None,
         batch: None,
         trace: None,
@@ -60,77 +77,39 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{arg} requires a value"));
         match arg.as_str() {
             "--help" | "-h" => return Err(String::new()),
-            "--tcp" => args.tcp = value("--tcp")?,
-            "--unix" => args.unix = Some(value("--unix")?),
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
+            "--tcp" => args.tcp = value()?,
+            "--unix" => args.unix = Some(value()?),
+            "--shards" => args.shards = at_least(&arg, value()?, 1)?,
+            "--txn-slots" => args.txn_slots = Some(at_least(&arg, value()?, 1)?),
+            "--scale" => {
+                args.scale = match value()?.as_str() {
+                    "small" => ServeConfig::small,
+                    "scaled" => ServeConfig::scaled,
+                    other => return Err(format!("unknown --scale {other} (use small|scaled)")),
+                };
             }
-            "--txn-slots" => {
-                args.txn_slots = Some(
-                    value("--txn-slots")?
-                        .parse()
-                        .map_err(|e| format!("--txn-slots: {e}"))?,
-                );
-            }
-            "--scale" => args.scale = value("--scale")?,
-            "--queue" => {
-                args.queue = Some(
-                    value("--queue")?
-                        .parse()
-                        .map_err(|e| format!("--queue: {e}"))?,
-                );
-            }
-            "--batch" => {
-                args.batch = Some(
-                    value("--batch")?
-                        .parse()
-                        .map_err(|e| format!("--batch: {e}"))?,
-                );
-            }
-            "--trace" => {
-                args.trace = Some(
-                    value("--trace")?
-                        .parse()
-                        .map_err(|e| format!("--trace: {e}"))?,
-                );
-            }
-            "--duration-secs" => {
-                args.duration_secs = Some(
-                    value("--duration-secs")?
-                        .parse()
-                        .map_err(|e| format!("--duration-secs: {e}"))?,
-                );
-            }
+            "--queue" => args.queue = Some(at_least(&arg, value()?, 1)?),
+            "--batch" => args.batch = Some(at_least(&arg, value()?, 1)?),
+            "--trace" => args.trace = Some(at_least(&arg, value()?, 0)?),
+            "--duration-secs" => args.duration_secs = Some(at_least(&arg, value()?, 0)?),
             "--net-driver" => {
-                let v = value("--net-driver")?;
+                let v = value()?;
                 args.net_driver = NetDriver::parse(&v)
                     .ok_or_else(|| format!("--net-driver: unknown driver {v} (use epoll|poll)"))?;
             }
-            "--idle-timeout-ms" => {
-                args.idle_timeout_ms = Some(
-                    value("--idle-timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--idle-timeout-ms: {e}"))?,
-                );
-            }
+            "--idle-timeout-ms" => args.idle_timeout_ms = Some(at_least(&arg, value()?, 0)?),
             other => return Err(format!("unknown argument: {other}")),
         }
-    }
-    if args.shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    if args.txn_slots == Some(0) {
-        return Err("--txn-slots must be at least 1".into());
     }
     Ok(args)
 }
 
 fn main() -> ExitCode {
+    // A usage error exits 2 with the usage, like `envy-cli` and
+    // `envy-bench`; a failure once the command line is accepted exits 1.
     let args = match parse_args() {
         Ok(args) => args,
         Err(msg) if msg.is_empty() => {
@@ -140,26 +119,19 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("envy-served: {msg}");
             eprint!("{USAGE}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
 
-    let mut config = match args.scale.as_str() {
-        "small" => ServeConfig::small(args.shards),
-        "scaled" => ServeConfig::scaled(args.shards),
-        other => {
-            eprintln!("envy-served: unknown --scale {other} (use small|scaled)");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut config = (args.scale)(args.shards);
     if let Some(slots) = args.txn_slots {
         config = config.with_txn_slots(slots);
     }
     if let Some(q) = args.queue {
-        config.queue_capacity = q.max(1);
+        config.queue_capacity = q;
     }
     if let Some(b) = args.batch {
-        config.batch_max = b.max(1);
+        config.batch_max = b;
     }
     config.trace_capacity = args.trace;
 

@@ -57,7 +57,8 @@ pub mod shard;
 
 pub use evloop::{raise_nofile, Waker};
 pub use loadgen::{
-    run_inproc, run_monolithic, run_socket, ycsb_load_requests, LoadMode, LoadReport, LoadSpec,
+    run_inproc, run_monolithic, run_socket, ycsb_load_requests, LoadMix, LoadMode, LoadReport,
+    LoadSpec,
 };
 pub use net::{
     serve, serve_with, Client, ClientError, Listener, NetConfig, NetDriver, ServeSummary,
@@ -66,5 +67,5 @@ pub use net::{
 pub use proto::{WireBody, WireRequest};
 pub use shard::{
     Busy, ReadPath, Reply, Request, Response, ServeConfig, ServeError, ServeOutcome, ShardHandle,
-    ShardOutcome, ShardPlan, ShardedStore, SubmitError, DEPTH_COLUMNS, KV_SCAN_LIMIT,
+    ShardOutcome, ShardPlan, ShardedStore, SubmitError, KV_SCAN_LIMIT,
 };

@@ -8,13 +8,13 @@
 //! a served run against). What a client does with a refusal, a failed
 //! access or a server going away is therefore decided once.
 //!
-//! Each client thread drives a skewed TPC-A-style transaction mix
-//! (reusing [`envy_workload`]'s analytic driver). Transactions pick
-//! a shard uniformly and run the full three-index search +
+//! Each client thread draws from one seeded stream of the spec's
+//! [`LoadMix`]. The default is a skewed TPC-A-style transaction mix
+//! (reusing [`envy_workload`]'s analytic driver): transactions pick a
+//! shard uniformly and run the full three-index search +
 //! read-modify-write access list of one TPC-A transaction against that
-//! shard's slice; account skew follows the `hot_weight` /
-//! `hot_fraction` rule (a `hot_weight` fraction of transactions land in
-//! the first `hot_fraction` of accounts).
+//! shard's slice. Account (and record) skew is fixed: 90 % of draws
+//! (`HOT_WEIGHT`) land in the first 10 % of the keys (`HOT_FRACTION`).
 //!
 //! * **Closed loop** — each client keeps one transaction in flight:
 //!   accesses pipeline within the transaction, the client awaits all
@@ -60,6 +60,25 @@ pub enum LoadMode {
     },
 }
 
+/// What every client of a run asks for.
+#[derive(Debug, Clone)]
+pub enum LoadMix {
+    /// TPC-A transactions: three index searches and three record
+    /// read-modify-writes each, or, on a slice too small for the
+    /// minimum database, the same shape over plain 8-byte records.
+    Tpca,
+    /// The read-heavy serving mix: six skew-drawn 8-byte record
+    /// accesses per transaction, each a read with probability 0.95.
+    ReadMostly,
+    /// One YCSB key-value operation per "transaction" over the
+    /// `envy-kv` wire operations. Keys route to shards by
+    /// `key % shards`; combined with [`atomic`](LoadSpec::atomic),
+    /// every operation is bracketed by `TxnBegin`/`TxnCommit`, updates
+    /// run as read-modify-write inside the transaction, and a seeded
+    /// fraction roll back.
+    Ycsb(YcsbConfig),
+}
+
 /// A load-generation run description.
 #[derive(Debug, Clone)]
 pub struct LoadSpec {
@@ -73,17 +92,8 @@ pub struct LoadSpec {
     pub mode: LoadMode,
     /// Base seed; each client derives an independent stream.
     pub seed: u64,
-    /// Fraction of the account range that is "hot".
-    pub hot_fraction: f64,
-    /// Probability a transaction draws its account from the hot range.
-    pub hot_weight: f64,
-    /// Per-request deadline passed to the server, if any.
-    pub deadline: Option<Duration>,
-    /// `Some(p)` switches every client to the read-heavy record mix:
-    /// skew-drawn 8-byte record accesses where each access is a read
-    /// with probability `p` and a write otherwise (e.g. `0.95` for the
-    /// 95/5 serving mix). `None` keeps the TPC-A transaction shape.
-    pub read_fraction: Option<f64>,
+    /// The request mix.
+    pub mix: LoadMix,
     /// `Some(a)` runs every transaction **atomically**: the access list
     /// is bracketed by `TxnBegin` / `TxnCommit` on its shard, writes go
     /// through `TxnWrite`, each transaction appends a history record,
@@ -91,18 +101,10 @@ pub struct LoadSpec {
     /// instead of committing (exercising rollback under load). `None`
     /// keeps the non-atomic per-access shape.
     pub abort_fraction: Option<f64>,
-    /// `Some(config)` switches every client to a YCSB key-value mix
-    /// over the `envy-kv` wire operations instead of the TPC-A address
-    /// mixes. Keys route to shards by `key % shards`; each "transaction"
-    /// is one YCSB operation. Combines with
-    /// [`atomic`](LoadSpec::atomic): every operation is then bracketed
-    /// by `TxnBegin`/`TxnCommit`, updates run as read-modify-write
-    /// inside the transaction, and a seeded fraction roll back.
-    pub ycsb: Option<YcsbConfig>,
 }
 
 impl LoadSpec {
-    /// A closed-loop spec with the default 10 %-hot / 90 %-weight skew.
+    /// A closed-loop TPC-A spec.
     pub fn closed(clients: u32, txns_per_client: u64) -> LoadSpec {
         LoadSpec {
             clients: clients.max(1),
@@ -110,12 +112,8 @@ impl LoadSpec {
             duration: None,
             mode: LoadMode::Closed,
             seed: 0x5eed,
-            hot_fraction: 0.1,
-            hot_weight: 0.9,
-            deadline: None,
-            read_fraction: None,
+            mix: LoadMix::Tpca,
             abort_fraction: None,
-            ycsb: None,
         }
     }
 
@@ -142,15 +140,10 @@ impl LoadSpec {
         self
     }
 
-    /// Switch to the read-heavy record mix with the given read
-    /// probability (builder-style); `0.95` is the 95/5 serving mix.
+    /// Switch to the 95/5 read-mostly record mix (builder-style).
     #[must_use]
-    pub fn read_mostly(mut self, read_fraction: f64) -> LoadSpec {
-        assert!(
-            (0.0..=1.0).contains(&read_fraction),
-            "read fraction is a probability"
-        );
-        self.read_fraction = Some(read_fraction);
+    pub fn read_mostly(mut self) -> LoadSpec {
+        self.mix = LoadMix::ReadMostly;
         self
     }
 
@@ -168,10 +161,9 @@ impl LoadSpec {
     }
 
     /// Switch every client to a YCSB key-value mix (builder-style).
-    /// Takes precedence over [`read_mostly`](LoadSpec::read_mostly).
     #[must_use]
     pub fn with_ycsb(mut self, config: YcsbConfig) -> LoadSpec {
-        self.ycsb = Some(config);
+        self.mix = LoadMix::Ycsb(config);
         self
     }
 }
@@ -200,7 +192,7 @@ pub struct LoadReport {
     /// Transactions fully completed (committed, in atomic mode).
     pub completed_txns: u64,
     /// Transactions rolled back via `TxnAbort` (deliberate seeded
-    /// aborts, plus any forced by in-transaction timeouts or errors).
+    /// aborts, plus any forced by a failed access).
     pub aborted_txns: u64,
     /// `TxnBegin` attempts refused because every transaction slot on
     /// the shard was occupied, retried after a jittered backoff.
@@ -217,8 +209,6 @@ pub struct LoadReport {
     pub completed_ops: u64,
     /// `Busy` rejections retried.
     pub busy_retries: u64,
-    /// Accesses that expired past their deadline.
-    pub timeouts: u64,
     /// Accesses that failed with any other typed error.
     pub errors: u64,
     /// Wall-clock duration of the run (max across clients).
@@ -239,7 +229,6 @@ impl LoadReport {
         self.txn_conflict_retries += other.txn_conflict_retries;
         self.completed_ops += other.completed_ops;
         self.busy_retries += other.busy_retries;
-        self.timeouts += other.timeouts;
         self.errors += other.errors;
         self.wall = self.wall.max(other.wall);
         self.txn_latency.merge(&other.txn_latency);
@@ -256,12 +245,10 @@ impl LoadReport {
     }
 }
 
-/// The transaction shape a stream generates: full TPC-A when the
-/// minimum database layout fits the shard slice, otherwise a synthetic
-/// miniature with the same read-modify-write access pattern.
+/// One client's [`LoadMix`], ready to draw from.
 enum Mix {
     /// Three index searches + three record RMWs per transaction.
-    Tpca(Box<AnalyticTpca>, TpcaScale),
+    Tpca(Box<AnalyticTpca>),
     /// Three (read, write) record pairs at skew-drawn slots — the TPC-A
     /// account/teller/branch shape without the index B-Trees, for slices
     /// too small to hold the minimum database.
@@ -269,19 +256,14 @@ enum Mix {
         /// 8-byte record slots available in the slice.
         slots: u64,
     },
-    /// Skew-drawn 8-byte record accesses with a fixed read probability
-    /// per access ([`LoadSpec::read_fraction`]) — the read-heavy
-    /// serving mix the concurrent read path is built for.
+    /// [`LoadMix::ReadMostly`].
     ReadMostly {
         /// 8-byte record slots available in the slice.
         slots: u64,
-        /// Probability that an access is a read.
-        read_fraction: f64,
     },
-    /// One YCSB key-value operation per "transaction" over the KV wire
-    /// ops ([`LoadSpec::ycsb`]). Keys route to shards by `key % shards`,
-    /// so each shard's KV index holds the keys congruent to its id and
-    /// a workload-E scan walks one shard's slice of the key space.
+    /// [`LoadMix::Ycsb`]: each shard's KV index holds the keys
+    /// congruent to its id, so a workload-E scan walks one shard's
+    /// slice of the key space.
     Ycsb(Box<YcsbStream>),
 }
 
@@ -290,8 +272,6 @@ struct TxnStream {
     rng: Rng,
     mix: Mix,
     plan: ShardPlan,
-    hot_fraction: f64,
-    hot_weight: f64,
     /// `Some(a)`: bracket every transaction with begin/commit and
     /// deliberately abort an `a` fraction.
     abort_fraction: Option<f64>,
@@ -302,140 +282,72 @@ struct TxnStream {
 const SYNTH_RECORD: u64 = 8;
 /// One TPC-A history record: (account, teller, branch, delta) packed.
 const HISTORY_RECORD: u64 = 16;
+/// Share of the key range that is hot.
+const HOT_FRACTION: f64 = 0.1;
+/// Probability that a key is drawn from the hot range.
+const HOT_WEIGHT: f64 = 0.9;
+/// Probability that a [`LoadMix::ReadMostly`] access is a read.
+const READ_FRACTION: f64 = 0.95;
 /// Placeholder transaction id in generated `TxnWrite`/`TxnCommit`/
 /// `TxnAbort` requests; the driver patches in the id the shard's
 /// `TxnStarted` reply assigned before submitting them.
-pub const TXN_PATCH: u64 = u64::MAX;
+const TXN_PATCH: u64 = u64::MAX;
+
+/// Draw a key in `0..keys` with the hot-range skew.
+fn skewed_key(rng: &mut Rng, keys: u64) -> u64 {
+    if rng.chance(HOT_WEIGHT) {
+        rng.below(((keys as f64 * HOT_FRACTION) as u64).max(1))
+    } else {
+        rng.below(keys)
+    }
+}
 
 impl TxnStream {
     fn new(spec: &LoadSpec, plan: ShardPlan, client: u32) -> TxnStream {
         let seed = spec
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(client as u64 + 1));
-        let scale = TpcaScale::fit_bytes(plan.shard_bytes());
-        let tpca = AnalyticTpca::new(scale);
-        let fits = tpca.layout().total_bytes <= plan.shard_bytes();
-        let mix = if let Some(ycsb) = &spec.ycsb {
-            Mix::Ycsb(Box::new(YcsbStream::new(ycsb, client, spec.clients.max(1))))
-        } else if let Some(read_fraction) = spec.read_fraction {
-            Mix::ReadMostly {
-                slots: (plan.shard_bytes() / SYNTH_RECORD).max(1),
-                read_fraction,
+        let slots = (plan.shard_bytes() / SYNTH_RECORD).max(1);
+        let mix = match &spec.mix {
+            LoadMix::Tpca => {
+                let tpca = AnalyticTpca::new(TpcaScale::fit_bytes(plan.shard_bytes()));
+                if tpca.layout().total_bytes <= plan.shard_bytes() {
+                    Mix::Tpca(Box::new(tpca))
+                } else {
+                    Mix::Synthetic { slots }
+                }
             }
-        } else if fits {
-            Mix::Tpca(Box::new(tpca), scale)
-        } else {
-            Mix::Synthetic {
-                slots: (plan.shard_bytes() / SYNTH_RECORD).max(1),
+            LoadMix::ReadMostly => Mix::ReadMostly { slots },
+            LoadMix::Ycsb(ycsb) => {
+                Mix::Ycsb(Box::new(YcsbStream::new(ycsb, client, spec.clients.max(1))))
             }
         };
         TxnStream {
             rng: Rng::seed_from(seed),
             mix,
             plan,
-            hot_fraction: spec.hot_fraction,
-            hot_weight: spec.hot_weight,
             abort_fraction: spec.abort_fraction,
             history_seq: 0,
-        }
-    }
-
-    /// Draw a key in `0..keys` with the hot-range skew.
-    fn skewed_key(&mut self, keys: u64) -> u64 {
-        if self.hot_weight > 0.0 && self.rng.chance(self.hot_weight) {
-            let hot = ((keys as f64 * self.hot_fraction) as u64).max(1);
-            self.rng.below(hot)
-        } else {
-            self.rng.below(keys)
         }
     }
 
     /// Draw the next transaction's global-address request list.
     fn next_requests(&mut self, out: &mut Vec<Request>) {
         out.clear();
-        if let Mix::Ycsb(stream) = &mut self.mix {
-            let shards = self.plan.shards() as u64;
-            let op = stream.next_op(&mut self.rng);
-            let atomic = self.abort_fraction.is_some();
-            let shard = match op {
-                YcsbOp::Read { key } => {
-                    let shard = (key % shards) as u32;
-                    out.push(Request::KvGet { shard, key });
-                    shard
-                }
-                YcsbOp::Update { key } => {
-                    let shard = (key % shards) as u32;
-                    let value = stream.config().value_for(key, stream.version());
-                    if atomic {
-                        // Read-modify-write inside the transaction: the
-                        // read observes the committed value, the write
-                        // lands in the transaction's write set so the
-                        // seeded abort below takes it back.
-                        out.push(Request::KvGet { shard, key });
-                        out.push(Request::KvPut {
-                            shard,
-                            key,
-                            txn: TXN_PATCH,
-                            value,
-                        });
-                    } else {
-                        out.push(Request::KvPut {
-                            shard,
-                            key,
-                            txn: 0,
-                            value,
-                        });
-                    }
-                    shard
-                }
-                YcsbOp::Insert { key } => {
-                    let shard = (key % shards) as u32;
-                    let value = stream.config().value_for(key, stream.version());
-                    out.push(Request::KvPut {
-                        shard,
-                        key,
-                        txn: if atomic { TXN_PATCH } else { 0 },
-                        value,
-                    });
-                    shard
-                }
-                YcsbOp::Scan { start, limit } => {
-                    let shard = (start % shards) as u32;
-                    out.push(Request::KvScan {
-                        shard,
-                        start,
-                        limit,
-                    });
-                    shard
-                }
-            };
-            if let Some(abort) = self.abort_fraction {
-                // Atomic mode brackets every operation — reads and
-                // scans included, so the driver's begin/commit protocol
-                // holds uniformly across the mix.
-                out.insert(0, Request::TxnBegin { shard });
-                out.push(if self.rng.chance(abort) {
-                    Request::TxnAbort {
-                        shard,
-                        txn: TXN_PATCH,
-                    }
-                } else {
-                    Request::TxnCommit {
-                        shard,
-                        txn: TXN_PATCH,
-                    }
-                });
-            }
-            return;
-        }
-        let shard = self.rng.below(self.plan.shards() as u64) as u32;
-        let base = self.plan.base_of(shard);
-        match &self.mix {
-            Mix::Tpca(_, scale) => {
-                let account = self.skewed_key(scale.accounts());
+        let (rng, plan) = (&mut self.rng, self.plan);
+        let atomic = self.abort_fraction.is_some();
+        // The address mixes pick their shard uniformly, first.
+        let pick = |rng: &mut Rng| {
+            let shard = rng.below(plan.shards() as u64) as u32;
+            (shard, plan.base_of(shard))
+        };
+        let shard = match &mut self.mix {
+            Mix::Tpca(tpca) => {
+                let (shard, base) = pick(rng);
+                let account = skewed_key(rng, tpca.layout().scale.accounts());
                 let teller = account / 10_000;
                 let branch = teller / 10;
-                let delta = (self.rng.below(2_000) as i64) - 1_000;
+                let delta = (rng.below(2_000) as i64) - 1_000;
                 let txn = Transaction {
                     account,
                     teller,
@@ -443,108 +355,123 @@ impl TxnStream {
                     delta,
                 };
                 let fill = account as u8;
-                let Mix::Tpca(tpca, _) = &self.mix else {
-                    unreachable!()
-                };
                 tpca.for_each_access(&txn, |a: TraceAccess| {
+                    let addr = base + a.addr;
                     out.push(if a.write {
-                        Request::Write {
-                            addr: base + a.addr,
-                            bytes: vec![fill; a.len],
-                        }
+                        let bytes = vec![fill; a.len];
+                        Request::Write { addr, bytes }
                     } else {
-                        Request::Read {
-                            addr: base + a.addr,
-                            len: a.len as u32,
-                        }
+                        let len = a.len as u32;
+                        Request::Read { addr, len }
                     });
                 });
+                shard
             }
-            Mix::ReadMostly {
-                slots,
-                read_fraction,
-            } => {
-                let (slots, rf) = (*slots, *read_fraction);
+            Mix::Synthetic { slots } => {
+                let (shard, base) = pick(rng);
+                let account = skewed_key(rng, *slots);
+                // Tellers and branches concentrate 10× and 100× like the
+                // TPC-A hierarchy, folded back into the slot range.
+                for key in [account, (account / 10) % *slots, (account / 100) % *slots] {
+                    let (addr, len) = (base + key * SYNTH_RECORD, SYNTH_RECORD as u32);
+                    let bytes = vec![key as u8; SYNTH_RECORD as usize];
+                    out.push(Request::Read { addr, len });
+                    out.push(Request::Write { addr, bytes });
+                }
+                shard
+            }
+            Mix::ReadMostly { slots } => {
+                let (shard, base) = pick(rng);
                 // Six accesses per transaction, matching the TPC-A
                 // access count so throughput stays comparable per txn.
                 for _ in 0..6 {
-                    let key = self.skewed_key(slots);
-                    let addr = base + key * SYNTH_RECORD;
-                    out.push(if self.rng.chance(rf) {
-                        Request::Read {
-                            addr,
-                            len: SYNTH_RECORD as u32,
-                        }
+                    let key = skewed_key(rng, *slots);
+                    let (addr, len) = (base + key * SYNTH_RECORD, SYNTH_RECORD as u32);
+                    out.push(if rng.chance(READ_FRACTION) {
+                        Request::Read { addr, len }
                     } else {
-                        Request::Write {
-                            addr,
-                            bytes: vec![key as u8; SYNTH_RECORD as usize],
+                        let bytes = vec![key as u8; SYNTH_RECORD as usize];
+                        Request::Write { addr, bytes }
+                    });
+                }
+                shard
+            }
+            Mix::Ycsb(stream) => {
+                let op = stream.next_op(rng);
+                let (YcsbOp::Read { key }
+                | YcsbOp::Update { key }
+                | YcsbOp::Insert { key }
+                | YcsbOp::Scan { start: key, .. }) = op;
+                let shard = (key % plan.shards() as u64) as u32;
+                match op {
+                    YcsbOp::Read { key } => out.push(Request::KvGet { shard, key }),
+                    YcsbOp::Update { key } | YcsbOp::Insert { key } => {
+                        // Atomic updates read-modify-write inside the
+                        // transaction: the read observes the committed
+                        // value, the write lands in the write set so the
+                        // seeded abort below takes it back.
+                        if atomic && matches!(op, YcsbOp::Update { .. }) {
+                            out.push(Request::KvGet { shard, key });
                         }
-                    });
+                        let value = stream.config().value_for(key, stream.version());
+                        let txn = if atomic { TXN_PATCH } else { 0 };
+                        out.push(Request::KvPut {
+                            shard,
+                            key,
+                            txn,
+                            value,
+                        });
+                    }
+                    YcsbOp::Scan { start, limit } => out.push(Request::KvScan {
+                        shard,
+                        start,
+                        limit,
+                    }),
                 }
+                shard
             }
-            Mix::Ycsb(_) => unreachable!("ycsb streams return above"),
-            Mix::Synthetic { slots } => {
-                let slots = *slots;
-                let account = self.skewed_key(slots);
-                // Tellers and branches concentrate 10× and 100× like the
-                // TPC-A hierarchy, folded back into the slot range.
-                for key in [account, (account / 10) % slots, (account / 100) % slots] {
-                    let addr = base + key * SYNTH_RECORD;
-                    out.push(Request::Read {
-                        addr,
-                        len: SYNTH_RECORD as u32,
-                    });
-                    out.push(Request::Write {
-                        addr,
-                        bytes: vec![key as u8; SYNTH_RECORD as usize],
-                    });
-                }
+        };
+        let Some(abort) = self.abort_fraction else {
+            return;
+        };
+        // Atomic mode: the same access list, run as one transaction.
+        // Writes go through TxnWrite so a crash (or the seeded abort
+        // below) takes all of them back together.
+        for req in out.iter_mut() {
+            if let Request::Write { addr, bytes } = req {
+                *req = Request::TxnWrite {
+                    addr: *addr,
+                    bytes: std::mem::take(bytes),
+                    txn: TXN_PATCH,
+                };
             }
         }
-        if let Some(abort) = self.abort_fraction {
-            // Atomic mode: the same access list, run as one transaction.
-            // Writes go through TxnWrite so a crash (or the seeded
-            // abort below) takes all of them back together.
-            for req in out.iter_mut() {
-                if let Request::Write { addr, bytes } = req {
-                    *req = Request::TxnWrite {
-                        addr: *addr,
-                        bytes: std::mem::take(bytes),
-                        txn: TXN_PATCH,
-                    };
-                }
-            }
-            // The TPC-A history append: one record per transaction,
-            // ring-addressed into the slack past the database layout
-            // (address math only — the layout itself is untouched, so
-            // non-atomic runs are byte-for-byte unaffected).
-            if let Mix::Tpca(tpca, _) = &self.mix {
-                let used = tpca.layout().total_bytes;
-                let slots = (self.plan.shard_bytes() - used) / HISTORY_RECORD;
-                if slots > 0 {
-                    let slot = self.history_seq % slots;
-                    self.history_seq += 1;
-                    out.push(Request::TxnWrite {
-                        addr: base + used + slot * HISTORY_RECORD,
-                        bytes: vec![(self.history_seq % 251) as u8; HISTORY_RECORD as usize],
-                        txn: TXN_PATCH,
-                    });
-                }
-            }
-            out.insert(0, Request::TxnBegin { shard });
-            out.push(if self.rng.chance(abort) {
-                Request::TxnAbort {
-                    shard,
+        // The TPC-A history append: one record per transaction,
+        // ring-addressed into the slack past the database layout
+        // (address math only — the layout itself is untouched, so
+        // non-atomic runs are byte-for-byte unaffected).
+        if let Mix::Tpca(tpca) = &self.mix {
+            let used = tpca.layout().total_bytes;
+            let slots = (plan.shard_bytes() - used) / HISTORY_RECORD;
+            if slots > 0 {
+                let slot = self.history_seq % slots;
+                self.history_seq += 1;
+                out.push(Request::TxnWrite {
+                    addr: plan.base_of(shard) + used + slot * HISTORY_RECORD,
+                    bytes: vec![(self.history_seq % 251) as u8; HISTORY_RECORD as usize],
                     txn: TXN_PATCH,
-                }
-            } else {
-                Request::TxnCommit {
-                    shard,
-                    txn: TXN_PATCH,
-                }
-            });
+                });
+            }
         }
+        // Every transaction is bracketed — YCSB reads and scans too, so
+        // the driver's begin/commit protocol holds across the mix.
+        let txn = TXN_PATCH;
+        out.insert(0, Request::TxnBegin { shard });
+        out.push(if self.rng.chance(abort) {
+            Request::TxnAbort { shard, txn }
+        } else {
+            Request::TxnCommit { shard, txn }
+        });
     }
 }
 
@@ -702,12 +629,7 @@ type Answer = Result<Reply, ServeError>;
 /// surfaces it, and counts it in [`LoadReport::busy_retries`].
 trait Transport {
     /// Hand over one request.
-    fn submit(
-        &mut self,
-        req: &Request,
-        deadline: Option<Duration>,
-        report: &mut LoadReport,
-    ) -> Result<(), Gone>;
+    fn submit(&mut self, req: &Request, report: &mut LoadReport) -> Result<(), Gone>;
 
     /// Block for the answer to any request submitted and not yet
     /// answered.
@@ -723,14 +645,9 @@ struct InProc {
 }
 
 impl Transport for InProc {
-    fn submit(
-        &mut self,
-        req: &Request,
-        deadline: Option<Duration>,
-        report: &mut LoadReport,
-    ) -> Result<(), Gone> {
+    fn submit(&mut self, req: &Request, report: &mut LoadReport) -> Result<(), Gone> {
         loop {
-            match self.handle.submit(req.clone(), deadline, &self.tx) {
+            match self.handle.submit(req.clone(), None, &self.tx) {
                 Ok(_) => return Ok(()),
                 Err(SubmitError::Busy(b)) => {
                     report.busy_retries += 1;
@@ -758,21 +675,13 @@ impl Transport for InProc {
 /// remembered until it is answered.
 struct Socket {
     client: Client,
-    in_flight: Vec<(u64, Request, Option<Duration>)>,
+    in_flight: Vec<(u64, Request)>,
 }
 
 impl Transport for Socket {
-    fn submit(
-        &mut self,
-        req: &Request,
-        deadline: Option<Duration>,
-        _: &mut LoadReport,
-    ) -> Result<(), Gone> {
-        let id = self
-            .client
-            .submit(req.clone(), deadline)
-            .map_err(|_| Gone)?;
-        self.in_flight.push((id, req.clone(), deadline));
+    fn submit(&mut self, req: &Request, _: &mut LoadReport) -> Result<(), Gone> {
+        let id = self.client.submit(req.clone(), None).map_err(|_| Gone)?;
+        self.in_flight.push((id, req.clone()));
         Ok(())
     }
 
@@ -784,11 +693,11 @@ impl Transport for Socket {
                 WireOutcome::Reply(reply) => Ok(reply),
                 WireOutcome::Err(e) => Err(e),
                 WireOutcome::Busy(b) => {
-                    if let Some((id, req, deadline)) = slot.map(|i| &self.in_flight[i]) {
+                    if let Some((id, req)) = slot.map(|i| &self.in_flight[i]) {
                         report.busy_retries += 1;
                         std::thread::sleep(b.retry_after);
                         self.client
-                            .submit_with_id(*id, req.clone(), *deadline)
+                            .submit_with_id(*id, req.clone(), None)
                             .map_err(|_| Gone)?;
                     }
                     continue;
@@ -811,12 +720,7 @@ struct Direct<'a> {
 }
 
 impl Transport for Direct<'_> {
-    fn submit(
-        &mut self,
-        req: &Request,
-        _: Option<Duration>,
-        _: &mut LoadReport,
-    ) -> Result<(), Gone> {
+    fn submit(&mut self, req: &Request, _: &mut LoadReport) -> Result<(), Gone> {
         self.answers.push_back(apply(self.store, req));
         Ok(())
     }
@@ -848,10 +752,9 @@ fn run_client<T: Transport>(
         stream.next_requests(&mut reqs);
         let report = &mut lp.report;
         let ran = if spec.abort_fraction.is_some() {
-            atomic_txn(transport, spec.deadline, &reqs, report, &mut backoff)
+            atomic_txn(transport, &reqs, report, &mut backoff)
         } else {
-            pipeline(transport, &reqs, None, spec.deadline, report)
-                .map(|_| report.completed_txns += 1)
+            pipeline(transport, &reqs, None, report).map(|_| report.completed_txns += 1)
         };
         if ran.is_err() {
             break;
@@ -880,15 +783,14 @@ fn pipeline<T: Transport>(
     transport: &mut T,
     reqs: &[Request],
     txn: Option<u64>,
-    deadline: Option<Duration>,
     report: &mut LoadReport,
 ) -> Result<Batch, Gone> {
     let mut gone = false;
     let mut owed = 0usize;
     for req in reqs {
         let sent = match txn {
-            Some(txn) => transport.submit(&patch_txn(req, txn), deadline, report),
-            None => transport.submit(req, deadline, report),
+            Some(txn) => transport.submit(&patch_txn(req, txn), report),
+            None => transport.submit(req, report),
         };
         if sent.is_err() {
             gone = true;
@@ -906,7 +808,6 @@ fn pipeline<T: Transport>(
             Err(e) => {
                 batch.clean = false;
                 match e {
-                    ServeError::DeadlineExceeded => report.timeouts += 1,
                     ServeError::TxnConflict => {
                         report.txn_conflict_refusals += 1;
                         batch.conflicted = true;
@@ -924,13 +825,13 @@ fn pipeline<T: Transport>(
     }
 }
 
-/// Submit one request with no deadline and await its answer.
+/// Submit one request and await its answer.
 fn call<T: Transport>(
     transport: &mut T,
     req: &Request,
     report: &mut LoadReport,
 ) -> Result<Answer, Gone> {
-    transport.submit(req, None, report)?;
+    transport.submit(req, report)?;
     match transport.recv(report)? {
         Err(ServeError::ShuttingDown) => Err(Gone),
         answer => Ok(answer),
@@ -941,12 +842,9 @@ fn call<T: Transport>(
 /// jittered backoff), pipeline the body under the assigned id, then
 /// commit — or abort, when the stream said so or any body access failed.
 /// A write-set conflict aborts the attempt and retries the whole
-/// transaction, up to [`TXN_RETRY_CAP`] times. Begin and the
-/// commit/abort run without the per-request deadline: a transaction,
-/// once opened, must be resolved.
+/// transaction, up to [`TXN_RETRY_CAP`] times.
 fn atomic_txn<T: Transport>(
     transport: &mut T,
-    deadline: Option<Duration>,
     reqs: &[Request],
     report: &mut LoadReport,
     backoff: &mut Backoff,
@@ -972,7 +870,7 @@ fn atomic_txn<T: Transport>(
                 }
             }
         };
-        let batch = pipeline(transport, body, Some(txn), deadline, report)?;
+        let batch = pipeline(transport, body, Some(txn), report)?;
         let tail = if batch.clean {
             patch_txn(tail, txn)
         } else {
@@ -1086,13 +984,12 @@ where
 ///
 /// The transaction stream is regenerated from the spec's seed, not
 /// recorded, so only a single-submitter order is reproducible: the spec
-/// must use one client, a transaction count (not a duration), and no
-/// deadline.
+/// must use one client and a transaction count (not a duration).
 ///
 /// # Panics
 ///
-/// If the spec uses more than one client, no transaction count, or a
-/// deadline — none of those orders are reproducible synchronously.
+/// If the spec uses more than one client or no transaction count —
+/// neither order is reproducible synchronously.
 ///
 /// [`ShardedStore`]: crate::shard::ShardedStore
 pub fn run_monolithic(store: &mut EnvyStore, spec: &LoadSpec) -> LoadReport {
@@ -1103,10 +1000,6 @@ pub fn run_monolithic(store: &mut EnvyStore, spec: &LoadSpec) -> LoadReport {
     assert!(
         spec.txns_per_client > 0,
         "the monolithic reference needs a transaction count, not a duration"
-    );
-    assert!(
-        spec.deadline.is_none(),
-        "deadline expiry depends on wall-clock timing and is not replayable"
     );
     let plan = ShardPlan::new(1, store.size());
     let answers = VecDeque::new();
@@ -1154,7 +1047,6 @@ mod tests {
         let outcome = store.shutdown();
         assert_eq!(report.completed_txns, 16);
         assert_eq!(report.errors, 0);
-        assert_eq!(report.timeouts, 0);
         assert!(report.completed_ops > 0);
         assert_eq!(report.completed_ops, outcome.total_served());
         assert_eq!(report.txn_latency.count(), 16);
@@ -1228,7 +1120,6 @@ mod tests {
         assert_eq!(report.completed_txns + report.aborted_txns, 24);
         assert!(report.aborted_txns > 0, "0.3 abort draw over 24 txns");
         assert_eq!(report.errors, 0);
-        assert_eq!(report.timeouts, 0);
         // Every access the loadgen counted was served — plus the
         // TxnBusy-answered begin attempts and TxnConflict-refused
         // writes, which the shard serves as typed errors — and no shard
@@ -1378,7 +1269,6 @@ mod tests {
         store.shutdown();
         assert_eq!(report.completed_txns, 32);
         assert_eq!(report.errors, 0);
-        assert_eq!(report.timeouts, 0);
     }
 
     #[test]
@@ -1435,12 +1325,7 @@ mod tests {
     }
 
     impl Transport for Scripted {
-        fn submit(
-            &mut self,
-            req: &Request,
-            _: Option<Duration>,
-            _: &mut LoadReport,
-        ) -> Result<(), Gone> {
+        fn submit(&mut self, req: &Request, _: &mut LoadReport) -> Result<(), Gone> {
             self.emitted.push(req.clone());
             let answer = self.script.pop_front().expect("script ran out")?;
             self.owed.push_back(answer);
@@ -1463,7 +1348,6 @@ mod tests {
                 ("txn_conflict_retries", r.txn_conflict_retries),
                 ("completed_ops", r.completed_ops),
                 ("busy_retries", r.busy_retries),
-                ("timeouts", r.timeouts),
                 ("errors", r.errors),
             ]
         };
@@ -1497,16 +1381,9 @@ mod tests {
     ) -> (LoadReport, Vec<Request>) {
         let mut transport = Scripted::new(script);
         let mut report = LoadReport::default();
-        let deadline = Some(Duration::from_millis(5));
         let reqs = txn_reqs(TXN_PATCH, true);
-        atomic_txn(
-            &mut transport,
-            deadline,
-            &reqs,
-            &mut report,
-            &mut Backoff::new(1),
-        )
-        .expect("the script never goes away");
+        atomic_txn(&mut transport, &reqs, &mut report, &mut Backoff::new(1))
+            .expect("the script never goes away");
         assert!(transport.script.is_empty(), "the whole script was played");
         (report, transport.emitted)
     }
@@ -1577,7 +1454,7 @@ mod tests {
         assert_counters(
             &report,
             LoadReport {
-                timeouts: 1,
+                errors: 1,
                 aborted_txns: 1,
                 completed_ops: 3,
                 ..LoadReport::default()
@@ -1671,13 +1548,8 @@ mod tests {
     }
 
     impl Transport for FailNth<'_> {
-        fn submit(
-            &mut self,
-            req: &Request,
-            deadline: Option<Duration>,
-            report: &mut LoadReport,
-        ) -> Result<(), Gone> {
-            self.inner.submit(req, deadline, report)
+        fn submit(&mut self, req: &Request, report: &mut LoadReport) -> Result<(), Gone> {
+            self.inner.submit(req, report)
         }
 
         fn recv(&mut self, report: &mut LoadReport) -> Result<Answer, Gone> {
@@ -1740,5 +1612,54 @@ mod tests {
             "open loop must pace starts, ran in {:?}",
             t0.elapsed()
         );
+    }
+
+    /// Digest of every request each mix generates: 2 clients × 500
+    /// transactions, plain and atomic, hashed over their `Debug` form
+    /// (FNV-1a). Every served digest, `anchor:` line and wire byte
+    /// downstream is a function of these streams, so a change to how a
+    /// stream draws — an RNG call added, dropped or reordered, a skew
+    /// constant moved — fails here first.
+    const GOLDEN_STREAMS: u64 = 0x44d2_acc1_9bcd_29ad;
+
+    #[test]
+    fn generated_streams_match_golden() {
+        use envy_workload::ycsb::YcsbMix;
+        let ycsb = |mix| LoadSpec::closed(2, 500).with_ycsb(YcsbConfig::standard(mix, 1_000));
+        let mixes = [
+            ("tpca", LoadSpec::closed(2, 500), 16 << 20),
+            ("synthetic", LoadSpec::closed(2, 500), 1 << 20),
+            (
+                "read_mostly",
+                LoadSpec::closed(2, 500).read_mostly(),
+                1 << 20,
+            ),
+            ("ycsb_a", ycsb(YcsbMix::A), 1 << 20),
+            ("ycsb_e", ycsb(YcsbMix::E), 1 << 20),
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut reqs = Vec::new();
+        for (name, spec, slice) in mixes {
+            for spec in [spec.clone(), spec.atomic(0.2)] {
+                let plan = ShardPlan::new(2, slice);
+                for client in 0..spec.clients {
+                    let mut stream = TxnStream::new(&spec, plan, client);
+                    match name {
+                        "tpca" => assert!(matches!(stream.mix, Mix::Tpca(..))),
+                        "synthetic" => assert!(matches!(stream.mix, Mix::Synthetic { .. })),
+                        _ => {}
+                    }
+                    for _ in 0..spec.txns_per_client {
+                        stream.next_requests(&mut reqs);
+                        for req in &reqs {
+                            for b in format!("{req:?}").bytes() {
+                                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, GOLDEN_STREAMS, "generated streams drifted: {h:#018x}");
     }
 }

@@ -33,7 +33,6 @@
 
 use crate::evloop::Waker;
 use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, ReadView, TraceEvent, TxnMemory};
-use envy_sim::stats::TimeSeries;
 use envy_sim::time::Ns;
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -44,19 +43,15 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
-/// Columns of the per-shard queue-depth [`TimeSeries`] sampled at each
-/// dispatch: queue depth at dispatch (including the drained batch), the
-/// drained batch size, and cumulative completions.
-pub const DEPTH_COLUMNS: &[&str] = &["depth", "batch", "served"];
-
 /// Fallback per-request service estimate before the first measurement.
 const EST_INIT_NS: u64 = 2_000;
 /// Bounds on the [`Busy::retry_after`] hint.
 const RETRY_MIN: Duration = Duration::from_micros(1);
 const RETRY_MAX: Duration = Duration::from_millis(100);
 /// Two wall-clock reads cost as much as a small request, so an
-/// uncontended shard takes them (for the depth series and the service
-/// estimate) on one inline run in this many. Queue drains always do.
+/// uncontended shard takes them (for the service estimate behind the
+/// [`Busy::retry_after`] hint) on one inline run in this many. Queue
+/// drains always do.
 const INLINE_CLOCK_EVERY: u64 = 16;
 
 // ---------------------------------------------------------------------
@@ -443,15 +438,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum queued requests the lock holder drains per dispatch.
     pub batch_max: usize,
-    /// Prefill each shard at the configured utilization before serving.
-    pub prefill: bool,
     /// Enable controller tracing (including serve enqueue / dispatch /
     /// complete events) with this ring capacity.
     pub trace_capacity: Option<usize>,
-    /// Wall-clock window of the per-shard queue-depth time series.
-    pub depth_window: Duration,
-    /// Rows retained per shard in the queue-depth series.
-    pub depth_rows: usize,
     /// Artificial per-request service delay (wall clock) — a pacing and
     /// test knob modeling a slower device; `None` in production.
     pub service_delay: Option<Duration>,
@@ -468,34 +457,24 @@ impl ServeConfig {
             store: EnvyConfig::small_test(),
             queue_capacity: 256,
             batch_max: 32,
-            prefill: true,
             trace_capacity: None,
-            depth_window: Duration::from_millis(10),
-            depth_rows: 1_024,
             service_delay: None,
             read_path: ReadPath::Timed,
         }
     }
 
     /// A scaled serving configuration: each shard is a scaled-down
-    /// timing array (8 banks, 64 segments of 2 048 × 256-byte pages,
-    /// state-only payload) with a 64-bit host bus — the per-controller
-    /// building block of the §6 multi-controller organization.
+    /// timing array ([`EnvyConfig::scaled_timing`]: 8 banks, 64 segments
+    /// of 2 048 × 256-byte pages, state-only payload, a 64-bit host bus)
+    /// — the per-controller building block of the §6 multi-controller
+    /// organization.
     pub fn scaled(shards: u32) -> ServeConfig {
-        let mut store = EnvyConfig::scaled(8, 64, 2_048, 256).with_store_data(false);
-        store.word_bytes = 8;
-        // Keep erase work per reclaimed page equal to the paper's
-        // 50 ms / 65 536 (same scaling rule as the bench harness).
-        store.timings.erase = Ns::from_nanos(50_000_000u64 * 2_048 / 65_536);
         ServeConfig {
             shards,
-            store: store.with_utilization(0.8),
+            store: EnvyConfig::scaled_timing(8, 64, 2_048, 256).with_utilization(0.8),
             queue_capacity: 1_024,
             batch_max: 64,
-            prefill: true,
             trace_capacity: None,
-            depth_window: Duration::from_millis(10),
-            depth_rows: 4_096,
             service_delay: None,
             read_path: ReadPath::Timed,
         }
@@ -663,7 +642,6 @@ struct ShardCore {
     out: ShardOutcome,
     batch_max: usize,
     service_delay: Option<Duration>,
-    started: Instant,
 }
 
 impl ShardLink {
@@ -685,7 +663,7 @@ impl ShardLink {
 
     /// Start a dispatch of the requests `ids`: count it, trace
     /// admission + dispatch and, if `timed`, read the wall clock for
-    /// the depth series and for [`settle`](ShardLink::settle).
+    /// [`settle`](ShardLink::settle).
     /// Forced inline, as [`execute`](ShardLink::execute) is: `admit`
     /// has three callers, and an outlined copy of either costs the
     /// in-process path (`docs/PERFORMANCE.md`, inventory).
@@ -700,12 +678,6 @@ impl ShardLink {
         out.batches += 1;
         out.max_batch = out.max_batch.max(n as u32);
         let t0 = timed.then(Instant::now);
-        let wall = t0.map(|t| Ns::from_nanos((t - core.started).as_nanos() as u64));
-        if let Some(wall) = wall.filter(|&w| out.depth_series.due(w)) {
-            let depth = self.depth.load(Ordering::Relaxed) + n;
-            let row = vec![depth as f64, n as f64, out.served as f64];
-            out.depth_series.record(wall, row);
-        }
         let batch = n as u32;
         let enqueued = ids.map(|seq| TraceEvent::ServeEnqueue { shard, seq });
         let dispatched = std::iter::once(TraceEvent::ServeDispatch { shard, batch });
@@ -853,11 +825,7 @@ impl InlineReads {
                 self.retries.fetch_add(r, Ordering::Relaxed);
                 Ok(Reply::Data(buf))
             }
-            Err(EnvyError::OutOfBounds { addr, .. }) => Err(ServeError::OutOfBounds {
-                addr,
-                size: self.view.size(),
-            }),
-            Err(e) => Err(ServeError::Store(e.to_string())),
+            Err(e) => Err(map_store_err(self.view.size())(e)),
         };
         self.offloaded.fetch_add(1, Ordering::Relaxed);
         result
@@ -885,8 +853,6 @@ pub struct ShardOutcome {
     pub batches: u64,
     /// Largest batch of one dispatch (1 if nothing ever queued).
     pub max_batch: u32,
-    /// Queue-depth samples over wall-clock time.
-    pub depth_series: TimeSeries,
     /// Set when a request panicked on this shard: that request and
     /// every later one completed with this error instead of running,
     /// and `store` is whatever the panic left — possibly mid-operation.
@@ -993,9 +959,7 @@ impl ShardedStore {
     /// prefill fails.
     pub fn launch(config: ServeConfig) -> Result<ShardedStore, EnvyError> {
         let mut baseline = EnvyStore::new(config.store.clone())?;
-        if config.prefill {
-            baseline.prefill()?;
-        }
+        baseline.prefill()?;
         let stores = (0..config.shards).map(|_| baseline.fork()).collect();
         Ok(ShardedStore::launch_from(stores, &config))
     }
@@ -1040,7 +1004,6 @@ impl ShardedStore {
                     retries: AtomicU64::new(0),
                 });
             }
-            let window = Ns::from_nanos(config.depth_window.as_nanos().max(1) as u64);
             let out = ShardOutcome {
                 shard: i as u32,
                 store,
@@ -1048,7 +1011,6 @@ impl ShardedStore {
                 timed_out: 0,
                 batches: 0,
                 max_batch: 0,
-                depth_series: TimeSeries::new(window, DEPTH_COLUMNS, config.depth_rows.max(1)),
                 failure: None,
                 // Patched from the shared counters at shutdown under
                 // `ReadPath::Inline`.
@@ -1061,7 +1023,6 @@ impl ShardedStore {
                     out,
                     batch_max: config.batch_max.max(1),
                     service_delay: config.service_delay,
-                    started: Instant::now(),
                 })),
                 queue: Mutex::new(VecDeque::new()),
                 capacity: config.queue_capacity,
@@ -1355,29 +1316,30 @@ impl ShardHandle {
 ///
 /// Typed [`ServeError`]s; the store itself is left consistent.
 pub fn apply(store: &mut EnvyStore, req: &Request) -> Result<Reply, ServeError> {
+    let size = store.size();
     match req {
         Request::Read { addr, len } => {
             let mut buf = vec![0u8; *len as usize];
             store
                 .read_at(store.now(), *addr, &mut buf)
-                .map_err(map_store_err(store))?;
+                .map_err(map_store_err(size))?;
             Ok(Reply::Data(buf))
         }
         Request::Write { addr, bytes } => {
             let access = store
                 .write_at(store.now(), *addr, bytes)
-                .map_err(map_store_err(store))?;
+                .map_err(map_store_err(size))?;
             Ok(Reply::Done {
                 latency: access.latency,
             })
         }
         Request::Flush { .. } => {
-            store.flush_all().map_err(map_store_err(store))?;
+            store.flush_all().map_err(map_store_err(size))?;
             Ok(Reply::Flushed)
         }
         Request::Ping { .. } => Ok(Reply::Pong),
         Request::TxnBegin { .. } => {
-            let txn = store.txn_begin().map_err(map_store_err(store))?;
+            let txn = store.txn_begin().map_err(map_store_err(size))?;
             Ok(Reply::TxnStarted { txn })
         }
         Request::TxnWrite { addr, bytes, txn } => {
@@ -1387,21 +1349,20 @@ pub fn apply(store: &mut EnvyStore, req: &Request) -> Result<Reply, ServeError> 
             // is a conflict refusal.
             let access = store
                 .txn_write_at(store.now(), *txn, *addr, bytes)
-                .map_err(map_store_err(store))?;
+                .map_err(map_store_err(size))?;
             Ok(Reply::Done {
                 latency: access.latency,
             })
         }
         Request::TxnCommit { txn, .. } => {
-            store.txn_commit(*txn).map_err(map_store_err(store))?;
+            store.txn_commit(*txn).map_err(map_store_err(size))?;
             Ok(Reply::Committed { txn: *txn })
         }
         Request::TxnAbort { txn, .. } => {
-            store.txn_abort(*txn).map_err(map_store_err(store))?;
+            store.txn_abort(*txn).map_err(map_store_err(size))?;
             Ok(Reply::Aborted { txn: *txn })
         }
         Request::KvGet { key, .. } => {
-            let size = store.size();
             let kv = kv_open(store)?;
             let value = kv.get(store, *key).map_err(map_kv_err(size))?;
             Ok(Reply::KvValue(value))
@@ -1409,7 +1370,6 @@ pub fn apply(store: &mut EnvyStore, req: &Request) -> Result<Reply, ServeError> 
         Request::KvPut {
             key, txn, value, ..
         } => {
-            let size = store.size();
             let mut kv = kv_open(store)?;
             if *txn == 0 {
                 kv.put(store, *key, value).map_err(map_kv_err(size))?;
@@ -1423,7 +1383,6 @@ pub fn apply(store: &mut EnvyStore, req: &Request) -> Result<Reply, ServeError> 
             Ok(Reply::KvPutDone)
         }
         Request::KvDelete { key, txn, .. } => {
-            let size = store.size();
             let mut kv = kv_open(store)?;
             let existed = if *txn == 0 {
                 kv.delete(store, *key).map_err(map_kv_err(size))?
@@ -1434,7 +1393,6 @@ pub fn apply(store: &mut EnvyStore, req: &Request) -> Result<Reply, ServeError> 
             Ok(Reply::KvDeleted { existed })
         }
         Request::KvScan { start, limit, .. } => {
-            let size = store.size();
             let kv = kv_open(store)?;
             let limit = (*limit).min(KV_SCAN_LIMIT) as usize;
             let items = kv.scan(store, *start, limit).map_err(map_kv_err(size))?;
@@ -1464,31 +1422,34 @@ fn kv_open(store: &mut EnvyStore) -> Result<envy_kv::KvStore, ServeError> {
     }
 }
 
-fn map_kv_err(size: u64) -> impl Fn(envy_kv::KvError) -> ServeError {
-    move |e| match e {
-        // Transaction machinery surfaces through the memory layer when
-        // the KV store runs over TxnMemory; route those to the same
-        // typed refusals the raw transactional ops use.
-        envy_kv::KvError::Memory(EnvyError::OutOfBounds { addr, .. }) => {
-            ServeError::OutOfBounds { addr, size }
-        }
-        envy_kv::KvError::Memory(EnvyError::TxnSlotsFull { .. }) => ServeError::TxnBusy,
-        envy_kv::KvError::Memory(EnvyError::NoSuchTxn { txn }) => ServeError::NoSuchTxn { txn },
-        envy_kv::KvError::Memory(EnvyError::TxnConflict { .. }) => ServeError::TxnConflict,
-        other => ServeError::Store(other.to_string()),
-    }
-}
-
-fn map_store_err(store: &EnvyStore) -> impl Fn(EnvyError) -> ServeError + '_ {
-    let size = store.size();
-    move |e| match e {
+/// The typed refusal a controller error stands for on a store of
+/// `size` bytes, if it has one; anything else is only a message.
+fn typed_refusal(e: &EnvyError, size: u64) -> Option<ServeError> {
+    Some(match *e {
         EnvyError::OutOfBounds { addr, .. } => ServeError::OutOfBounds { addr, size },
         EnvyError::TxnSlotsFull { .. } => ServeError::TxnBusy,
         EnvyError::NoSuchTxn { txn } => ServeError::NoSuchTxn { txn },
         // The holder's id stops here: it is controller-side diagnostic
         // state, never echoed to a peer that does not own it.
         EnvyError::TxnConflict { .. } => ServeError::TxnConflict,
-        other => ServeError::Store(other.to_string()),
+        _ => return None,
+    })
+}
+
+fn map_store_err(size: u64) -> impl Fn(EnvyError) -> ServeError {
+    move |e| typed_refusal(&e, size).unwrap_or_else(|| ServeError::Store(e.to_string()))
+}
+
+fn map_kv_err(size: u64) -> impl Fn(envy_kv::KvError) -> ServeError {
+    move |e| {
+        // Transaction machinery surfaces through the memory layer when
+        // the KV store runs over TxnMemory: the same typed refusals as
+        // the raw transactional ops.
+        let typed = match &e {
+            envy_kv::KvError::Memory(m) => typed_refusal(m, size),
+            _ => None,
+        };
+        typed.unwrap_or_else(|| ServeError::Store(e.to_string()))
     }
 }
 

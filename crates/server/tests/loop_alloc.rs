@@ -13,7 +13,6 @@ use envy_server::proto::WireOutcome;
 use envy_server::{serve, Client, Listener, Reply, Request, ServeConfig, ShardedStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 struct Counting;
 
@@ -55,10 +54,7 @@ const BATCHES: u64 = 100;
 
 #[test]
 fn a_pipelined_kv_hit_allocates_only_its_two_values() {
-    let mut config = ServeConfig::small(1);
-    // A queue-depth row is a `Vec`, recorded once per window: make the
-    // first window outlast the test.
-    config.depth_window = Duration::from_secs(3_600);
+    let config = ServeConfig::small(1);
     let path = std::env::temp_dir().join(format!("envy-loop-alloc-{}.sock", std::process::id()));
     let server = serve(
         Listener::bind_unix(&path).unwrap(),

@@ -4,7 +4,8 @@
 //! * [`synthetic`] — page-granularity write streams with the bimodal
 //!   "x/y" localities of reference used by the cleaning studies
 //!   (Figures 6, 8, 9, 10), plus the harness that measures cleaning cost
-//!   in steady state.
+//!   in steady state, and the churn that brings any store there
+//!   ([`churn_to_steady_state`]).
 //! * [`tpca`] — the TPC-A storage workload of §5.2: branch/teller/account
 //!   records (1 : 10 : 100 000), three order-32 B-Tree indexes, uniform
 //!   account selection, exponential arrivals. Provided in two forms: a
@@ -20,7 +21,7 @@ pub mod synthetic;
 pub mod tpca;
 pub mod ycsb;
 
-pub use synthetic::{CleaningOutcome, CleaningStudy};
+pub use synthetic::{churn_to_steady_state, CleaningOutcome, CleaningStudy};
 pub use tpca::{
     run_timed, AnalyticTpca, FunctionalTpca, RunResult, TpcaLayout, TpcaScale, Transaction,
 };

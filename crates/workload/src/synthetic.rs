@@ -10,6 +10,30 @@ use envy_core::{EnvyConfig, EnvyError, EnvyStore, PolicyKind};
 use envy_sim::dist::Bimodal;
 use envy_sim::rng::Rng;
 
+/// Churn `store` (untimed) to cleaning steady state: overwrite 8-byte
+/// slots drawn uniformly from `0..slots` (slot `i` at `slot_addr(i)`)
+/// with zeros until the initial free space — the physical pages beyond
+/// the logical array — has been consumed `k` times. The paper measures
+/// a long-running system, not a freshly formatted one.
+///
+/// # Errors
+///
+/// The first write the store refuses.
+pub fn churn_to_steady_state(
+    store: &mut EnvyStore,
+    seed: u64,
+    k: f64,
+    slots: u64,
+    slot_addr: impl Fn(u64) -> u64,
+) -> Result<(), EnvyError> {
+    let free = store.config().geometry.total_pages() - store.config().logical_pages;
+    let mut rng = Rng::seed_from(seed);
+    for _ in 0..(free as f64 * k) as u64 {
+        store.write(slot_addr(rng.below(slots)), &[0u8; 8])?;
+    }
+    Ok(())
+}
+
 /// Configuration of one cleaning-cost measurement.
 ///
 /// Cleaning cost depends on the number of segments, their utilization and

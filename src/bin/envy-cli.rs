@@ -18,7 +18,7 @@ use envy::core::{EnvyConfig, EnvyStore, PolicyKind};
 use envy::server::{loadgen, Client, LoadSpec, ServeConfig, ShardPlan, ShardedStore};
 use envy::sim::report::{fmt_f64, Table};
 use envy::sim::time::Ns;
-use envy::workload::{run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
+use envy::workload::{churn_to_steady_state, run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -276,23 +276,14 @@ fn cmd_cleaning(args: &[String]) -> Result<(), String> {
 }
 
 fn scaled_tpca(util: f64) -> Result<(EnvyStore, AnalyticTpca), String> {
-    let mut config = EnvyConfig::scaled(8, 128, 2048, 256).with_store_data(false);
-    config.word_bytes = 8;
-    config.timings.erase = Ns::from_nanos(50_000_000 * 2048 / 65_536);
-    let config = config.with_utilization(util);
+    let config = EnvyConfig::scaled_timing(8, 128, 2048, 256).with_utilization(util);
     let scale = TpcaScale::fit_bytes(config.logical_bytes());
     let mut store = EnvyStore::new(config).map_err(|e| e.to_string())?;
     store.prefill().map_err(|e| e.to_string())?;
     let driver = AnalyticTpca::new(scale);
-    // Churn to steady state.
-    let free = store.config().geometry.total_pages() - store.config().logical_pages;
-    let mut rng = envy::sim::rng::Rng::seed_from(0xC0FFEE);
-    for _ in 0..free * 2 {
-        let id = rng.below(scale.accounts());
-        store
-            .write(driver.layout().account_addr(id), &[0u8; 8])
-            .map_err(|e| e.to_string())?;
-    }
+    let slot_addr = |id| driver.layout().account_addr(id);
+    churn_to_steady_state(&mut store, 0xC0FFEE, 2.0, scale.accounts(), slot_addr)
+        .map_err(|e| e.to_string())?;
     Ok((store, driver))
 }
 

@@ -6,7 +6,7 @@
 
 use envy::core::{lifetime_days, EnvyConfig, EnvyStore, PolicyKind};
 use envy::sim::time::Ns;
-use envy::workload::{run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
+use envy::workload::{churn_to_steady_state, run_timed, AnalyticTpca, CleaningStudy, TpcaScale};
 
 fn quick_study(policy: PolicyKind, locality: (u32, u32)) -> f64 {
     CleaningStudy::sized(64, 128, policy, locality)
@@ -108,25 +108,21 @@ fn claim_cost_knee_past_80_percent() {
 }
 
 fn timed_tpca() -> (EnvyStore, AnalyticTpca) {
-    let mut config = EnvyConfig::scaled(8, 64, 1024, 256).with_store_data(false);
-    config.word_bytes = 8;
-    config.timings.erase = Ns::from_nanos(50_000_000 * 1024 / 65_536);
-    let config = config.with_utilization(0.8);
-    let scale = TpcaScale::fit_bytes(config.logical_bytes());
+    let config = EnvyConfig::scaled_timing(8, 64, 1024, 256).with_utilization(0.8);
+    let driver = AnalyticTpca::new(TpcaScale::fit_bytes(config.logical_bytes()));
     let mut store = EnvyStore::new(config).unwrap();
-    store.prefill().unwrap();
-    let driver = AnalyticTpca::new(scale);
-    // Churn to cleaning steady state.
-    let total = store.config().geometry.total_pages();
-    let free = total - store.config().logical_pages;
-    let mut rng = envy::sim::rng::Rng::seed_from(1);
-    for _ in 0..free * 2 {
-        let id = rng.below(scale.accounts());
-        store
-            .write(driver.layout().account_addr(id), &[0u8; 8])
-            .unwrap();
-    }
+    churn(&mut store, &driver);
     (store, driver)
+}
+
+/// Prefill, then churn to cleaning steady state with account overwrites.
+fn churn(store: &mut EnvyStore, driver: &AnalyticTpca) {
+    store.prefill().unwrap();
+    let accounts = driver.layout().scale.accounts();
+    churn_to_steady_state(store, 1, 2.0, accounts, |id| {
+        driver.layout().account_addr(id)
+    })
+    .unwrap();
 }
 
 /// §5.4 / Figure 15: unloaded read latency is SRAM-class (~180 ns) and
@@ -190,17 +186,7 @@ fn claim_parallel_ops_help_at_saturation() {
         let config = store0.config().clone().with_parallel_ops(parallel);
         drop(store0);
         let mut store = EnvyStore::new(config).unwrap();
-        store.prefill().unwrap();
-        let scale = driver.layout().scale;
-        let total = store.config().geometry.total_pages();
-        let free = total - store.config().logical_pages;
-        let mut rng = envy::sim::rng::Rng::seed_from(1);
-        for _ in 0..free * 2 {
-            let id = rng.below(scale.accounts());
-            store
-                .write(driver.layout().account_addr(id), &[0u8; 8])
-                .unwrap();
-        }
+        churn(&mut store, &driver);
         // 160 kTPS saturates the 1-way system (~78 kTPS ceiling with
         // bank-independent suspension) while 8-way reaches ~137 kTPS.
         run_timed(&mut store, &driver, 160_000.0, 1_000, 12_000, 42)
