@@ -13,6 +13,10 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+# Private modules (envy-server's event loop among them) carry docs too;
+# only this pass reads them. The public pass above stays: only it flags
+# a public doc that links to a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --document-private-items
 
 echo "== doc link check =="
 # Every relative markdown link in README.md and docs/*.md must resolve

@@ -23,7 +23,7 @@ use envy_sim::stats::Ewma;
 pub enum VictimRule {
     /// Most invalid pages (§4.2).
     MostInvalid,
-    /// Sprite LFS cost-benefit: maximize `age × (1 − u) / 2u` [13].
+    /// Sprite LFS cost-benefit: maximize `age × (1 − u) / 2u` \[13\].
     CostBenefit,
 }
 
@@ -223,7 +223,7 @@ impl Engine {
         }
     }
 
-    /// Sprite LFS cost-benefit victim [13]: maximize
+    /// Sprite LFS cost-benefit victim \[13\]: maximize
     /// `age × (1 − u) / 2u`, where age is measured in flushed pages since
     /// the segment last received a write and u is its live fraction. The
     /// ratio trades the space reclaimed (1 − u) against the copy work

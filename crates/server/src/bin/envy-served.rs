@@ -23,9 +23,6 @@ OPTIONS:
     --shards N          number of shards (independent stores; default 4)
     --txn-slots N       concurrent transactions per shard (default 1)
     --scale small|scaled   per-shard store configuration (default small)
-    --queue N           per-shard bounded queue capacity
-    --batch N           max requests drained per dispatch
-    --trace N           enable controller tracing with an N-event ring
     --duration-secs S   shut down automatically after S seconds
     --net-driver D      event-loop poller backend: epoll|poll (default epoll)
     --idle-timeout-ms T reap connections silent for more than T ms
@@ -38,9 +35,6 @@ struct Args {
     shards: u32,
     txn_slots: Option<u32>,
     scale: fn(u32) -> ServeConfig,
-    queue: Option<usize>,
-    batch: Option<usize>,
-    trace: Option<usize>,
     duration_secs: Option<u64>,
     net_driver: NetDriver,
     idle_timeout_ms: Option<u64>,
@@ -68,9 +62,6 @@ fn parse_args() -> Result<Args, String> {
         shards: 4,
         txn_slots: None,
         scale: ServeConfig::small,
-        queue: None,
-        batch: None,
-        trace: None,
         duration_secs: None,
         net_driver: NetDriver::default(),
         idle_timeout_ms: None,
@@ -91,9 +82,6 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown --scale {other} (use small|scaled)")),
                 };
             }
-            "--queue" => args.queue = Some(at_least(&arg, value()?, 1)?),
-            "--batch" => args.batch = Some(at_least(&arg, value()?, 1)?),
-            "--trace" => args.trace = Some(at_least(&arg, value()?, 0)?),
             "--duration-secs" => args.duration_secs = Some(at_least(&arg, value()?, 0)?),
             "--net-driver" => {
                 let v = value()?;
@@ -127,13 +115,6 @@ fn main() -> ExitCode {
     if let Some(slots) = args.txn_slots {
         config = config.with_txn_slots(slots);
     }
-    if let Some(q) = args.queue {
-        config.queue_capacity = q;
-    }
-    if let Some(b) = args.batch {
-        config.batch_max = b;
-    }
-    config.trace_capacity = args.trace;
 
     let store = match ShardedStore::launch(config) {
         Ok(store) => store,

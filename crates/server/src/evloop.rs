@@ -9,7 +9,7 @@
 //!            readable                admitted             completion
 //! [reading] ──────────> FrameDecoder ────────> shard (run) ─────────┐
 //!     ^                                                             │
-//!     │              writev (vectored, partial-write continuation)  v
+//!     │           write (one buffer, partial-write continuation)    v
 //!     └────────────────────────────────────────────────── [write queue]
 //! ```
 //!
@@ -39,12 +39,15 @@
 //!   may overtake a queued request).
 //! * **No per-request buffer allocation** — frames are parsed out of
 //!   one compacting buffer per connection
-//!   ([`FrameDecoder`](crate::proto::FrameDecoder)) and responses are
-//!   encoded into pooled buffers recycled through the connection's
-//!   write queue.
-//! * **Vectored writes** — pipelined responses flush with a single
-//!   `writev` (up to `MAX_IOVECS` frames), continuing after partial
-//!   writes under `EPOLLOUT` interest.
+//!   ([`FrameDecoder`](crate::proto::FrameDecoder)), and replies are
+//!   framed onto the end of one output buffer per connection by the
+//!   frame writer the client's requests go through.
+//! * **One output FIFO** — a flush writes that buffer's unwritten bytes
+//!   with plain `write`s until the socket would block, so pipelined
+//!   replies leave together, and continues mid-frame under `EPOLLOUT`
+//!   interest. Written bytes are dropped before a reply lands behind a
+//!   mostly written backlog, and capacity above 16 KiB is released once
+//!   everything is written.
 //!
 //! Both poller backends run this same loop. `tests/driver_diff.rs`
 //! holds each to the answer a socket-free, in-order replay of the same
@@ -56,8 +59,8 @@
 use crate::net::{Listener, NetConfig, ServeSummary, Stream};
 use crate::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse};
 use crate::shard::{Reply, Request, Response, ServeError, ShardHandle, ShardedStore, SubmitError};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read};
+use std::collections::{HashMap, HashSet};
+use std::io::{self, Read, Write};
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -73,12 +76,9 @@ const DRAIN_TICK: Duration = Duration::from_millis(1);
 const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection read budget per event, for fairness.
 const READ_BUDGET: usize = 256 * 1024;
-/// Most frames coalesced into one `writev`.
-const MAX_IOVECS: usize = 64;
-/// Response buffers recycled per connection.
-const POOL_BUFS: usize = 64;
-/// Largest buffer capacity worth recycling.
-const POOL_BUF_CAP: usize = 16 * 1024;
+/// Output-buffer capacity a connection keeps once its replies are all
+/// written.
+const OUT_BUF_CAP: usize = 16 * 1024;
 
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
@@ -93,14 +93,6 @@ const TOK_BASE: u64 = 2;
 
 mod sys {
     use std::os::raw::{c_int, c_ulong, c_void};
-
-    /// `struct iovec` for `writev(2)`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct IoVec {
-        pub base: *const c_void,
-        pub len: usize,
-    }
 
     /// `struct pollfd` for `poll(2)`.
     #[repr(C)]
@@ -181,7 +173,6 @@ mod sys {
 
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
-        pub fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
@@ -278,7 +269,7 @@ fn accept_backpressure(e: &io::Error) -> bool {
 /// loop runs itself needs no wake. Writes coalesce, so waking is cheap
 /// and idempotent.
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     rfd: RawFd,
     wfd: RawFd,
 }
@@ -289,7 +280,7 @@ impl Waker {
     /// # Errors
     ///
     /// The underlying `eventfd`/`pipe` failure.
-    pub fn new() -> io::Result<Waker> {
+    pub(crate) fn new() -> io::Result<Waker> {
         #[cfg(target_os = "linux")]
         {
             let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
@@ -317,7 +308,7 @@ impl Waker {
     /// Ring the waker. Never blocks: a full pipe (or saturated eventfd
     /// counter) means a wake is already pending, which is all that is
     /// needed.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let one: u64 = 1;
         let _ = unsafe {
             sys::write(
@@ -591,98 +582,56 @@ fn poll_mask(read: bool, write: bool) -> i16 {
 // Write queue
 // ---------------------------------------------------------------------
 
-/// Per-connection outgoing frames: a queue of fully-encoded frames
-/// flushed with vectored writes, continuing mid-frame after a partial
-/// write. Drained buffers are recycled through a small pool, so steady
-/// state allocates nothing per response.
+/// Per-connection outgoing bytes as one FIFO: each reply is framed
+/// straight onto the end of `buf`, and a flush writes `buf[head..]`,
+/// continuing mid-frame after a partial write. Steady state allocates
+/// nothing per reply.
+#[derive(Default)]
 struct WriteQueue {
-    q: VecDeque<Vec<u8>>,
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already written to the socket.
     head: usize,
-    pool: Vec<Vec<u8>>,
 }
 
 impl WriteQueue {
-    fn new() -> WriteQueue {
-        WriteQueue {
-            q: VecDeque::new(),
-            head: 0,
-            pool: Vec::new(),
-        }
-    }
-
     fn is_empty(&self) -> bool {
-        self.q.is_empty()
+        self.head == self.buf.len()
     }
 
     fn push(&mut self, resp: &WireResponse) {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        if proto::encode_response_frame_into(&mut buf, resp) {
-            self.q.push_back(buf);
-        } else {
-            // Cannot occur: the only reply that could outgrow a frame
-            // is refused as a request (`proto::check_answerable`).
-            self.recycle(buf);
+        // Behind a backlog that is more written than not, drop the
+        // written bytes first: the buffer holds at most about twice its
+        // unwritten backlog, and fewer bytes are moved than written.
+        if self.head > self.buf.len() - self.head {
+            self.buf.drain(..self.head);
+            self.head = 0;
         }
+        // Cannot fail: the only reply that could outgrow a frame is
+        // refused as a request (`proto::check_answerable`).
+        proto::push_response_frame(&mut self.buf, resp);
     }
 
-    fn recycle(&mut self, mut buf: Vec<u8>) {
-        if self.pool.len() < POOL_BUFS && buf.capacity() <= POOL_BUF_CAP {
-            buf.clear();
-            self.pool.push(buf);
-        }
-    }
-
+    /// Drop every byte, and capacity above `OUT_BUF_CAP`.
     fn clear(&mut self) {
+        self.buf.clear();
+        self.buf.shrink_to(OUT_BUF_CAP);
         self.head = 0;
-        while let Some(buf) = self.q.pop_front() {
-            self.recycle(buf);
-        }
     }
 
     /// Flush as much as the socket accepts; `Ok(true)` when emptied,
-    /// `Ok(false)` when the socket would block mid-queue.
-    fn flush(&mut self, fd: RawFd) -> io::Result<bool> {
-        while !self.q.is_empty() {
-            let mut iovs = [sys::IoVec {
-                base: std::ptr::null(),
-                len: 0,
-            }; MAX_IOVECS];
-            let mut cnt = 0;
-            for (i, buf) in self.q.iter().enumerate().take(MAX_IOVECS) {
-                let slice = if i == 0 { &buf[self.head..] } else { &buf[..] };
-                iovs[cnt] = sys::IoVec {
-                    base: slice.as_ptr().cast(),
-                    len: slice.len(),
-                };
-                cnt += 1;
+    /// `Ok(false)` when the socket would block mid-buffer.
+    fn flush(&mut self, stream: &mut Stream) -> io::Result<bool> {
+        while !self.is_empty() {
+            match stream.write(&self.buf[self.head..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.head += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            let n = unsafe { sys::writev(fd, iovs.as_ptr(), cnt as i32) };
-            if n < 0 {
-                let e = last_err();
-                match e.kind() {
-                    io::ErrorKind::WouldBlock => return Ok(false),
-                    io::ErrorKind::Interrupted => continue,
-                    _ => return Err(e),
-                }
-            }
-            self.advance(n as usize);
         }
+        self.clear();
         Ok(true)
-    }
-
-    fn advance(&mut self, mut n: usize) {
-        while n > 0 {
-            let rem = self.q[0].len() - self.head;
-            if n >= rem {
-                n -= rem;
-                self.head = 0;
-                let buf = self.q.pop_front().expect("non-empty queue");
-                self.recycle(buf);
-            } else {
-                self.head += n;
-                n = 0;
-            }
-        }
     }
 }
 
@@ -909,7 +858,7 @@ impl EventLoop {
                         stream,
                         fd,
                         decoder: proto::FrameDecoder::new(),
-                        wq: WriteQueue::new(),
+                        wq: WriteQueue::default(),
                         open_txns: HashSet::new(),
                         pending: 0,
                         read_closed: false,
@@ -1344,7 +1293,7 @@ impl EventLoop {
             };
             if conn.dead {
                 conn.wq.clear();
-            } else if let Err(_e) = conn.wq.flush(conn.fd) {
+            } else if let Err(_e) = conn.wq.flush(&mut conn.stream) {
                 // Dead client: discard its output, keep draining its
                 // admitted completions (never couple a shard to a
                 // client's fate).

@@ -21,9 +21,9 @@
 //!   event loop with two poller backends (epoll, default, and the
 //!   portable poll — see [`NetDriver`]), plus a blocking/pipelined
 //!   [`Client`].
-//! * [`evloop`] — the event-loop internals: an epoll/poll readiness
-//!   shim over raw syscalls, a cross-thread [`Waker`], and the
-//!   per-connection state machines.
+//! * `evloop` (private) — the event-loop internals: an epoll/poll
+//!   readiness shim over raw syscalls, a cross-thread waker, and the
+//!   per-connection state machines with one output buffer each.
 //! * [`loadgen`] — an open- and closed-loop multi-client load generator
 //!   driving a skewed TPC-A-style mix (reusing [`envy_workload`]).
 //!
@@ -49,13 +49,13 @@
 //! assert_eq!(outcome.total_served(), 2);
 //! ```
 
-pub mod evloop;
+mod evloop;
 pub mod loadgen;
 pub mod net;
 pub mod proto;
 pub mod shard;
 
-pub use evloop::{raise_nofile, Waker};
+pub use evloop::raise_nofile;
 pub use loadgen::{
     run_inproc, run_monolithic, run_socket, ycsb_load_requests, LoadMix, LoadMode, LoadReport,
     LoadSpec,

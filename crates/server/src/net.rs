@@ -1,10 +1,10 @@
 //! TCP and Unix-socket serving over the [`proto`] frames.
 //!
 //! One connection model serves every socket: a readiness-driven event
-//! loop ([`evloop`](crate::evloop)) on one thread multiplexes every
+//! loop (the private `evloop` module) on one thread multiplexes every
 //! connection with nonblocking sockets, incremental frame decoding and
-//! vectored writes, and scales to tens of thousands of connections.
-//! [`NetConfig::driver`] picks the loop's poller backend:
+//! one output buffer per connection, and scales to tens of thousands
+//! of connections. [`NetConfig::driver`] picks the loop's poller backend:
 //! [`NetDriver::Epoll`] (default; epoll(7) on Linux, poll(2) elsewhere)
 //! or [`NetDriver::Poll`] (poll(2) everywhere, the portable fallback).
 //! `tests/driver_diff.rs` checks both against a socket-free replay of
@@ -432,24 +432,17 @@ impl Client {
     }
 
     /// Append one whole frame — length prefix and payload — to the
-    /// output buffer: a 4-byte slot, the payload encoded behind it, then
-    /// the slot patched with the payload's length. A payload over
-    /// [`proto::MAX_FRAME`] is taken back out, leaving the frames
-    /// buffered before it intact.
+    /// output buffer. A payload over [`proto::MAX_FRAME`] is refused,
+    /// leaving the frames buffered before it intact.
     fn push_frame(&mut self, req: &WireRequest) -> io::Result<()> {
-        let at = self.outbuf.len();
-        self.outbuf.extend_from_slice(&[0; 4]);
-        proto::encode_request_into(&mut self.outbuf, req);
-        let len = self.outbuf.len() - at - 4;
-        if len > proto::MAX_FRAME {
-            self.outbuf.truncate(at);
-            return Err(io::Error::new(
+        if proto::push_request_frame(&mut self.outbuf, req) {
+            Ok(())
+        } else {
+            Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "frame exceeds MAX_FRAME",
-            ));
+            ))
         }
-        self.outbuf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
-        Ok(())
     }
 
     /// Send a request without waiting; returns the id its completion

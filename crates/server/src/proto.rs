@@ -256,11 +256,8 @@ pub fn encode_request(req: &WireRequest) -> Vec<u8> {
     buf
 }
 
-/// Append a request frame payload to `buf` (no length prefix). The
-/// allocation-reusing twin of [`encode_request`]: the client encodes
-/// every request straight into its output buffer, behind the length
-/// slot it patches afterwards.
-pub fn encode_request_into(buf: &mut Vec<u8>, req: &WireRequest) {
+/// Append a request frame payload to `buf` (no length prefix).
+fn encode_request_into(buf: &mut Vec<u8>, req: &WireRequest) {
     let opcode = match &req.body {
         WireBody::Req(Request::Read { .. }) => op::READ,
         WireBody::Req(Request::Write { .. }) => op::WRITE,
@@ -343,10 +340,8 @@ pub fn encode_response(resp: &WireResponse) -> Vec<u8> {
     buf
 }
 
-/// Append a response frame payload to `buf` (no length prefix). The
-/// allocation-reusing twin of [`encode_response`]: the event loop
-/// encodes every response into a pooled buffer.
-pub fn encode_response_into(buf: &mut Vec<u8>, resp: &WireResponse) {
+/// Append a response frame payload to `buf` (no length prefix).
+fn encode_response_into(buf: &mut Vec<u8>, resp: &WireResponse) {
     let st = match &resp.outcome {
         WireOutcome::Reply(Reply::Data(_)) => status::DATA,
         WireOutcome::Reply(
@@ -425,21 +420,46 @@ pub fn encode_response_into(buf: &mut Vec<u8>, resp: &WireResponse) {
     }
 }
 
+/// Append one whole frame to `buf`: a 4-byte length slot, the payload
+/// `encode` writes behind it, then the slot patched with the payload's
+/// length. A payload over [`MAX_FRAME`] is truncated back out, leaving
+/// `buf` as it was, and `false` is returned. The one place a frame's
+/// length prefix is written into an output buffer: the client's
+/// requests and the event loop's replies both go through it.
+fn push_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - at - 4;
+    if len > MAX_FRAME {
+        buf.truncate(at);
+        return false;
+    }
+    buf[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    true
+}
+
+/// Append a whole request frame (length prefix + payload) to `buf`;
+/// `false`, with `buf` unchanged, if it would exceed [`MAX_FRAME`].
+pub(crate) fn push_request_frame(buf: &mut Vec<u8>, req: &WireRequest) -> bool {
+    push_frame(buf, |b| encode_request_into(b, req))
+}
+
+/// Append a whole response frame (length prefix + payload) to `buf`;
+/// `false`, with `buf` unchanged, if it would exceed [`MAX_FRAME`],
+/// which no reply to a request the event loop admits can (see
+/// [`MAX_READ_LEN`]).
+pub(crate) fn push_response_frame(buf: &mut Vec<u8>, resp: &WireResponse) -> bool {
+    push_frame(buf, |b| encode_response_into(b, resp))
+}
+
 /// Encode a whole response **frame** (length prefix + payload) into
 /// `buf`, clearing it first. Returns `false` — with `buf` cleared —
 /// if the payload would exceed [`MAX_FRAME`], which no reply to a
 /// request the event loop admits can (see [`MAX_READ_LEN`]).
 pub fn encode_response_frame_into(buf: &mut Vec<u8>, resp: &WireResponse) -> bool {
     buf.clear();
-    buf.extend_from_slice(&[0u8; 4]);
-    encode_response_into(buf, resp);
-    let len = buf.len() - 4;
-    if len > MAX_FRAME {
-        buf.clear();
-        return false;
-    }
-    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    true
+    push_response_frame(buf, resp)
 }
 
 // ---------------------------------------------------------------------

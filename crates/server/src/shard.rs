@@ -438,9 +438,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum queued requests the lock holder drains per dispatch.
     pub batch_max: usize,
-    /// Enable controller tracing (including serve enqueue / dispatch /
-    /// complete events) with this ring capacity.
-    pub trace_capacity: Option<usize>,
     /// Artificial per-request service delay (wall clock) — a pacing and
     /// test knob modeling a slower device; `None` in production.
     pub service_delay: Option<Duration>,
@@ -457,7 +454,6 @@ impl ServeConfig {
             store: EnvyConfig::small_test(),
             queue_capacity: 256,
             batch_max: 32,
-            trace_capacity: None,
             service_delay: None,
             read_path: ReadPath::Timed,
         }
@@ -474,7 +470,6 @@ impl ServeConfig {
             store: EnvyConfig::scaled_timing(8, 64, 2_048, 256).with_utilization(0.8),
             queue_capacity: 1_024,
             batch_max: 64,
-            trace_capacity: None,
             service_delay: None,
             read_path: ReadPath::Timed,
         }
@@ -983,9 +978,6 @@ impl ShardedStore {
         let mut links = Vec::with_capacity(stores.len());
         let mut inline = Vec::new();
         for (i, mut store) in stores.into_iter().enumerate() {
-            if let Some(capacity) = config.trace_capacity {
-                store.enable_trace(capacity);
-            }
             // Caller-built stores (forks of a shared baseline) carry the
             // baseline's slot table; the serve config is authoritative.
             store.set_txn_slots(config.store.txn_slots);
@@ -1729,9 +1721,11 @@ mod tests {
 
     #[test]
     fn serve_trace_events_recorded() {
-        let mut cfg = ServeConfig::small(1);
-        cfg.trace_capacity = Some(4_096);
-        let store = ShardedStore::launch(cfg).unwrap();
+        let cfg = ServeConfig::small(1);
+        let mut traced = EnvyStore::new(cfg.store.clone()).unwrap();
+        traced.prefill().unwrap();
+        traced.enable_trace(4_096);
+        let store = ShardedStore::launch_from(vec![traced], &cfg);
         let h = store.handle();
         for i in 0..8u64 {
             h.call(Request::Write {

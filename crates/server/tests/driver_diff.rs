@@ -3,9 +3,9 @@
 //! byte for byte as a socket-free replay of the same frames through the
 //! shard answers it, with the `ServeSummary` counting exactly the
 //! admitted requests; a pipeline whose requests reach the loop by both
-//! completion routes must still be answered in request order; and both
-//! backends must run the same disconnect cleanup for half-closed and
-//! silent sockets.
+//! completion routes must still be answered in request order, and so
+//! must one whose reader falls far behind; and both backends must run
+//! the same disconnect cleanup for half-closed and silent sockets.
 
 mod common;
 
@@ -230,6 +230,113 @@ fn drivers_produce_identical_wire_bytes_and_counts() {
         );
         assert_eq!(at, FRAMES / 2, "{driver:?}: over-long reply out of place");
     }
+}
+
+/// A pipeline whose replies are many times what the two socket buffers
+/// hold, one frame each: three 32 KiB writes that fill most of the
+/// 128 KiB shard with distinct bytes, then 293 requests, mostly 32 KiB
+/// `READ`s with a `PING` every ninth frame (about 8 MiB of replies).
+fn slow_reader_frames() -> Vec<Vec<u8>> {
+    const READ: u32 = 32 * 1024;
+    let frame = |id: u64, req| {
+        let payload = proto::encode_request(&WireRequest {
+            id,
+            deadline_us: 0,
+            body: WireBody::Req(req),
+        });
+        let mut bytes = Vec::new();
+        proto::write_frame(&mut bytes, &payload).unwrap();
+        bytes
+    };
+    (0..296u64)
+        .map(|i| match i {
+            0..3 => Request::Write {
+                addr: i * u64::from(READ),
+                bytes: vec![i as u8 + 1; READ as usize],
+            },
+            _ if i % 9 == 0 => Request::Ping { shard: 0 },
+            _ => Request::Read {
+                addr: i * 4_100 % (3 * u64::from(READ)),
+                len: READ,
+            },
+        })
+        .enumerate()
+        .map(|(i, req)| frame(i as u64, req))
+        .collect()
+}
+
+/// A reader that falls behind still gets every reply, in order. The
+/// requests go out in four batches; after each of the first three the
+/// client reads only a third of the replies it is owed (and nothing
+/// for the first 100 ms), so the loop finds the socket full, parks
+/// mid-reply, and appends new replies behind a partly written backlog
+/// many times over. Every reply must equal the socket-free replay's,
+/// byte for byte.
+fn slow_reader_gets_every_reply(driver: NetDriver) {
+    let frames = slow_reader_frames();
+    let expected = replay(&frames.concat());
+    assert_eq!(expected.len(), frames.len());
+
+    let path = std::env::temp_dir().join(format!(
+        "envy-slow-{}-{}.sock",
+        std::process::id(),
+        driver.name()
+    ));
+    let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
+    let listener = Listener::bind_unix(&path).unwrap();
+    let net = NetConfig {
+        driver,
+        idle_timeout: None,
+    };
+    let server = serve_with(listener, store, net).unwrap();
+    let mut raw = UnixStream::connect(&path).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+
+    let mut replies = Vec::new();
+    let batches: Vec<&[Vec<u8>]> = frames.chunks(frames.len().div_ceil(4)).collect();
+    let mut sent = 0;
+    for (b, batch) in batches.iter().enumerate() {
+        raw.write_all(&batch.concat()).unwrap();
+        sent += batch.len();
+        if b == 0 {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        let owed = sent - replies.len();
+        let take = if b + 1 == batches.len() {
+            owed
+        } else {
+            owed / 3
+        };
+        for _ in 0..take {
+            replies.push(
+                proto::read_frame(&mut raw)
+                    .expect("a reply within the timeout")
+                    .expect("a reply, not a close"),
+            );
+        }
+    }
+    drop(raw);
+    let summary = server.shutdown();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(replies.len(), expected.len(), "{driver:?}");
+    if let Some(i) = (0..expected.len()).find(|&i| replies[i] != expected[i]) {
+        panic!(
+            "{driver:?} reply {i} differs from the replay: got {:?}, want {:?}",
+            proto::decode_response(&replies[i]).map(|r| r.id),
+            proto::decode_response(&expected[i]).map(|r| r.id),
+        );
+    }
+    assert_eq!(summary.requests, expected.len() as u64, "{driver:?}");
+}
+
+#[test]
+fn slow_reader_gets_every_reply_under_epoll() {
+    slow_reader_gets_every_reply(NetDriver::Epoll);
+}
+
+#[test]
+fn slow_reader_gets_every_reply_under_poll_backend() {
+    slow_reader_gets_every_reply(NetDriver::Poll);
 }
 
 /// On a shard larger than a frame the same read passes routing, so

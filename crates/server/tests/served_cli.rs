@@ -25,6 +25,7 @@ fn usage_errors_exit_2_before_any_work() {
         "--bogus",
         "--queue 0",
         "--batch 0",
+        "--trace 8",
         "--scale huge",
         "--shards x",
     ] {

@@ -487,24 +487,18 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
 
     // Socket mode: drive a live `envy-served` instead of an in-process
     // store. `--shards`/`--scale` must describe the remote server — the
-    // wire protocol does not carry the shard plan.
-    if let Some(path) = opt(args, "--unix") {
+    // wire protocol does not carry the shard plan. `--unix` wins over
+    // `--connect`.
+    let unix = opt(args, "--unix");
+    if let Some(addr) = unix.or(opt(args, "--connect")) {
+        let connect = || match unix {
+            Some(path) => Client::connect_unix(path),
+            None => Client::connect_tcp(addr),
+        };
         let plan = ShardPlan::new(config.shards, config.store.logical_bytes());
-        let report = loadgen::run_socket(|| Client::connect_unix(path), plan, &spec)
-            .map_err(|e| e.to_string())?;
+        let report = loadgen::run_socket(connect, plan, &spec).map_err(|e| e.to_string())?;
         if flag(args, "--shutdown") {
-            let mut c = Client::connect_unix(path).map_err(|e| e.to_string())?;
-            c.shutdown_server().map_err(|e| format!("{e:?}"))?;
-        }
-        print_load_report(&report, None);
-        return Ok(());
-    }
-    if let Some(addr) = opt(args, "--connect") {
-        let plan = ShardPlan::new(config.shards, config.store.logical_bytes());
-        let report = loadgen::run_socket(|| Client::connect_tcp(addr), plan, &spec)
-            .map_err(|e| e.to_string())?;
-        if flag(args, "--shutdown") {
-            let mut c = Client::connect_tcp(addr).map_err(|e| e.to_string())?;
+            let mut c = connect().map_err(|e| e.to_string())?;
             c.shutdown_server().map_err(|e| format!("{e:?}"))?;
         }
         print_load_report(&report, None);
