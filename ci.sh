@@ -56,41 +56,19 @@ for example in examples/*.rs; do
   cargo run --release -q --example "$name" > "results/ci_smoke_example_$name.txt"
 done
 
-echo "== smoke: concurrent read path (seqlock stress + digest anchors) =="
-# Release-mode rerun of the concurrency suites: the seqlock read path
-# only exhibits real races under optimized codegen and free-running
-# threads, so the debug-mode run above is not enough. The core suite
-# storms flush/clean/wear/recovery under concurrent readers asserting
-# no torn page is ever observed; the server suite pins the inline front
-# end byte-identical to the monolithic store and exercises the Busy
-# retry contract (see docs/CONCURRENCY.md). The
-# run-to-completion suite races submitters for one shard's lock (the
-# idle-boundary hand-off, shutdown against live submitters), which
-# likewise only means something at full speed, as does the
-# accept-pressure suite (the server's accept retries race a client
-# holding the process's last descriptor). The wire-contract suite's
-# reply-order test races an occupant's last posted completions against
-# the event loop's first inline one; at full speed that race is close.
-cargo test --release -q -p envy-core --test concurrent_reads
-cargo test --release -q -p envy-server --test concurrent_read_path
+echo "== smoke: race suites at full speed =="
+# Release-mode rerun of the three suites whose races only mean something
+# under optimized codegen and free-running threads, so the debug-mode run
+# above is not enough. The run-to-completion suite races submitters for
+# one shard's lock (the idle-boundary hand-off, shutdown against live
+# submitters); the wire-contract suite's reply-order test races an
+# occupant's last posted completions against the event loop's first
+# inline one, which at full speed is close; and the accept-pressure
+# suite races the server's accept retries against a client holding the
+# process's last descriptor.
 cargo test --release -q -p envy-server --test run_to_completion
 cargo test --release -q -p envy-server --test driver_diff
 cargo test --release -q -p envy-server --test accept_pressure
-
-# Opt-in ThreadSanitizer pass over the same suites: CI_TSAN=1 ./ci.sh.
-# Requires a nightly toolchain (-Zsanitizer) and roughly 10-20x the
-# runtime, so default runs skip it; the seqlock protocol is written to
-# be TSan-clean (all cross-thread publication goes through the epoch's
-# acquire/release pairs — docs/CONCURRENCY.md documents the recipe).
-if [ "${CI_TSAN:-0}" = "1" ]; then
-  echo "== tsan: concurrent read path (nightly) =="
-  RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-    cargo +nightly test -q -p envy-core --test concurrent_reads \
-    --target x86_64-unknown-linux-gnu -Zbuild-std
-  RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-    cargo +nightly test -q -p envy-server --test concurrent_read_path \
-    --target x86_64-unknown-linux-gnu -Zbuild-std
-fi
 
 echo "== smoke: fig13_throughput --quick --jobs 2 =="
 # A --quick run writes its report to results/ci_smoke_BENCH_<name>.json

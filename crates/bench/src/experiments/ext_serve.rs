@@ -23,7 +23,7 @@ use envy_bench::{churn_to_steady_state_for, emit, PointResult, SweepSpec};
 use envy_core::EnvyStore;
 use envy_server::loadgen::{run_inproc, run_monolithic, run_socket};
 use envy_server::{
-    raise_nofile, serve, Client, Listener, LoadSpec, ReadPath, ServeConfig, ShardPlan, ShardedStore,
+    raise_nofile, serve, Client, Listener, LoadSpec, ServeConfig, ShardPlan, ShardedStore,
 };
 use envy_sim::report::Table;
 use envy_workload::{AnalyticTpca, TpcaScale};
@@ -291,78 +291,6 @@ pub fn run(args: &Args) {
         ],
     );
 
-    // Concurrent in-shard read path: the read-heavy 95/5 record mix at
-    // the widest shard count, on both read execution paths. Inline reads
-    // bypass the timed model via each shard's lock-free ReadView, so the
-    // figure of merit is wall-clock TPS.
-    let rh_shards = *SHARD_COUNTS.last().unwrap();
-    let rh_txns = args.u64("read-txns", if quick { 300 } else { 3_000 });
-    let paths = [("timed", ReadPath::Timed), ("inline", ReadPath::Inline)];
-    let mut rh_table = Table::new(&[
-        "read path",
-        "txns",
-        "wall ktps",
-        "offloaded",
-        "retries",
-        "busy",
-        "p50 us",
-        "p99 us",
-        "speedup",
-    ]);
-    let mut rh_points: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
-    let mut timed_wall_tps = 0.0;
-    for (name, path) in paths {
-        let config = ServeConfig::scaled(rh_shards).with_read_path(path);
-        let stores = (0..rh_shards).map(|_| baseline.fork()).collect();
-        let front = ShardedStore::launch_from(stores, &config);
-        let load = LoadSpec::closed(clients, rh_txns)
-            .with_seed(0x95f5)
-            .read_mostly();
-        let report = run_inproc(&front.handle(), &load);
-        let outcome = front.shutdown();
-        assert_eq!(report.errors, 0, "read-heavy serving errors ({name})");
-        let wall_tps = report.throughput_tps();
-        if name == "timed" {
-            timed_wall_tps = wall_tps;
-        }
-        let speedup = ratio(wall_tps, timed_wall_tps);
-        let [p50, _, p99, _] = report
-            .txn_latency
-            .percentiles()
-            .expect("read-heavy latencies recorded");
-        rh_table.row(&[
-            name.to_string(),
-            report.completed_txns.to_string(),
-            format!("{:.1}", wall_tps / 1e3),
-            outcome.total_reads_offloaded().to_string(),
-            outcome.total_read_retries().to_string(),
-            report.busy_retries.to_string(),
-            format!("{:.1}", us(p50)),
-            format!("{:.1}", us(p99)),
-            format!("{speedup:.2}x"),
-        ]);
-        rh_points.push((
-            format!("readheavy/{name}"),
-            vec![
-                ("shards", f64::from(rh_shards)),
-                ("completed_txns", report.completed_txns as f64),
-                ("wall_tps", wall_tps),
-                ("reads_offloaded", outcome.total_reads_offloaded() as f64),
-                ("read_retries", outcome.total_read_retries() as f64),
-                ("busy_retries", report.busy_retries as f64),
-                ("p50_us", us(p50)),
-                ("p99_us", us(p99)),
-                ("speedup_vs_timed", speedup),
-            ],
-        ));
-    }
-    emit(
-        "Section 6",
-        "concurrent read path: read-heavy 95/5 mix, wall-clock (8 shards)",
-        &rh_table,
-    );
-    println!();
-
     // Backpressure burst: a deliberately small queue under a slow,
     // pipelined burst must reject with Busy { retry_after }; the
     // hinted-backoff retry loop still completes every transaction.
@@ -400,9 +328,8 @@ pub fn run(args: &Args) {
 
     // Event-driven socket path: the connection-count load axis. All
     // socket stages run the event loop on its default (epoll) backend
-    // over a Unix socket against an 8-shard Inline front end (the
-    // fastest in-process read path, so the comparison is against the
-    // strongest baseline).
+    // over a Unix socket against an 8-shard front end, configured as
+    // `envy-served` ships it.
     let sock_shards = *SHARD_COUNTS.last().unwrap();
     let active = args
         .u64("active-conns", if quick { 50 } else { 100 })
@@ -410,9 +337,8 @@ pub fn run(args: &Args) {
     let sock_path =
         std::env::temp_dir().join(format!("envy-ext-serve-{}.sock", std::process::id()));
     let launch_sock = || {
-        let config = ServeConfig::scaled(sock_shards).with_read_path(ReadPath::Inline);
         let stores = (0..sock_shards).map(|_| baseline.fork()).collect();
-        let front = ShardedStore::launch_from(stores, &config);
+        let front = ShardedStore::launch_from(stores, &ServeConfig::scaled(sock_shards));
         let plan: ShardPlan = *front.plan();
         let listener = Listener::bind_unix(&sock_path).expect("bind unix socket");
         let server = serve(listener, front).expect("serve over unix socket");
@@ -431,7 +357,7 @@ pub fn run(args: &Args) {
         .read_mostly();
     let inproc_front = ShardedStore::launch_from(
         (0..sock_shards).map(|_| baseline.fork()).collect(),
-        &ServeConfig::scaled(sock_shards).with_read_path(ReadPath::Inline),
+        &ServeConfig::scaled(sock_shards),
     );
     let inproc_report = run_inproc(&inproc_front.handle(), &ratio_spec);
     inproc_front.shutdown();
@@ -448,7 +374,7 @@ pub fn run(args: &Args) {
         f64::INFINITY
     };
     println!(
-        "socket tax at {active} connections (8 shards, inline reads, read-heavy): \
+        "socket tax at {active} connections (8 shards, read-heavy): \
          in-process {:.1} ktps vs socket {:.1} ktps -> {:.2}x",
         inproc_tps / 1e3,
         sock_tps / 1e3,
@@ -640,7 +566,6 @@ pub fn run(args: &Args) {
     let mut points = vec![anchor_point];
     points.extend(sweep.points.iter().cloned());
     points.push(open_point);
-    points.extend(rh_points);
     points.push(burst_point);
     points.push(ratio_point);
     points.extend(conn_points);

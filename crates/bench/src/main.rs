@@ -65,8 +65,8 @@ const EXPERIMENTS: &[(&str, Experiment)] = experiment_table![
 /// The named overrides (`--name N` or `--name=N`) experiments read
 /// through [`Args::u64`].
 #[rustfmt::skip]
-const U64_FLAGS: [&str; 13] = [
-    "txns", "rate", "clients", "records", "ops", "max-steps", "writes", "segments", "read-txns",
+const U64_FLAGS: [&str; 12] = [
+    "txns", "rate", "clients", "records", "ops", "max-steps", "writes", "segments",
     "active-conns", "conn-txns", "conn-rate", "mem-conns",
 ];
 

@@ -66,11 +66,11 @@ impl Engine {
             let chips = self.torn_chips();
             let pg = self.write_cursor(phys);
             // The frame itself is the program's source: it stays live
-            // (and visible to concurrent readers) until the pop.
+            // until the pop.
             let data = self
                 .buffer
                 .frame_span(logical)
-                .map_or(PageData::None, PageData::Span);
+                .map_or(PageData::None, PageData::Bytes);
             self.flash.program_page_torn(phys, pg, data, chips)?;
             return Err(EnvyError::PowerLoss);
         }
@@ -91,7 +91,7 @@ impl Engine {
             let data = self
                 .buffer
                 .frame_span(logical)
-                .map_or(PageData::None, PageData::Span);
+                .map_or(PageData::None, PageData::Bytes);
             match self.flash.program_page(phys, pg, data) {
                 Ok(t) => break (t, pg),
                 Err(FlashError::ProgramFailed { .. }) => {

@@ -184,19 +184,19 @@ impl Engine {
                 let origin = self.pos_of[loc.segment as usize];
                 debug_assert_ne!(origin, crate::engine::POS_NONE, "live data in the spare");
                 // One probe claims the SRAM frame; the Flash original
-                // moves into it arena to arena (the wide datapath), then
-                // the host bytes land on top.
+                // moves into it in one copy (the wide datapath), then the
+                // host bytes land on top.
                 let frame = self
                     .buffer
                     .insert_frame(lp, Some(origin))
                     .expect("buffer has space after flushing");
                 let original = self.flash.read_page_span(loc.segment, loc.page)?;
-                if let Some(mut frame) = frame {
+                if let Some(frame) = frame {
                     match original {
-                        Some(original) => frame.copy_from_span(original),
+                        Some(original) => frame.copy_from_slice(original),
                         None => frame.fill(0xFF),
                     }
-                    frame.write(offset, bytes);
+                    frame[offset..offset + bytes.len()].copy_from_slice(bytes);
                 }
                 // §6: the invalidated original is a free shadow copy —
                 // pinned only for a *transactional* writer. A plain write
@@ -230,13 +230,13 @@ impl Engine {
                 if let Some(txn) = writer {
                     self.txn_fresh.insert(lp, txn);
                 }
-                if let Some(mut frame) = self
+                if let Some(frame) = self
                     .buffer
                     .insert_frame(lp, None)
                     .expect("buffer has space after flushing")
                 {
                     frame.fill(0xFF);
-                    frame.write(offset, bytes);
+                    frame[offset..offset + bytes.len()].copy_from_slice(bytes);
                 }
                 self.page_table.map_sram(lp);
                 self.mmu.invalidate(lp);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # envy-core — the eNVy controller
 //!
 //! A reproduction of the storage system of *eNVy: A Non-Volatile, Main

@@ -12,7 +12,6 @@
 
 use crate::addr::LogicalPage;
 use envy_sim::stats::Counter;
-use envy_sync::SharedWords;
 
 /// Tag value for an empty MMU slot. Logical page numbers are bounded far
 /// below `u64::MAX` by the configuration's logical array size, so the
@@ -27,10 +26,8 @@ pub(crate) const TAG_EMPTY: u64 = u64::MAX;
 /// quantify the MMU's benefit in ablation runs).
 #[derive(Debug, Clone)]
 pub struct Mmu {
-    /// Tag words, shared with concurrent readers (a reader probing the
-    /// cache only needs residency hints; hit/miss *accounting* stays on
-    /// the writer, whose timing model is single-threaded by design).
-    tags: SharedWords,
+    /// One tag per slot, [`TAG_EMPTY`] when the slot is empty.
+    tags: Vec<u64>,
     /// `entries - 1` when the slot count is a power of two (every shipped
     /// configuration), so the per-access slot computation is a mask
     /// instead of a 64-bit modulo. The mapping is identical either way.
@@ -43,7 +40,7 @@ impl Mmu {
     /// Create a cache with `entries` direct-mapped slots.
     pub fn new(entries: usize) -> Mmu {
         Mmu {
-            tags: SharedWords::new(entries, TAG_EMPTY),
+            tags: vec![TAG_EMPTY; entries],
             mask: (entries.is_power_of_two()).then(|| entries as u64 - 1),
             hits: Counter::default(),
             misses: Counter::default(),
@@ -73,23 +70,14 @@ impl Mmu {
         }
         debug_assert_ne!(lp, TAG_EMPTY, "logical page collides with the empty tag");
         let slot = self.slot(lp);
-        if self.tags.get(slot) == lp {
+        if self.tags[slot] == lp {
             self.hits.incr();
             true
         } else {
-            self.tags.set(slot, lp);
+            self.tags[slot] = lp;
             self.misses.incr();
             false
         }
-    }
-
-    /// Non-mutating residency probe: whether `lp` currently hits, without
-    /// touching the tag array or the hit/miss counters. This is the
-    /// reader-thread variant of [`Mmu::access`] — concurrent readers may
-    /// consult the cache but only the writer trains it.
-    #[inline]
-    pub fn peek(&self, lp: LogicalPage) -> bool {
-        !self.tags.is_empty() && self.tags.get(self.slot(lp)) == lp
     }
 
     /// Drop a translation after its mapping changed (copy-on-write, flush,
@@ -99,8 +87,8 @@ impl Mmu {
             return;
         }
         let slot = self.slot(lp);
-        if self.tags.get(slot) == lp {
-            self.tags.set(slot, TAG_EMPTY);
+        if self.tags[slot] == lp {
+            self.tags[slot] = TAG_EMPTY;
         }
     }
 

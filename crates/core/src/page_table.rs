@@ -12,7 +12,6 @@
 
 use crate::addr::{FlashLocation, Location, LogicalPage};
 use envy_flash::FlashGeometry;
-use envy_sync::{SharedWords, WordsView};
 
 /// Reverse-map encoding: `0` = empty, else `logical page + 1`. The zero
 /// empty value lets the allocator hand back lazily-zeroed pages instead
@@ -68,11 +67,8 @@ pub(crate) fn fwd_decode(v: u64) -> Location {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    /// Packed forward map; see [`fwd_decode`]. Each entry is one atomic
-    /// word published to concurrent readers: a single-word load can never
-    /// observe a torn location, and cross-entry consistency is the store
-    /// epoch's job.
-    forward: SharedWords,
+    /// Packed forward map; see [`fwd_decode`].
+    forward: Vec<u64>,
     /// Flat reverse map (`segment * pages_per_segment + page`); see
     /// [`REV_EMPTY`].
     reverse: Vec<u32>,
@@ -93,7 +89,7 @@ impl PageTable {
             "logical page count exceeds the reverse-map encoding"
         );
         PageTable {
-            forward: SharedWords::new(logical_pages as usize, FWD_UNMAPPED),
+            forward: vec![FWD_UNMAPPED; logical_pages as usize],
             reverse: vec![REV_EMPTY; geo.segments() as usize * geo.pages_per_segment() as usize],
             pages_per_segment: geo.pages_per_segment(),
         }
@@ -116,13 +112,7 @@ impl PageTable {
     /// Panics if `lp` is out of range.
     #[inline]
     pub fn lookup(&self, lp: LogicalPage) -> Location {
-        fwd_decode(self.forward.get(lp as usize))
-    }
-
-    /// Reader handle to the packed forward map, for lock-free concurrent
-    /// lookups validated by an external epoch.
-    pub fn reader_forward(&self) -> WordsView {
-        self.forward.view()
+        fwd_decode(self.forward[lp as usize])
     }
 
     /// The logical page stored at a physical location, if any.
@@ -152,7 +142,7 @@ impl PageTable {
             let oi = self.rev_index(old.segment, old.page);
             self.reverse[oi] = REV_EMPTY;
         }
-        self.forward.set(lp as usize, fwd_encode_flash(loc));
+        self.forward[lp as usize] = fwd_encode_flash(loc);
         self.reverse[di] = lp as u32 + 1;
     }
 
@@ -163,7 +153,7 @@ impl PageTable {
             let oi = self.rev_index(old.segment, old.page);
             self.reverse[oi] = REV_EMPTY;
         }
-        self.forward.set(lp as usize, FWD_SRAM);
+        self.forward[lp as usize] = FWD_SRAM;
     }
 
     /// Return a logical page to the unmapped state.
@@ -172,7 +162,7 @@ impl PageTable {
             let oi = self.rev_index(old.segment, old.page);
             self.reverse[oi] = REV_EMPTY;
         }
-        self.forward.set(lp as usize, FWD_UNMAPPED);
+        self.forward[lp as usize] = FWD_UNMAPPED;
     }
 
     /// Logical pages resident in a segment, in physical page order.
@@ -221,8 +211,7 @@ impl PageTable {
     pub fn check_consistency(&self) -> Result<(), String> {
         let pps = self.pages_per_segment as usize;
         let segments = self.reverse.len() / pps.max(1);
-        for lp in 0..self.forward.len() {
-            let v = self.forward.get(lp);
+        for (lp, &v) in self.forward.iter().enumerate() {
             if let Location::Flash(f) = fwd_decode(v) {
                 if f.page >= self.pages_per_segment || f.segment as usize >= segments {
                     return Err(format!("logical page {lp} maps out of range"));
@@ -242,8 +231,7 @@ impl PageTable {
             if entry != REV_EMPTY {
                 let (seg, page) = (i / pps, i % pps);
                 let lp = entry as u64 - 1;
-                let fwd = ((lp as usize) < self.forward.len())
-                    .then(|| fwd_decode(self.forward.get(lp as usize)));
+                let fwd = self.forward.get(lp as usize).map(|&v| fwd_decode(v));
                 match fwd {
                     Some(Location::Flash(f))
                         if f.segment as usize == seg && f.page as usize == page => {}

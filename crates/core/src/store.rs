@@ -34,7 +34,6 @@ use crate::timing::{BgOp, TimingState};
 use crate::trace::{TraceEvent, TraceRing};
 use envy_sim::stats::TimeSeries;
 use envy_sim::time::Ns;
-use envy_sync::SharedEpoch;
 
 /// Columns of the store's periodic time series (see
 /// [`EnvyStore::enable_sampler`]): per-window host word counts and
@@ -127,12 +126,6 @@ pub struct EnvyStore {
     clock: Ns,
     ops: Vec<BgOp>,
     sampler: Option<Sampler>,
-    /// Seqlock epoch guarding every mutating entry point: odd while a
-    /// mutation is in flight, even when the device state is quiescent.
-    /// Concurrent [`ReadView`](crate::ReadView)s snapshot/validate it
-    /// around lock-free copies of the page table, SRAM index and page
-    /// payloads, so they only ever observe published states.
-    epoch: SharedEpoch,
 }
 
 impl EnvyStore {
@@ -150,7 +143,6 @@ impl EnvyStore {
             clock: Ns::ZERO,
             ops: Vec::new(),
             sampler: None,
-            epoch: SharedEpoch::new(),
         })
     }
 
@@ -176,9 +168,6 @@ impl EnvyStore {
             clock: Ns::ZERO,
             ops: Vec::new(),
             sampler: None,
-            // A fork has its own writer, so it gets a fresh epoch; views
-            // of the original keep watching the original.
-            epoch: SharedEpoch::new(),
         }
     }
 
@@ -326,7 +315,6 @@ impl EnvyStore {
     ///
     /// See [`Engine::prefill`].
     pub fn prefill(&mut self) -> Result<(), EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.engine.prefill()
     }
 
@@ -394,7 +382,6 @@ impl EnvyStore {
 
     fn write_as(&mut self, addr: u64, bytes: &[u8], writer: Option<u64>) -> Result<(), EnvyError> {
         check_range(addr, bytes.len(), self.size())?;
-        let _guard = self.epoch.write_guard();
         let mut cursor = 0;
         for c in self.engine.addr_map.chunks(addr, bytes.len()) {
             self.ops.clear();
@@ -449,7 +436,6 @@ impl EnvyStore {
     /// transaction's write set.
     #[inline(always)]
     pub fn write_at(&mut self, now: Ns, addr: u64, bytes: &[u8]) -> Result<TimedAccess, EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.timed_access(now, addr, Transfer::Write(bytes, None))
     }
 
@@ -469,7 +455,6 @@ impl EnvyStore {
         addr: u64,
         bytes: &[u8],
     ) -> Result<TimedAccess, EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.timed_access(now, addr, Transfer::Write(bytes, Some(txn)))
     }
 
@@ -689,7 +674,6 @@ impl EnvyStore {
     ///
     /// See [`Engine::txn_begin`].
     pub fn txn_begin(&mut self) -> Result<u64, EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.ops.clear();
         let mut ops = std::mem::take(&mut self.ops);
         let id = self.engine.txn_begin(&mut ops);
@@ -705,7 +689,6 @@ impl EnvyStore {
     ///
     /// See [`Engine::seed_txn_ids`].
     pub fn seed_txn_ids(&mut self, first: u64, stride: u64) {
-        let _guard = self.epoch.write_guard();
         self.engine.seed_txn_ids(first, stride);
     }
 
@@ -715,7 +698,6 @@ impl EnvyStore {
     ///
     /// See [`Engine::txn_commit`].
     pub fn txn_commit(&mut self, txn: u64) -> Result<(), EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.engine.txn_commit(txn)
     }
 
@@ -725,7 +707,6 @@ impl EnvyStore {
     ///
     /// See [`Engine::txn_abort`].
     pub fn txn_abort(&mut self, txn: u64) -> Result<(), EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.engine.txn_abort(txn)
     }
 
@@ -735,7 +716,6 @@ impl EnvyStore {
     ///
     /// Propagates cleaning errors.
     pub fn flush_all(&mut self) -> Result<(), EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.ops.clear();
         let mut ops = std::mem::take(&mut self.ops);
         let r = self.engine.flush_all(&mut ops);
@@ -752,7 +732,6 @@ impl EnvyStore {
     /// clock is kept — it models wall time, which a power cut does not
     /// rewind.
     pub fn power_failure(&mut self) {
-        let _guard = self.epoch.write_guard();
         self.engine.power_failure();
         self.ops.clear();
         let config = self.engine.config();
@@ -772,7 +751,6 @@ impl EnvyStore {
     ///
     /// See [`Engine::recover`].
     pub fn recover(&mut self) -> Result<RecoveryReport, EnvyError> {
-        let _guard = self.epoch.write_guard();
         self.ops.clear();
         let mut ops = std::mem::take(&mut self.ops);
         let r = self.engine.recover(&mut ops);
@@ -781,18 +759,11 @@ impl EnvyStore {
         r
     }
 
-    /// A lock-free reader handle over this store's live state.
-    ///
-    /// The view (and its clones) can be moved to other threads and read
-    /// concurrently with this store's mutating operations: every mutating
-    /// entry point brackets itself in the store's seqlock epoch, and the
-    /// view retries any copy that overlaps a mutation. See
-    /// [`ReadView`](crate::ReadView) and `docs/CONCURRENCY.md`.
-    ///
-    /// Direct mutation through [`engine_mut`](Self::engine_mut) bypasses
-    /// the epoch; do not combine it with live views on other threads.
-    pub fn read_view(&self) -> crate::view::ReadView {
-        crate::view::ReadView::new(&self.engine, &self.epoch)
+    /// An untimed, side-effect-free view of this store's bytes (see
+    /// [`ReadView`](crate::ReadView)). Kept only for `benchmark/`'s
+    /// `core.view_read_ns` row; the next benchmark change deletes it.
+    pub fn read_view(&self) -> crate::view::ReadView<'_> {
+        crate::view::ReadView::new(self)
     }
 
     /// Verify all cross-structure invariants (test support).

@@ -1,171 +1,61 @@
-//! Lock-free concurrent read path: a cloneable, `Send + Sync` snapshot
-//! handle over a live [`EnvyStore`](crate::EnvyStore).
+//! An untimed, side-effect-free view of a store's bytes.
 //!
-//! A [`ReadView`] holds cheap atomic views of the structures a read
-//! touches — the packed forward page table, the SRAM buffer index and
-//! frame arena, and the Flash payload arena — plus the store's seqlock
-//! epoch. Reads are *optimistic*: the view snapshots the epoch, copies
-//! the bytes it needs with relaxed atomic loads, then validates that no
-//! writer ran in between. On conflict the attempt is discarded and
-//! retried, so a reader can never observe a torn page-table entry or a
-//! half-relocated page; it only ever returns states the single writer has
-//! published (even epoch).
-//!
-//! The view is untimed by design: it bypasses the latency model, MMU
-//! cache counters and statistics entirely, which is what makes it safe
-//! to run from any thread without the store lock — and what makes it
-//! fast. Timed reads stay on the writer thread.
+//! [`EnvyStore::read`](crate::EnvyStore::read) counts host words and the
+//! Flash array counts page reads; a [`ReadView`] only copies bytes. It
+//! borrows the store, so nothing can change the store while it is in use.
+//! The next benchmark change deletes it: it survives only because
+//! `benchmark/` times `core.view_read_ns` through it.
 
-use crate::addr::AddrMap;
-use crate::engine::Engine;
+use crate::addr::Location;
 use crate::error::EnvyError;
 use crate::memory::check_range;
-use crate::page_table::fwd_decode;
-use envy_sync::{ArenaView, EpochView, SharedEpoch, SlotsView, WordsView};
+use crate::store::EnvyStore;
 
-/// Outcome of a single optimistic read attempt.
-enum Attempt {
-    /// The copy validated against the epoch.
-    Done,
-    /// A writer ran during the copy (or the snapshot raced a relocation);
-    /// retry.
-    Conflict,
+/// A borrowed, read-only view of an [`EnvyStore`]'s logical bytes.
+///
+/// Obtained from [`EnvyStore::read_view`]. It holds nothing but the
+/// borrow, so the borrow ends at the view's last use.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadView<'a> {
+    store: &'a EnvyStore,
 }
 
-/// A lock-free reader handle over an [`EnvyStore`](crate::EnvyStore).
-///
-/// Cloneable and `Send + Sync`: hand one to each reader thread. All
-/// clones observe the same live store; reads issued while the writer is
-/// between mutating operations return exactly what the single-threaded
-/// [`EnvyStore::read`](crate::EnvyStore::read) would.
-///
-/// Obtained from [`EnvyStore::read_view`](crate::EnvyStore::read_view).
-#[derive(Debug, Clone)]
-pub struct ReadView {
-    epoch: EpochView,
-    /// Packed forward page table (one atomic word per logical page).
-    forward: WordsView,
-    /// SRAM buffer index: `slot + 1` per buffered logical page, 0 empty.
-    sram_index: SlotsView,
-    /// SRAM frame payload arena (absent when the store is stateless).
-    sram_frames: Option<ArenaView>,
-    /// Flash page payload arena (absent when the store is stateless).
-    flash_payload: Option<ArenaView>,
-    addr_map: AddrMap,
-    page_bytes: usize,
-    pages_per_segment: u32,
-    segments: u32,
-    size: u64,
-}
-
-impl ReadView {
-    pub(crate) fn new(engine: &Engine, epoch: &SharedEpoch) -> ReadView {
-        let geo = engine.flash.geometry();
-        ReadView {
-            epoch: epoch.view(),
-            forward: engine.page_table.reader_forward(),
-            sram_index: engine.buffer.reader_index(),
-            sram_frames: engine.buffer.reader_frames(),
-            flash_payload: engine.flash.payload_view(),
-            addr_map: engine.addr_map,
-            page_bytes: geo.page_bytes() as usize,
-            pages_per_segment: geo.pages_per_segment(),
-            segments: geo.segments(),
-            size: engine.config().logical_bytes(),
-        }
+impl<'a> ReadView<'a> {
+    pub(crate) fn new(store: &'a EnvyStore) -> ReadView<'a> {
+        ReadView { store }
     }
 
-    /// Size of the logical array in bytes.
-    pub fn size(&self) -> u64 {
-        self.size
-    }
-
-    /// One optimistic attempt at a single in-page chunk.
-    ///
-    /// Every byte lands in `buf` between the epoch snapshot and the
-    /// validation, so a `Done` return is a consistent published state.
-    /// Index values read under a stale snapshot can be arbitrary (a
-    /// relocation may have moved the page mid-copy), so location and
-    /// bounds failures are conflicts, never panics.
-    fn read_chunk(&self, lp: u64, offset: usize, buf: &mut [u8]) -> Attempt {
-        let Some(snap) = self.epoch.optimistic_read() else {
-            return Attempt::Conflict;
-        };
-        let word = self.forward.get(lp as usize);
-        match fwd_decode(word) {
-            crate::addr::Location::Unmapped => buf.fill(0xFF),
-            crate::addr::Location::Sram => match &self.sram_frames {
-                Some(frames) => {
-                    let slot = self.sram_index.get(lp as usize);
-                    if slot == 0 {
-                        // Forward map and index disagree: raced a flush.
-                        return Attempt::Conflict;
-                    }
-                    let base = (slot as usize - 1) * self.page_bytes + offset;
-                    if !frames.in_bounds(base, buf.len()) {
-                        return Attempt::Conflict;
-                    }
-                    frames.read_bytes(base, buf);
-                }
-                // Stateless store: buffered pages carry no payload and
-                // read as erased, matching `WriteBuffer::read_into`.
-                None => buf.fill(0xFF),
-            },
-            crate::addr::Location::Flash(loc) => match &self.flash_payload {
-                Some(payload) => {
-                    if loc.segment >= self.segments || loc.page >= self.pages_per_segment {
-                        return Attempt::Conflict;
-                    }
-                    let page =
-                        loc.segment as usize * self.pages_per_segment as usize + loc.page as usize;
-                    let base = page * self.page_bytes + offset;
-                    if !payload.in_bounds(base, buf.len()) {
-                        return Attempt::Conflict;
-                    }
-                    payload.read_bytes(base, buf);
-                }
-                None => buf.fill(0xFF),
-            },
-        }
-        if self.epoch.validate(snap) {
-            Attempt::Done
-        } else {
-            Attempt::Conflict
-        }
-    }
-
-    /// Read a byte range, retrying each page-sized chunk until it
-    /// validates. Returns the number of retries taken (0 on a clean run)
-    /// for observability.
-    ///
-    /// The backoff spins briefly and then yields to the scheduler: on a
-    /// loaded single-core host the writer holds the epoch odd until it is
-    /// next scheduled, so a pure spin would burn the reader's whole
-    /// timeslice.
+    /// Copy `buf.len()` bytes at `addr` into `buf`: the bytes
+    /// [`EnvyStore::read`] returns, without touching statistics, the MMU
+    /// or the clock. Returns `Ok(0)`.
     ///
     /// # Errors
     ///
     /// [`EnvyError::OutOfBounds`] if the range exceeds the logical array.
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<u64, EnvyError> {
-        check_range(addr, buf.len(), self.size)?;
-        let mut retries = 0u64;
-        let mut cursor = 0usize;
-        for c in self.addr_map.chunks(addr, buf.len()) {
+        let engine = self.store.engine();
+        check_range(addr, buf.len(), self.store.size())?;
+        let mut cursor = 0;
+        for c in engine.addr_map.chunks(addr, buf.len()) {
             let dst = &mut buf[cursor..cursor + c.len];
-            let mut spins = 0u32;
-            while let Attempt::Conflict = self.read_chunk(c.page, c.offset, dst) {
-                retries += 1;
-                spins += 1;
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    spins = 0;
-                    std::thread::yield_now();
-                }
+            let copied = match engine.page_table.lookup(c.page) {
+                Location::Unmapped => false,
+                // A payload-less frame (store_data off) reads as erased.
+                Location::Sram => engine.buffer.read_into(c.page, c.offset, dst) == Some(true),
+                Location::Flash(loc) => match engine.flash.page_payload(loc.segment, loc.page) {
+                    Some(page) => {
+                        dst.copy_from_slice(&page[c.offset..c.offset + c.len]);
+                        true
+                    }
+                    None => false,
+                },
+            };
+            if !copied {
+                dst.fill(0xFF);
             }
             cursor += c.len;
         }
-        Ok(retries)
+        Ok(0)
     }
 }
 
@@ -178,14 +68,13 @@ mod tests {
 
     #[test]
     fn view_is_send_sync_clone() {
-        assert_send_sync::<super::ReadView>();
+        assert_send_sync::<super::ReadView<'static>>();
     }
 
     #[test]
     fn view_matches_store_reads() {
         let mut store = EnvyStore::new(EnvyConfig::small_test()).unwrap();
         store.prefill().unwrap();
-        let view = store.read_view();
         let pb = store.config().geometry.page_bytes() as u64;
         // Straddle SRAM-buffered, Flash-resident and unmapped pages.
         store.write(3, b"abcdef").unwrap();
@@ -196,9 +85,8 @@ mod tests {
             let mut a = [0u8; 32];
             let mut b = [0u8; 32];
             store.read(addr, &mut a).unwrap();
-            let retries = view.read(addr, &mut b).unwrap();
+            assert_eq!(store.read_view().read(addr, &mut b), Ok(0));
             assert_eq!(a, b, "addr {addr}");
-            assert_eq!(retries, 0, "no writer ran concurrently");
         }
     }
 

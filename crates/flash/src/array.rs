@@ -12,7 +12,7 @@ use crate::error::FlashError;
 use crate::geometry::{FlashGeometry, FlashTimings};
 use envy_sim::stats::Counter;
 use envy_sim::time::Ns;
-use envy_sync::{ArenaSpan, ArenaView, SharedArena};
+use envy_sync::ByteArena;
 
 /// Lifecycle state of one Flash page.
 ///
@@ -32,19 +32,16 @@ pub enum PageState {
 
 /// Where the payload of a page being programmed comes from.
 ///
-/// The last two variants name bytes that already live in a payload arena,
-/// so the program moves them arena to arena in one pass — the model of the
-/// paper's wide datapath — instead of staging them in a caller buffer.
+/// Both payload variants move the bytes in one pass — the model of the
+/// paper's wide datapath — without staging them in a scratch buffer.
 #[derive(Debug, Clone, Copy)]
 pub enum PageData<'a> {
     /// No payload: the page becomes valid with unspecified contents
     /// (state-only simulations).
     None,
-    /// Page-sized caller bytes.
+    /// Page-sized bytes: a caller buffer, or an SRAM buffer frame being
+    /// flushed.
     Bytes(&'a [u8]),
-    /// A page-sized span of another arena (an SRAM buffer frame being
-    /// flushed).
-    Span(ArenaSpan<'a>),
     /// Another page of this array (cleaning, wear-leveling and shadow
     /// relocation copies). Must not be the page being programmed.
     Page {
@@ -158,10 +155,9 @@ pub struct FlashArray {
     timings: FlashTimings,
     segments: Vec<Segment>,
     /// Page payloads for the whole array, one flat arena indexed by
-    /// `(segment * pages_per_segment + page) * page_bytes`. Stored as a
-    /// shared atomic arena so concurrent readers (see `envy_sync`) can
-    /// copy page bytes while the single writer mutates; `Clone` deep-copies.
-    payload: Option<SharedArena>,
+    /// `(segment * pages_per_segment + page) * page_bytes`; `Clone`
+    /// copies it.
+    payload: Option<ByteArena>,
     stats: FlashStats,
     /// Armed fault schedule; `None` (the default) is the zero-overhead
     /// fault-free path.
@@ -176,7 +172,7 @@ fn page_base(geo: &FlashGeometry, segment: u32, page: u32) -> usize {
 }
 
 impl PageData<'_> {
-    /// Validate the source against the geometry: bytes and spans must be
+    /// Validate the source against the geometry: bytes must be
     /// page-sized, a source page must exist.
     fn check(&self, geo: &FlashGeometry) -> Result<(), FlashError> {
         let expected = geo.page_bytes() as usize;
@@ -185,10 +181,6 @@ impl PageData<'_> {
             PageData::Bytes(bytes) if bytes.len() != expected => Err(FlashError::BadBufferLength {
                 expected,
                 actual: bytes.len(),
-            }),
-            PageData::Span(span) if span.len() != expected => Err(FlashError::BadBufferLength {
-                expected,
-                actual: span.len(),
             }),
             PageData::Page { segment, page }
                 if segment >= geo.segments() || page >= geo.pages_per_segment() =>
@@ -201,11 +193,10 @@ impl PageData<'_> {
 
     /// Land the first `len` bytes of the (checked) source at `base` of
     /// the payload arena.
-    fn store(self, geo: &FlashGeometry, payload: &mut SharedArena, base: usize, len: usize) {
+    fn store(self, geo: &FlashGeometry, payload: &mut ByteArena, base: usize, len: usize) {
         match self {
             PageData::None => {}
             PageData::Bytes(bytes) => payload.write_bytes(base, &bytes[..len]),
-            PageData::Span(span) => payload.copy_from(base, span.prefix(len)),
             PageData::Page { segment, page } => {
                 payload.copy_within(page_base(geo, segment, page), base, len);
             }
@@ -221,7 +212,7 @@ impl FlashArray {
             .collect();
         let payload = store_data.then(|| {
             let bytes = geo.total_pages() as usize * geo.page_bytes() as usize;
-            SharedArena::new(bytes, 0xFF)
+            ByteArena::new(bytes, 0xFF)
         });
         FlashArray {
             geo,
@@ -231,12 +222,6 @@ impl FlashArray {
             stats: FlashStats::default(),
             faults: None,
         }
-    }
-
-    /// Reader handle to the payload arena (if payload storage is enabled),
-    /// for lock-free concurrent page reads validated by an external epoch.
-    pub fn payload_view(&self) -> Option<ArenaView> {
-        self.payload.as_ref().map(SharedArena::view)
     }
 
     /// Arm a deterministic fault schedule (replacing any previous one).
@@ -372,27 +357,32 @@ impl FlashArray {
         Ok(self.timings.read)
     }
 
-    /// Read a page as the source of an arena-to-arena copy (the
-    /// copy-on-write into an SRAM frame): instead of copying the payload
-    /// out, lend it. `None` when payload storage is disabled.
+    /// Read a page as the source of a copy (the copy-on-write into an
+    /// SRAM frame): instead of copying the payload out, lend it. `None`
+    /// when payload storage is disabled.
     ///
     /// Counts exactly like [`FlashArray::read_page`].
     ///
     /// # Errors
     ///
     /// [`FlashError::OutOfRange`].
-    pub fn read_page_span(
-        &mut self,
-        segment: u32,
-        page: u32,
-    ) -> Result<Option<ArenaSpan<'_>>, FlashError> {
+    pub fn read_page_span(&mut self, segment: u32, page: u32) -> Result<Option<&[u8]>, FlashError> {
         self.check(segment, page)?;
         self.stats.page_reads.incr();
-        let geo = &self.geo;
-        Ok(self
-            .payload
-            .as_ref()
-            .map(|data| data.span(page_base(geo, segment, page), geo.page_bytes() as usize)))
+        Ok(self.page_payload(segment, page))
+    }
+
+    /// A page's payload, without counting a read: `None` when payload
+    /// storage is disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of range.
+    pub fn page_payload(&self, segment: u32, page: u32) -> Option<&[u8]> {
+        self.check(segment, page).expect("page index in range");
+        let base = page_base(&self.geo, segment, page);
+        let len = self.geo.page_bytes() as usize;
+        self.payload.as_ref().map(|data| data.span(base, len))
     }
 
     /// Program a page (one wide-bus transfer plus the Flash program time).
@@ -1011,15 +1001,15 @@ mod tests {
         a.program_page(1, 3, src).unwrap();
         a.program_page_torn(1, 4, src, 5).unwrap();
 
-        let frames = SharedArena::new(64, 0xAA);
+        let frames = ByteArena::new(64, 0xAA);
         let reads = a.stats().page_reads.get();
         let lent = a.read_page_span(1, 3).unwrap().expect("payload stored");
-        let mut frame = SharedArena::new(16, 0);
-        frame.copy_from(0, lent);
+        let mut frame = ByteArena::new(16, 0);
+        frame.write_bytes(0, lent);
         assert_eq!(a.stats().page_reads.get(), reads + 1, "a span read counts");
-        a.program_page(2, 0, PageData::Span(frames.span(16, 16)))
+        a.program_page(2, 0, PageData::Bytes(frames.span(16, 16)))
             .unwrap();
-        a.program_page(2, 1, PageData::Span(frame.span(0, 16)))
+        a.program_page(2, 1, PageData::Bytes(frame.span(0, 16)))
             .unwrap();
 
         let mut page = |segment, page| {
@@ -1036,9 +1026,9 @@ mod tests {
     #[test]
     fn arena_sources_are_validated() {
         let mut a = small();
-        let frames = SharedArena::new(64, 0);
+        let frames = ByteArena::new(64, 0);
         assert!(matches!(
-            a.program_page(0, 0, PageData::Span(frames.span(0, 15))),
+            a.program_page(0, 0, PageData::Bytes(frames.span(0, 15))),
             Err(FlashError::BadBufferLength {
                 expected: 16,
                 actual: 15

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The Flash memory substrate of the eNVy reproduction.
 //!
 //! eNVy (Wu & Zwaenepoel, ASPLOS '94) is built on NOR Flash organized as

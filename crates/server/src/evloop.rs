@@ -34,9 +34,7 @@
 //!   `Busy`, a rejection, the shutdown ack) is queued, every completion
 //!   already posted is delivered. A queued request on a shard is posted
 //!   before a later one runs inline on it, so a pipeline to one shard
-//!   is answered in request order whichever route each request took
-//!   (a read under `ReadPath::Inline` never waits for its shard, so it
-//!   may overtake a queued request).
+//!   is answered in request order whichever route each request took.
 //! * **No per-request buffer allocation** — frames are parsed out of
 //!   one compacting buffer per connection
 //!   ([`FrameDecoder`](crate::proto::FrameDecoder)), and replies are
@@ -48,6 +46,12 @@
 //!   interest. Written bytes are dropped before a reply lands behind a
 //!   mostly written backlog, and capacity above 16 KiB is released once
 //!   everything is written.
+//! * **Bounded output** — once a connection's unwritten output passes
+//!   [`OUTPUT_HIGH_WATER`], the loop takes no more frames from its
+//!   decoder and stops reading its socket. The flush that brings the
+//!   backlog back under the mark runs the frames already decoded, then
+//!   reading resumes. A client that pipelines without reading holds the
+//!   mark plus one reply in the server, not its whole reply stream.
 //!
 //! Both poller backends run this same loop. `tests/driver_diff.rs`
 //! holds each to the answer a socket-free, in-order replay of the same
@@ -79,6 +83,12 @@ const READ_BUDGET: usize = 256 * 1024;
 /// Output-buffer capacity a connection keeps once its replies are all
 /// written.
 const OUT_BUF_CAP: usize = 16 * 1024;
+/// Unwritten output, in bytes, above which a connection is held: no
+/// frame is taken from its decoder and its read interest is dropped
+/// until a flush brings the backlog back under the mark. Above
+/// [`proto::MAX_FRAME`], so a held connection is always owed more than
+/// one reply of any size.
+pub const OUTPUT_HIGH_WATER: usize = 2 * proto::MAX_FRAME;
 
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
@@ -594,8 +604,13 @@ struct WriteQueue {
 }
 
 impl WriteQueue {
+    /// Bytes framed but not yet written.
+    fn backlog(&self) -> usize {
+        self.buf.len() - self.head
+    }
+
     fn is_empty(&self) -> bool {
-        self.head == self.buf.len()
+        self.backlog() == 0
     }
 
     fn push(&mut self, resp: &WireResponse) {
@@ -660,6 +675,9 @@ struct Conn {
     cleaned: bool,
     /// Listed in `EventLoop::dirty` for this tick's flush.
     dirty: bool,
+    /// The output backlog passed [`OUTPUT_HIGH_WATER`]: frames wait in
+    /// the decoder and the socket is not read until a flush releases it.
+    held: bool,
     reg_read: bool,
     reg_write: bool,
     last_activity: Instant,
@@ -699,6 +717,8 @@ pub(crate) struct EventLoop {
     scratch: Vec<u8>,
     connections: u64,
     requests: u64,
+    /// Largest unwritten output any connection held before a flush.
+    max_output_backlog: usize,
     draining_all: bool,
     accepting: bool,
     /// When `accept` last failed under resource pressure; the listener
@@ -748,6 +768,7 @@ impl EventLoop {
             scratch: vec![0u8; READ_CHUNK],
             connections: 0,
             requests: 0,
+            max_output_backlog: 0,
             draining_all: false,
             accepting: true,
             accept_paused: None,
@@ -813,6 +834,7 @@ impl EventLoop {
         ServeSummary {
             connections: self.connections,
             requests: self.requests,
+            max_output_backlog: self.max_output_backlog,
             outcome,
         }
     }
@@ -865,6 +887,7 @@ impl EventLoop {
                         dead: false,
                         cleaned: false,
                         dirty: false,
+                        held: false,
                         reg_read: true,
                         reg_write: false,
                         last_activity: Instant::now(),
@@ -944,9 +967,9 @@ impl EventLoop {
 
     fn read_conn(&mut self, slot: usize) {
         let mut budget = READ_BUDGET;
-        // EOF is recorded locally and applied only after the parse
-        // loop, so every complete frame that arrived before the EOF is
-        // still processed.
+        // EOF is recorded locally and applied only after the frames, so
+        // every complete frame that arrived before the EOF is still
+        // processed.
         let mut saw_eof = false;
         {
             let Some(conn) = self.conns[slot].as_mut() else {
@@ -955,7 +978,9 @@ impl EventLoop {
             if conn.read_closed {
                 return;
             }
-            loop {
+            // A held connection's socket waits for the flush that
+            // releases it; the flush below still notices a dead peer.
+            while !conn.held {
                 match conn.stream.read(&mut self.scratch) {
                     Ok(0) => {
                         // EOF — also how a half-closed socket (peer
@@ -987,12 +1012,34 @@ impl EventLoop {
                 }
             }
         }
+        self.take_frames(slot);
+        if saw_eof {
+            if let Some(conn) = self.conns[slot].as_mut() {
+                // A held connection keeps its undecoded frames; the EOF
+                // is read again once reading resumes.
+                if !conn.held || conn.dead {
+                    conn.read_closed = true;
+                }
+            }
+        }
+        self.after_read(slot);
+    }
+
+    /// Run the complete frames in a connection's decoder until it runs
+    /// dry or the connection is held: its unwritten output has passed
+    /// [`OUTPUT_HIGH_WATER`]. Each frame adds at most one reply, so the
+    /// backlog stays within the mark plus one reply.
+    fn take_frames(&mut self, slot: usize) {
         loop {
             let step = {
                 let Some(conn) = self.conns[slot].as_mut() else {
                     return;
                 };
                 if conn.read_closed || conn.dead {
+                    break;
+                }
+                conn.held = conn.wq.backlog() > OUTPUT_HIGH_WATER;
+                if conn.held {
                     break;
                 }
                 match conn.decoder.next_frame() {
@@ -1024,12 +1071,6 @@ impl EventLoop {
                 ),
             }
         }
-        if saw_eof {
-            if let Some(conn) = self.conns[slot].as_mut() {
-                conn.read_closed = true;
-            }
-        }
-        self.after_read(slot);
     }
 
     /// Post-read bookkeeping: adjust poller interest and queue the
@@ -1286,11 +1327,11 @@ impl EventLoop {
     }
 
     fn try_flush(&mut self, slot: usize) {
-        {
-            let poller = &mut self.poller;
+        let released = {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
+            self.max_output_backlog = self.max_output_backlog.max(conn.wq.backlog());
             if conn.dead {
                 conn.wq.clear();
             } else if let Err(_e) = conn.wq.flush(&mut conn.stream) {
@@ -1300,7 +1341,25 @@ impl EventLoop {
                 conn.dead = true;
                 conn.wq.clear();
             }
-            let want_r = !conn.read_closed;
+            let released = conn.held && conn.wq.backlog() <= OUTPUT_HIGH_WATER;
+            if released {
+                conn.held = false;
+            }
+            released
+        };
+        if released {
+            // Back under the mark: run the frames already decoded before
+            // reading more. Their replies mark the connection dirty
+            // again, so this tick's flush loop writes them.
+            self.take_frames(slot);
+            self.after_read(slot);
+        }
+        {
+            let poller = &mut self.poller;
+            let Some(conn) = self.conns[slot].as_mut() else {
+                return;
+            };
+            let want_r = !conn.read_closed && !conn.held;
             let want_w = !conn.wq.is_empty() && !conn.dead;
             if (want_r, want_w) != (conn.reg_read, conn.reg_write) {
                 let _ = poller.modify(conn.fd, TOK_BASE + slot as u64, want_r, want_w);

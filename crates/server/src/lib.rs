@@ -55,7 +55,7 @@ pub mod net;
 pub mod proto;
 pub mod shard;
 
-pub use evloop::raise_nofile;
+pub use evloop::{raise_nofile, OUTPUT_HIGH_WATER};
 pub use loadgen::{
     run_inproc, run_monolithic, run_socket, ycsb_load_requests, LoadMix, LoadMode, LoadReport,
     LoadSpec,

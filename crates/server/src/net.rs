@@ -236,6 +236,10 @@ pub struct ServeSummary {
     pub connections: u64,
     /// Requests admitted into the sharded store.
     pub requests: u64,
+    /// The largest unwritten output, in bytes, any connection held: at
+    /// most [`OUTPUT_HIGH_WATER`](crate::OUTPUT_HIGH_WATER) plus one
+    /// reply while only the loop completes that connection's requests.
+    pub max_output_backlog: usize,
     /// The drained store's per-shard outcomes.
     pub outcome: ServeOutcome,
 }

@@ -32,7 +32,7 @@
 //! received — the determinism anchor the differential tests pin.
 
 use crate::evloop::Waker;
-use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, ReadView, TraceEvent, TxnMemory};
+use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, TraceEvent, TxnMemory};
 use envy_sim::time::Ns;
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -404,26 +404,15 @@ impl ShardPlan {
 // Configuration
 // ---------------------------------------------------------------------
 
-/// How read-only requests are executed.
+/// How read-only requests are executed: always [`ReadPath::Timed`].
 ///
-/// Writes, flushes and all background machinery (timing replay,
-/// cleaning, wear leveling) always run under the shard's lock, one
-/// writer at a time; this knob only moves reads out of it. The
-/// concurrent path uses the store's lock-free [`ReadView`] — optimistic
-/// seqlock copies validated against the writer's epoch — so it bypasses
-/// the simulated latency model and the controller's read statistics
-/// entirely. See `docs/CONCURRENCY.md`.
+/// Kept only because `benchmark/` still names it; the next benchmark
+/// change deletes it together with [`ServeConfig::read_path`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
-    /// Legacy single-writer path: reads take the shard's lock like
-    /// writes and replay the timing model. Bit-for-bit identical
-    /// to the pre-concurrency front end — the differential anchor.
+    /// Reads take the shard's lock like writes and run the timing model.
     #[default]
     Timed,
-    /// Reads execute immediately on the *submitting* thread via the
-    /// shard's [`ReadView`] without taking its lock — reads scale with
-    /// client threads even while a writer holds the shard.
-    Inline,
 }
 
 /// Configuration of a [`ShardedStore`].
@@ -441,7 +430,9 @@ pub struct ServeConfig {
     /// Artificial per-request service delay (wall clock) — a pacing and
     /// test knob modeling a slower device; `None` in production.
     pub service_delay: Option<Duration>,
-    /// How read-only requests are executed (see [`ReadPath`]).
+    /// Read by nothing: every read is [`ReadPath::Timed`]. Kept only
+    /// because `benchmark/` still sets it; the next benchmark change
+    /// deletes it.
     pub read_path: ReadPath,
 }
 
@@ -493,13 +484,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_service_delay(mut self, delay: Duration) -> ServeConfig {
         self.service_delay = Some(delay);
-        self
-    }
-
-    /// Set the read execution path (builder-style).
-    #[must_use]
-    pub fn with_read_path(mut self, path: ReadPath) -> ServeConfig {
-        self.read_path = path;
         self
     }
 
@@ -801,32 +785,6 @@ impl ShardLink {
     }
 }
 
-/// One shard's inline-read state (none exists under [`ReadPath::Timed`]).
-struct InlineReads {
-    /// Lock-free view of the shard's store.
-    view: ReadView,
-    /// Reads completed outside the shard's lock.
-    offloaded: AtomicU64,
-    /// Optimistic-read retries (epoch conflicts) across those reads.
-    retries: AtomicU64,
-}
-
-impl InlineReads {
-    /// Execute one shard-local read via the lock-free view.
-    fn read(&self, addr: u64, len: u32) -> Result<Reply, ServeError> {
-        let mut buf = vec![0u8; len as usize];
-        let result = match self.view.read(addr, &mut buf) {
-            Ok(r) => {
-                self.retries.fetch_add(r, Ordering::Relaxed);
-                Ok(Reply::Data(buf))
-            }
-            Err(e) => Err(map_store_err(self.view.size())(e)),
-        };
-        self.offloaded.fetch_add(1, Ordering::Relaxed);
-        result
-    }
-}
-
 /// Shared close flag: set once by [`ShardedStore::shutdown`]; checked by
 /// submitters, who reject new work once it is up.
 type Closed = Arc<AtomicBool>;
@@ -852,12 +810,6 @@ pub struct ShardOutcome {
     /// every later one completed with this error instead of running,
     /// and `store` is whatever the panic left — possibly mid-operation.
     pub failure: Option<ServeError>,
-    /// Reads served outside the shard's lock ([`ReadPath::Inline`]); 0
-    /// under [`ReadPath::Timed`]. These bypass the timing model, so
-    /// they are *not* in the store's `host_reads`.
-    pub reads_offloaded: u64,
-    /// Optimistic-read retries (seqlock conflicts) across those reads.
-    pub read_retries: u64,
 }
 
 /// Everything a [`ShardedStore::shutdown`] returns: per-shard outcomes,
@@ -898,16 +850,6 @@ impl ServeOutcome {
     pub fn total_timed_out(&self) -> u64 {
         self.shards.iter().map(|s| s.timed_out).sum()
     }
-
-    /// Total reads served outside the shard locks across shards.
-    pub fn total_reads_offloaded(&self) -> u64 {
-        self.shards.iter().map(|s| s.reads_offloaded).sum()
-    }
-
-    /// Total optimistic-read retries across shards.
-    pub fn total_read_retries(&self) -> u64 {
-        self.shards.iter().map(|s| s.read_retries).sum()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -925,8 +867,6 @@ pub struct ShardHandle {
     links: Arc<Vec<ShardLink>>,
     next_id: Arc<AtomicU64>,
     closed: Closed,
-    /// One entry per shard under [`ReadPath::Inline`], none otherwise.
-    inline: Arc<Vec<InlineReads>>,
 }
 
 impl fmt::Debug for ShardHandle {
@@ -976,7 +916,6 @@ impl ShardedStore {
         let plan = ShardPlan::new(stores.len() as u32, shard_bytes);
         let closed: Closed = Arc::new(AtomicBool::new(false));
         let mut links = Vec::with_capacity(stores.len());
-        let mut inline = Vec::new();
         for (i, mut store) in stores.into_iter().enumerate() {
             // Caller-built stores (forks of a shared baseline) carry the
             // baseline's slot table; the serve config is authoritative.
@@ -989,13 +928,6 @@ impl ShardedStore {
             // — identical to a monolithic store, which the digest
             // anchors rely on.
             store.seed_txn_ids(i as u64 + 1, plan.shards() as u64);
-            if config.read_path == ReadPath::Inline {
-                inline.push(InlineReads {
-                    view: store.read_view(),
-                    offloaded: AtomicU64::new(0),
-                    retries: AtomicU64::new(0),
-                });
-            }
             let out = ShardOutcome {
                 shard: i as u32,
                 store,
@@ -1004,10 +936,6 @@ impl ShardedStore {
                 batches: 0,
                 max_batch: 0,
                 failure: None,
-                // Patched from the shared counters at shutdown under
-                // `ReadPath::Inline`.
-                reads_offloaded: 0,
-                read_retries: 0,
             };
             links.push(ShardLink {
                 shard: i as u32,
@@ -1028,7 +956,6 @@ impl ShardedStore {
                 links: Arc::new(links),
                 next_id: Arc::new(AtomicU64::new(0)),
                 closed,
-                inline: Arc::new(inline),
             },
         }
     }
@@ -1050,12 +977,7 @@ impl ShardedStore {
     /// return the per-shard outcomes.
     pub fn shutdown(self) -> ServeOutcome {
         self.handle.closed.store(true, Ordering::SeqCst);
-        let mut shards: Vec<ShardOutcome> =
-            self.handle.links.iter().map(ShardLink::close).collect();
-        for (s, r) in shards.iter_mut().zip(self.handle.inline.iter()) {
-            s.reads_offloaded = r.offloaded.load(Ordering::Relaxed);
-            s.read_retries = r.retries.load(Ordering::Relaxed);
-        }
+        let shards = self.handle.links.iter().map(ShardLink::close).collect();
         ServeOutcome { shards }
     }
 }
@@ -1110,9 +1032,8 @@ impl ShardHandle {
     /// exactly one [`Response`] with that id will arrive on `reply`.
     /// When the shard is idle — its lock free and nothing admitted
     /// earlier still waiting — the request runs on the calling thread
-    /// and its completion is on `reply` before this returns, exactly
-    /// like an inline read (see [`ReadPath::Inline`]); otherwise it is
-    /// queued and the thread that holds the shard completes it.
+    /// and its completion is on `reply` before this returns; otherwise
+    /// it is queued and the thread that holds the shard completes it.
     /// On [`SubmitError`] nothing was admitted and no completion will
     /// follow — the caller owns the retry.
     ///
@@ -1238,13 +1159,6 @@ impl ShardHandle {
     ) -> Result<Option<Result<Reply, ServeError>>, SubmitError> {
         let link = &self.links[shard as usize];
         let shutting_down = Err(SubmitError::Rejected(ServeError::ShuttingDown));
-        // Inline reads never wait for the shard's lock: they execute on
-        // this (submitting) thread.
-        if let (Some(inline), &Request::Read { addr, len }) =
-            (self.inline.get(shard as usize), &*req)
-        {
-            return Ok(to.done(id, shard, inline.read(addr, len)));
-        }
         let Some(mut guard) = link.try_core() else {
             // Someone is inside: queue behind them.
             let mut queue = link.queue();

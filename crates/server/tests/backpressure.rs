@@ -4,7 +4,9 @@
 mod common;
 
 use common::{until_contended, Occupant};
-use envy_server::{Request, ServeConfig, ServeError, ShardedStore, SubmitError};
+use envy_server::{
+    run_inproc, LoadSpec, Request, ServeConfig, ServeError, ShardedStore, SubmitError,
+};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -224,4 +226,25 @@ fn concurrent_producers_make_progress_under_backpressure() {
     });
     let outcome = store.shutdown();
     assert_eq!(outcome.total_served(), 4 * per_thread);
+}
+
+/// Backpressure: a tiny queue with a slow shard must reject with
+/// `Busy { retry_after }`, and the loadgen's hinted-backoff retry loop
+/// must still complete every transaction (no request lost, no error).
+#[test]
+fn busy_retries_complete_all_transactions() {
+    let config = ServeConfig::small(1)
+        .with_queue_capacity(2)
+        .with_service_delay(Duration::from_micros(200));
+    let store = ShardedStore::launch(config).unwrap();
+    let spec = LoadSpec::closed(4, 10);
+    let report = run_inproc(&store.handle(), &spec);
+    let outcome = store.shutdown();
+    assert!(
+        report.busy_retries > 0,
+        "a 2-deep queue under 4 pipelined clients must reject"
+    );
+    assert_eq!(report.completed_txns, 40, "retries must finish every txn");
+    assert_eq!(report.errors, 0);
+    assert_eq!(report.completed_ops, outcome.total_served());
 }

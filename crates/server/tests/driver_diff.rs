@@ -4,7 +4,8 @@
 //! shard answers it, with the `ServeSummary` counting exactly the
 //! admitted requests; a pipeline whose requests reach the loop by both
 //! completion routes must still be answered in request order, and so
-//! must one whose reader falls far behind; and both backends must run
+//! must one whose reader falls far behind, with the server holding no
+//! more than its output mark plus one reply; and both backends must run
 //! the same disconnect cleanup for half-closed and silent sockets.
 
 mod common;
@@ -13,7 +14,7 @@ use common::{until_contended, Occupant};
 use envy_server::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse, MAX_FRAME};
 use envy_server::{
     serve_with, Client, Listener, NetConfig, NetDriver, Request, ServeConfig, ServeError,
-    ShardedStore,
+    ShardedStore, KV_SCAN_LIMIT, OUTPUT_HIGH_WATER,
 };
 use envy_sim::rng::Rng;
 use std::io::Write;
@@ -123,8 +124,8 @@ fn seeded_blob(frames: usize) -> (Vec<u8>, u64) {
 /// fresh 1-shard store. The over-long `READ` is skipped: the wire
 /// refuses it before routing, and the in-process API has no frame to
 /// bound it by.
-fn replay(mut blob: &[u8]) -> Vec<Vec<u8>> {
-    let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
+fn replay(config: ServeConfig, mut blob: &[u8]) -> Vec<Vec<u8>> {
+    let store = ShardedStore::launch(config).unwrap();
     let handle = store.handle();
     let (tx, rx) = mpsc::channel();
     let mut replies = Vec::new();
@@ -197,7 +198,7 @@ fn run_driver(driver: NetDriver, blob: &[u8], frames: usize) -> (Vec<Vec<u8>>, u
 fn drivers_produce_identical_wire_bytes_and_counts() {
     const FRAMES: usize = 200;
     let (blob, admitted) = seeded_blob(FRAMES);
-    let expected = replay(&blob);
+    let expected = replay(ServeConfig::small(1), &blob);
     assert_eq!(expected.len(), FRAMES);
     for driver in [NetDriver::Epoll, NetDriver::Poll] {
         // One reply per seeded frame plus the refusal of the over-long
@@ -274,7 +275,7 @@ fn slow_reader_frames() -> Vec<Vec<u8>> {
 /// byte for byte.
 fn slow_reader_gets_every_reply(driver: NetDriver) {
     let frames = slow_reader_frames();
-    let expected = replay(&frames.concat());
+    let expected = replay(ServeConfig::small(1), &frames.concat());
     assert_eq!(expected.len(), frames.len());
 
     let path = std::env::temp_dir().join(format!(
@@ -337,6 +338,133 @@ fn slow_reader_gets_every_reply_under_epoll() {
 #[test]
 fn slow_reader_gets_every_reply_under_poll_backend() {
     slow_reader_gets_every_reply(NetDriver::Poll);
+}
+
+/// A shard with room for [`KV_SCAN_LIMIT`] values of
+/// [`envy_kv::MAX_VALUE`] bytes.
+fn scan_config() -> ServeConfig {
+    ServeConfig {
+        store: envy_core::EnvyConfig::scaled(4, 16, 1024, 256).with_utilization(0.5),
+        ..ServeConfig::small(1)
+    }
+}
+
+/// [`KV_SCAN_LIMIT`] `KV_PUT`s of distinct 4 KiB values, then 64
+/// `KV_SCAN`s each answered with all of them: about 526 KiB per reply,
+/// 33 MiB in all.
+fn full_scan_frames() -> Vec<Vec<u8>> {
+    let puts = (0..u64::from(KV_SCAN_LIMIT)).map(|key| Request::KvPut {
+        shard: 0,
+        key,
+        txn: 0,
+        value: vec![key as u8; envy_kv::MAX_VALUE],
+    });
+    let scans = (0..64).map(|_| Request::KvScan {
+        shard: 0,
+        start: 0,
+        limit: KV_SCAN_LIMIT,
+    });
+    puts.chain(scans)
+        .enumerate()
+        .map(|(id, req)| {
+            let payload = proto::encode_request(&WireRequest {
+                id: id as u64,
+                deadline_us: 0,
+                body: WireBody::Req(req),
+            });
+            let mut frame = Vec::new();
+            proto::write_frame(&mut frame, &payload).unwrap();
+            frame
+        })
+        .collect()
+}
+
+/// A client that pipelines every frame and reads nothing for a while is
+/// held at the output mark: the server never holds more unwritten
+/// output than [`OUTPUT_HIGH_WATER`] plus one reply, and once the client
+/// reads, every reply equals the socket-free replay's, byte for byte.
+/// With `drain`, the server is asked to shut down while the connection
+/// is held: it answers what it admitted, drops the frames still waiting
+/// in the decoder, and closes.
+fn pipelined_scans_keep_output_bounded(driver: NetDriver, drain: bool) {
+    let frames = full_scan_frames();
+    let expected = replay(scan_config(), &frames.concat());
+    let largest_frame = expected.iter().map(|r| 4 + r.len()).max().unwrap();
+    assert!(largest_frame > 512 * 1024, "a scan answers every value");
+
+    let path = std::env::temp_dir().join(format!(
+        "envy-bounded-{}-{}-{drain}.sock",
+        std::process::id(),
+        driver.name()
+    ));
+    let listener = Listener::bind_unix(&path).unwrap();
+    let net = NetConfig {
+        driver,
+        idle_timeout: None,
+    };
+    let server = serve_with(listener, ShardedStore::launch(scan_config()).unwrap(), net).unwrap();
+    let mut raw = UnixStream::connect(&path).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    raw.write_all(&frames.concat()).unwrap();
+    // Long enough for the loop to run past the mark and park, even in a
+    // debug build on a loaded host.
+    std::thread::sleep(Duration::from_secs(1));
+    if drain {
+        server.request_shutdown();
+    }
+    let mut replies = Vec::new();
+    while let Some(reply) =
+        proto::read_frame(&mut raw).expect("a reply or a close within the timeout")
+    {
+        replies.push(reply);
+        if replies.len() == frames.len() {
+            break;
+        }
+    }
+    drop(raw);
+    let summary = server.shutdown();
+    let _ = std::fs::remove_file(&path);
+    if drain {
+        assert!(
+            replies.len() < expected.len(),
+            "{driver:?}: held frames dropped"
+        );
+    } else {
+        assert_eq!(replies.len(), expected.len(), "{driver:?}");
+    }
+    if let Some(i) = (0..replies.len()).find(|&i| replies[i] != expected[i]) {
+        panic!("{driver:?} reply {i} differs from the replay");
+    }
+    assert_eq!(summary.requests, replies.len() as u64, "{driver:?}");
+    assert!(
+        summary.max_output_backlog <= OUTPUT_HIGH_WATER + largest_frame,
+        "{driver:?}: {} bytes held, mark {OUTPUT_HIGH_WATER} + one reply {largest_frame}",
+        summary.max_output_backlog
+    );
+    assert!(
+        summary.max_output_backlog > OUTPUT_HIGH_WATER,
+        "{driver:?}: the reader fell behind, so the mark was reached"
+    );
+}
+
+#[test]
+fn pipelined_scans_keep_output_bounded_under_epoll() {
+    pipelined_scans_keep_output_bounded(NetDriver::Epoll, false);
+}
+
+#[test]
+fn pipelined_scans_keep_output_bounded_under_poll_backend() {
+    pipelined_scans_keep_output_bounded(NetDriver::Poll, false);
+}
+
+#[test]
+fn held_connection_drains_on_shutdown_under_epoll() {
+    pipelined_scans_keep_output_bounded(NetDriver::Epoll, true);
+}
+
+#[test]
+fn held_connection_drains_on_shutdown_under_poll_backend() {
+    pipelined_scans_keep_output_bounded(NetDriver::Poll, true);
 }
 
 /// On a shard larger than a frame the same read passes routing, so

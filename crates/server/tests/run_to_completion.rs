@@ -11,7 +11,7 @@ use common::contents_digest;
 use envy_core::EnvyStore;
 use envy_server::shard::apply;
 use envy_server::{
-    ReadPath, Request, Response, ServeConfig, ServeError, ShardHandle, ShardedStore, SubmitError,
+    Request, Response, ServeConfig, ServeError, ShardHandle, ShardedStore, SubmitError,
 };
 use envy_sim::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -216,8 +216,8 @@ fn shard_threads() -> Vec<(String, u64)> {
     found
 }
 
-/// (d) A launched store owns no thread and, idle, wakes nothing — on
-/// either read path. Nothing in the shard layer spawns any more, so the
+/// (d) A launched store owns no thread and, idle, wakes nothing.
+/// Nothing in the shard layer spawns any more, so the
 /// probe is checked against a thread this test starts itself: named
 /// like a shard's and polling every 10 ms, as the shard workers and
 /// reader threads this design replaced did.
@@ -225,18 +225,16 @@ fn shard_threads() -> Vec<(String, u64)> {
 #[test]
 fn a_launched_store_owns_no_thread_and_an_idle_one_never_wakes() {
     let idle = Duration::from_millis(200);
-    for path in [ReadPath::Timed, ReadPath::Inline] {
-        let store = ShardedStore::launch(ServeConfig::small(4).with_read_path(path)).unwrap();
-        let handle = store.handle();
-        for shard in 0..4 {
-            handle.call(Request::Ping { shard }).unwrap();
-            let addr = u64::from(shard) * handle.plan().shard_bytes();
-            handle.call(Request::Read { addr, len: 8 }).unwrap();
-        }
-        std::thread::sleep(idle);
-        assert_eq!(shard_threads(), vec![], "{path:?} owns no thread");
-        store.shutdown();
+    let store = ShardedStore::launch(ServeConfig::small(4)).unwrap();
+    let handle = store.handle();
+    for shard in 0..4 {
+        handle.call(Request::Ping { shard }).unwrap();
+        let addr = u64::from(shard) * handle.plan().shard_bytes();
+        handle.call(Request::Read { addr, len: 8 }).unwrap();
     }
+    std::thread::sleep(idle);
+    assert_eq!(shard_threads(), vec![], "a launched store owns no thread");
+    store.shutdown();
 
     let (stop, stopped) = mpsc::channel::<()>();
     let control = std::thread::Builder::new()

@@ -17,17 +17,11 @@
 //! the buffer, and at 4 bytes per logical page the index costs less SRAM
 //! than the page table's 6 bytes per mapping while making the probe a
 //! single array load.
-//!
-//! Both the index and the page frames are published to concurrent readers
-//! (see `envy_sync`): index entries are single atomic `u32` words and the
-//! frames live in a fixed atomic arena, so a reader validating against the
-//! store's epoch can copy a buffered page lock-free while the single
-//! writer mutates behind it.
 
-use envy_sync::{ArenaSpan, ArenaView, SharedArena, SharedSlots, SlotsView};
+use envy_sync::ByteArena;
 
 /// Metadata for a page held in the SRAM write buffer. Payload bytes (when
-/// stored) live in the buffer's shared frame arena, not here.
+/// stored) live in the buffer's frame arena, not here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferedPage {
     /// Logical page number.
@@ -58,62 +52,9 @@ impl std::fmt::Display for InsertError {
 
 impl std::error::Error for InsertError {}
 
-/// Direct-map index encoding: `0` = not buffered, else `slot + 1`. The
-/// zero sentinel keeps "not buffered" the all-zeroes state, so a reader
-/// racing an insert can only ever observe empty or a fully-formed entry.
+/// Direct-map index encoding: `0` = not buffered, else `slot + 1`, so
+/// "not buffered" is the all-zeroes state.
 const IDX_EMPTY: u32 = 0;
-
-/// Exclusive access to one page frame claimed by
-/// [`WriteBuffer::insert_frame`].
-///
-/// The frame's contents are **unspecified** on claim — the caller must
-/// overwrite the whole page or [`FrameMut::fill`] it before relying on any
-/// byte.
-#[derive(Debug)]
-pub struct FrameMut<'a> {
-    arena: &'a mut SharedArena,
-    base: usize,
-    len: usize,
-}
-
-impl FrameMut<'_> {
-    /// Frame length in bytes (the page size).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the frame has zero bytes (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Set every byte of the frame to `value`.
-    pub fn fill(&mut self, value: u8) {
-        self.arena.fill(self.base, self.len, value);
-    }
-
-    /// Overwrite the whole frame. `src` must be page-sized.
-    pub fn copy_from_slice(&mut self, src: &[u8]) {
-        assert_eq!(src.len(), self.len, "frame copy must be page-sized");
-        self.arena.write_bytes(self.base, src);
-    }
-
-    /// Overwrite the whole frame from a page-sized span of another arena
-    /// (the Flash original of a copy-on-write), arena to arena.
-    pub fn copy_from_span(&mut self, src: ArenaSpan<'_>) {
-        assert_eq!(src.len(), self.len, "frame copy must be page-sized");
-        self.arena.copy_from(self.base, src);
-    }
-
-    /// Write `bytes` at `offset` within the frame.
-    pub fn write(&mut self, offset: usize, bytes: &[u8]) {
-        assert!(
-            offset + bytes.len() <= self.len,
-            "frame write exceeds page bounds"
-        );
-        self.arena.write_bytes(self.base + offset, bytes);
-    }
-}
 
 /// FIFO write buffer of page frames.
 ///
@@ -143,12 +84,11 @@ pub struct WriteBuffer {
     free: Vec<usize>,
     fifo: std::collections::VecDeque<usize>,
     /// `index[logical] = slot + 1`, [`IDX_EMPTY`] when not buffered.
-    /// Atomic words shared with concurrent readers.
-    index: SharedSlots,
+    index: Vec<u32>,
     /// Page frame slab: slot `s` occupies bytes
     /// `s * page_bytes .. (s + 1) * page_bytes`. `None` when payload
     /// storage is disabled (residency-only mode).
-    frames: Option<SharedArena>,
+    frames: Option<ByteArena>,
 }
 
 impl WriteBuffer {
@@ -178,8 +118,8 @@ impl WriteBuffer {
             slots: (0..capacity).map(|_| None).collect(),
             free: (0..capacity).rev().collect(),
             fifo: std::collections::VecDeque::with_capacity(capacity),
-            index: SharedSlots::new(logical_pages as usize, IDX_EMPTY),
-            frames: store_data.then(|| SharedArena::new(capacity * page_bytes, 0xFF)),
+            index: vec![IDX_EMPTY; logical_pages as usize],
+            frames: store_data.then(|| ByteArena::new(capacity * page_bytes, 0xFF)),
         }
     }
 
@@ -213,28 +153,13 @@ impl WriteBuffer {
         self.frames.is_some()
     }
 
-    /// Reader handle to the direct-map index (`slot + 1` encoding), for
-    /// lock-free concurrent probes validated by an external epoch.
-    pub fn reader_index(&self) -> SlotsView {
-        self.index.view()
-    }
-
-    /// Reader handle to the frame slab, if payload storage is enabled.
-    pub fn reader_frames(&self) -> Option<ArenaView> {
-        self.frames.as_ref().map(SharedArena::view)
-    }
-
     /// The occupied slot holding a logical page, if buffered. Pages
     /// outside the indexed logical space are never buffered.
     #[inline]
     fn slot_of(&self, logical: u64) -> Option<usize> {
-        if (logical as usize) < self.index.len() {
-            match self.index.get(logical as usize) {
-                IDX_EMPTY => None,
-                entry => Some(entry as usize - 1),
-            }
-        } else {
-            None
+        match self.index.get(logical as usize) {
+            None | Some(&IDX_EMPTY) => None,
+            Some(&entry) => Some(entry as usize - 1),
         }
     }
 
@@ -250,8 +175,8 @@ impl WriteBuffer {
     /// copy-on-write path: one index probe claims the frame, and the
     /// caller writes the Flash original plus the host bytes straight into
     /// the returned frame. The frame's contents are **unspecified** — the
-    /// caller must overwrite the whole page or [`FrameMut::fill`] it.
-    /// Returns `Ok(None)` when payload storage is disabled.
+    /// caller must overwrite or fill the whole page before relying on any
+    /// byte. Returns `Ok(None)` when payload storage is disabled.
     ///
     /// # Errors
     ///
@@ -264,12 +189,12 @@ impl WriteBuffer {
         &mut self,
         logical: u64,
         origin: Option<u32>,
-    ) -> Result<Option<FrameMut<'_>>, InsertError> {
+    ) -> Result<Option<&mut [u8]>, InsertError> {
         assert!(
             (logical as usize) < self.index.len(),
             "logical page within the indexed space"
         );
-        if self.index.get(logical as usize) != IDX_EMPTY {
+        if self.index[logical as usize] != IDX_EMPTY {
             return Err(InsertError::AlreadyBuffered);
         }
         if self.len == self.capacity {
@@ -279,12 +204,12 @@ impl WriteBuffer {
         self.slots[slot] = Some(BufferedPage { logical, origin });
         self.fifo.push_back(slot);
         self.len += 1;
-        self.index.set(logical as usize, slot as u32 + 1);
-        Ok(self.frames.as_mut().map(|arena| FrameMut {
-            arena,
-            base: slot * self.page_bytes,
-            len: self.page_bytes,
-        }))
+        self.index[logical as usize] = slot as u32 + 1;
+        let page_bytes = self.page_bytes;
+        Ok(self
+            .frames
+            .as_mut()
+            .map(|arena| arena.span_mut(slot * page_bytes, page_bytes)))
     }
 
     /// Insert a page at the FIFO head.
@@ -304,7 +229,7 @@ impl WriteBuffer {
         origin: Option<u32>,
         initial: Option<&[u8]>,
     ) -> Result<(), InsertError> {
-        if let Some(mut frame) = self.insert_frame(logical, origin)? {
+        if let Some(frame) = self.insert_frame(logical, origin)? {
             match initial {
                 Some(initial) => frame.copy_from_slice(initial),
                 None => frame.fill(0xFF),
@@ -372,10 +297,10 @@ impl WriteBuffer {
         }
     }
 
-    /// A buffered page's whole frame as the source of an arena-to-arena
-    /// copy (the flush into Flash). `None` if the page is not buffered or
-    /// payload storage is disabled.
-    pub fn frame_span(&self, logical: u64) -> Option<ArenaSpan<'_>> {
+    /// A buffered page's whole frame as the source of a copy (the flush
+    /// into Flash). `None` if the page is not buffered or payload storage
+    /// is disabled.
+    pub fn frame_span(&self, logical: u64) -> Option<&[u8]> {
         // Payload presence first: a residency-only buffer answers
         // without probing the index.
         let arena = self.frames.as_ref()?;
@@ -400,7 +325,7 @@ impl WriteBuffer {
     pub fn pop_tail(&mut self) -> Option<BufferedPage> {
         let slot = self.fifo.pop_front()?;
         let page = self.slots[slot].take().expect("fifo tracks live slots");
-        self.index.set(page.logical as usize, IDX_EMPTY);
+        self.index[page.logical as usize] = IDX_EMPTY;
         self.free.push(slot);
         self.len -= 1;
         Some(page)
@@ -411,7 +336,7 @@ impl WriteBuffer {
     pub fn remove(&mut self, logical: u64) -> Option<BufferedPage> {
         let slot = self.slot_of(logical)?;
         let page = self.slots[slot].take().expect("index tracks live slots");
-        self.index.set(logical as usize, IDX_EMPTY);
+        self.index[logical as usize] = IDX_EMPTY;
         self.fifo.retain(|&s| s != slot);
         self.free.push(slot);
         self.len -= 1;
@@ -493,7 +418,7 @@ mod tests {
     #[test]
     fn insert_frame_exposes_writable_frame() {
         let mut b = WriteBuffer::new(2, 4, 64, true);
-        let mut frame = b.insert_frame(3, Some(1)).unwrap().unwrap();
+        let frame = b.insert_frame(3, Some(1)).unwrap().unwrap();
         frame.copy_from_slice(&[7, 8, 9, 10]);
         let mut out = [0; 4];
         assert_eq!(b.read_into(3, 0, &mut out), Some(true));
@@ -606,16 +531,17 @@ mod tests {
     }
 
     #[test]
-    fn reader_handles_track_writer_state() {
+    fn frame_span_tracks_writer_state() {
         let mut b = WriteBuffer::new(2, 4, 64, true);
-        let idx = b.reader_index();
-        let frames = b.reader_frames().unwrap();
         b.insert(5, None, Some(&[1, 2, 3, 4])).unwrap();
-        let slot = idx.get(5) as usize - 1;
-        let mut out = [0u8; 4];
-        frames.read_bytes(slot * 4, &mut out);
-        assert_eq!(out, [1, 2, 3, 4]);
+        assert_eq!(b.frame_span(5), Some(&[1, 2, 3, 4][..]));
+        b.write(5, 2, &[9]);
+        assert_eq!(b.frame_span(5), Some(&[1, 2, 9, 4][..]));
         b.pop_tail().unwrap();
-        assert_eq!(idx.get(5), 0);
+        assert_eq!(b.frame_span(5), None);
+        // Residency-only: no frame to lend, buffered or not.
+        let mut s = WriteBuffer::new(2, 4, 64, false);
+        s.insert(5, None, None).unwrap();
+        assert_eq!(s.frame_span(5), None);
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Battery-backed SRAM substrate for the eNVy reproduction.
 //!
 //! eNVy pairs its Flash array with a relatively small battery-backed SRAM
@@ -15,4 +16,4 @@
 
 pub mod buffer;
 
-pub use buffer::{BufferedPage, FrameMut, InsertError, WriteBuffer};
+pub use buffer::{BufferedPage, InsertError, WriteBuffer};

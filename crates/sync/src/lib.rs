@@ -1,51 +1,19 @@
 #![warn(missing_docs)]
-//! # envy-sync — single-writer / multi-reader primitives for the eNVy data plane
+#![forbid(unsafe_code)]
+//! # envy-sync — the payload byte arena of the eNVy data plane
 //!
-//! eNVy's front end is battery-backed memory: reads are supposed to complete
-//! at memory speed even while the (single) controller mutates the page table,
-//! flushes the SRAM write buffer, cleans segments, or levels wear. This crate
-//! supplies the two building blocks the reproduction uses to get that
-//! concurrency model without locks on the read path:
+//! The Flash array's page contents and the SRAM write buffer's page
+//! frames are each one flat run of page-sized byte ranges. [`ByteArena`]
+//! is that run: a `Vec<u8>` whose every access names its range and
+//! panics when the range leaves the arena. Copies between arenas — a
+//! copy-on-write from Flash into a frame, a flush from a frame into
+//! Flash — borrow the source range as a plain `&[u8]`
+//! ([`ByteArena::span`]), and a Flash-to-Flash page move is one
+//! `copy_within`.
 //!
-//! * [`SeqEpoch`] / [`SharedEpoch`] — a seqlock-style version counter. The
-//!   writer holds it **odd** for the whole duration of a mutating operation
-//!   and publishes **even** values with `Release` ordering; readers snapshot
-//!   an even value, copy whatever they need with plain (relaxed) atomic
-//!   loads, then validate that the counter is unchanged. A failed validation
-//!   means "retry", never "corrupt data".
-//! * [`AtomicArena`] / [`SharedArena`] — a byte-addressed arena backed by
-//!   `AtomicU64` words, so readers can copy page payloads concurrently with
-//!   the writer without data races. Torn *word-level* reads are impossible;
-//!   torn *multi-word* reads are caught by the epoch validation and retried.
-//!   The owner handle alone can store, and only through `&mut self`, so its
-//!   own reads and arena-to-arena copies ([`ArenaSpan`]) are plain `memcpy`s
-//!   — the data plane's only `unsafe`, confined to this crate.
-//! * [`SharedWords`] / [`SharedSlots`] — shared arrays of `u64` / `u32`
-//!   entries (packed page-table words, MMU tags, SRAM buffer index slots)
-//!   with single-word atomic access. A single word is always internally
-//!   consistent; cross-word consistency again comes from the epoch.
-//!
-//! ## Memory-ordering contract (the seqlock recipe)
-//!
-//! * Writer: `write_begin` stores the odd value relaxed then issues a
-//!   `Release` fence (so the odd marker is visible before any data stores);
-//!   `write_end` stores the even value with `Release` (so all data stores
-//!   are visible before the new even value).
-//! * Reader: `optimistic_read` loads the counter with `Acquire`; data loads
-//!   may be `Relaxed`; `validate` issues an `Acquire` fence **before**
-//!   re-loading the counter, so no data load can be reordered after the
-//!   validation load.
-//!
-//! All mutating containers here assume a **single writer at a time**; the
-//! sub-word read-modify-write paths in [`AtomicArena`] are not atomic with
-//! respect to other writers. The eNVy store upholds this by construction:
-//! one shard owns one store, and every mutating entry point runs on that
-//! shard's writer thread under one epoch guard.
+//! One shard owns one store and every access to it runs under the
+//! shard's lock, so nothing here is shared between threads.
 
 mod arena;
-mod epoch;
-mod words;
 
-pub use arena::{ArenaSpan, ArenaView, AtomicArena, SharedArena};
-pub use epoch::{EpochView, EpochWriteGuard, SeqEpoch, SharedEpoch};
-pub use words::{SharedSlots, SharedWords, SlotsView, WordsView};
+pub use arena::ByteArena;
