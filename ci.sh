@@ -71,6 +71,8 @@ cargo test --release -q -p envy-server --test driver_diff
 cargo test --release -q -p envy-server --test accept_pressure
 
 echo "== smoke: fig13_throughput --quick --jobs 2 =="
+# The smoke runs the shipped configuration, the paper's 2 GB array, over
+# a shorter window (about 2 s and 360 MiB on a 2-CPU host).
 # A --quick run writes its report to results/ci_smoke_BENCH_<name>.json
 # (git-ignored, like every other file this script leaves in results/);
 # results/BENCH_<name>.json is written by full runs only. Every experiment

@@ -11,12 +11,12 @@ use envy_core::EnvyStore;
 use envy_workload::run_timed;
 
 pub fn run(args: &Args) {
-    let txns = args.u64("txns", if args.quick { 6_000 } else { 20_000 });
+    let txns = args.u64("txns", if args.quick { 6_000 } else { 200_000 });
     let sizes = vec![0usize, 64, 512, 4096, 32_768];
     let outcome = args.sweep("abl_mmu", sizes, |_, &entries| {
         // The cache size changes the device config, so each point builds
         // its own system; `run_timed`'s warmup window covers settling.
-        let config = timed_config_for(args.paper, 0.8).with_mmu_entries(entries);
+        let config = timed_config_for(0.8).with_mmu_entries(entries);
         let driver = timed_driver(&config);
         let mut store = EnvyStore::new(config).expect("valid config");
         store.prefill().expect("prefill");

@@ -14,9 +14,9 @@ use envy_workload::run_timed;
 
 pub fn run(args: &Args) {
     let start = std::time::Instant::now();
-    let txns = args.u64("txns", if args.quick { 10_000 } else { 40_000 });
+    let txns = args.u64("txns", if args.quick { 10_000 } else { 200_000 });
     let rate = args.u64("rate", 30_000) as f64;
-    let (mut store, driver) = timed_system_for(args.paper, 0.8);
+    let (mut store, driver) = timed_system_for(0.8);
     let result = run_timed(&mut store, &driver, rate, txns / 10, txns, 42).expect("timed run");
     let b = store
         .stats()

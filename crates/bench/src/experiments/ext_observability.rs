@@ -30,9 +30,9 @@ const PERCENTILE_KEYS: [[&str; 4]; 2] = [
 
 pub fn run(args: &Args) {
     let started = std::time::Instant::now();
-    let txns = args.u64("txns", if args.quick { 8_000 } else { 30_000 });
+    let txns = args.u64("txns", if args.quick { 8_000 } else { 250_000 });
     let warmup = txns / 10;
-    let (base, driver) = timed_system_for(args.paper, 0.8);
+    let (base, driver) = timed_system_for(0.8);
     let rates = vec![5_000u64, 20_000, 40_000, 60_000, 80_000];
     let saturated = *rates.last().expect("rates nonempty");
     let spec = SweepSpec::new("ext_observability", rates);

@@ -15,18 +15,18 @@ use envy_sim::report::fmt_f64;
 use envy_workload::run_timed;
 
 pub fn run(args: &Args) {
-    let txns = args.u64("txns", if args.quick { 8_000 } else { 30_000 });
-    let rate = args.u64("rate", 50_000) as f64; // past base-system saturation
+    let txns = args.u64("txns", if args.quick { 8_000 } else { 250_000 });
+    // Figure 13's top row, past the 1-way system's saturation (~67 k).
+    let rate = args.u64("rate", 80_000) as f64;
     let levels = vec![1u32, 2, 4, 8];
     let outcome = args.sweep("ext_parallel", levels, |_, &parallel| {
         // The parallel-ops setting changes the device config, so each
         // point builds (and churns) its own system.
-        let mut config = timed_config_for(args.paper, 0.8).with_parallel_ops(parallel);
-        config.store_data = false;
+        let config = timed_config_for(0.8).with_parallel_ops(parallel);
         let driver = timed_driver(&config);
         let mut store = envy_core::EnvyStore::new(config).expect("config valid");
         store.prefill().expect("prefill");
-        churn_to_steady_state_for(args.paper, &mut store, &driver);
+        churn_to_steady_state_for(&mut store, &driver);
         let result = run_timed(&mut store, &driver, rate, txns / 10, txns, 42).expect("timed run");
         let stats = store.stats();
         let flush_time_us = stats.time_flush.as_micros_f64() / stats.pages_flushed.get() as f64;

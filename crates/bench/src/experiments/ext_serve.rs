@@ -17,16 +17,20 @@
 //! the one-shard front end must land on exactly the simulated clock and
 //! controller statistics of the same stream applied synchronously to a
 //! monolithic store (`loadgen::run_monolithic`).
+//!
+//! Scaled: each shard is a small timing array (`ServeConfig::scaled`),
+//! not the paper's 2 GB one. The subject is the serving stack above the
+//! controller, and eight 2 GB shards would hold about 1 GiB of
+//! controller state (about 120 MiB each) per point.
 
+use super::ext_txn::scaled_baseline;
 use crate::{ratio, us, Args};
-use envy_bench::{churn_to_steady_state_for, emit, PointResult, SweepSpec};
-use envy_core::EnvyStore;
+use envy_bench::{emit, PointResult, SweepSpec};
 use envy_server::loadgen::{run_inproc, run_monolithic, run_socket};
 use envy_server::{
     raise_nofile, serve, Client, Listener, LoadSpec, ServeConfig, ShardPlan, ShardedStore,
 };
 use envy_sim::report::Table;
-use envy_workload::{AnalyticTpca, TpcaScale};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -100,11 +104,7 @@ pub fn run(args: &Args) {
 
     // One churned steady-state baseline; every shard of every point
     // forks it, so all controllers start byte- and state-identical.
-    let config = ServeConfig::scaled(1);
-    let mut baseline = EnvyStore::new(config.store.clone()).expect("config is valid");
-    baseline.prefill().expect("prefill fits");
-    let driver = AnalyticTpca::new(TpcaScale::fit_bytes(config.store.logical_bytes()));
-    churn_to_steady_state_for(false, &mut baseline, &driver);
+    let baseline = scaled_baseline();
 
     // Determinism anchor: one shard, one submitter — the front end must
     // be indistinguishable from the monolithic store it wraps.

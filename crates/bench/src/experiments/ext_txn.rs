@@ -24,15 +24,20 @@
 //!   every transactional write pins its pre-image as a shadow page
 //!   until commit (§6), capacity the cleaner must carry, so the atomic
 //!   row shows the cost of the rollback guarantee in cleaning traffic.
+//!
+//! Scaled: the shards are small timing arrays (`ServeConfig::scaled`),
+//! not the paper's 2 GB one. The subject is the transaction path over
+//! the wire, and the wire anchor compares the whole logical space byte
+//! for byte: two 1.6 GB buffers on a 2 GB array.
 
 use crate::{emit_rows, ratio, us, Args};
-use envy_bench::{churn_to_steady_state_for, emit, PointResult, SweepSpec};
+use envy_bench::{emit, timed_driver, PointResult, SweepSpec};
 use envy_core::EnvyStore;
 use envy_server::loadgen::{run_inproc, run_monolithic, run_socket};
 use envy_server::{serve, Client, Listener, LoadReport, LoadSpec, Request, ServeConfig};
 use envy_server::{shard, ShardedStore};
 use envy_sim::report::Table;
-use envy_workload::{AnalyticTpca, TpcaScale};
+use envy_workload::churn_to_steady_state;
 use std::time::Instant;
 
 /// Seeded abort percentages on the sweep's x-axis.
@@ -94,6 +99,23 @@ pub fn wire_anchor(
     (mono, mono_report)
 }
 
+/// The serving experiments' baseline (also `ext_serve`'s): one
+/// [`ServeConfig::scaled`] shard, prefilled and churned to cleaning
+/// steady state by uniform account overwrites that consume its initial
+/// free space twice.
+pub fn scaled_baseline() -> EnvyStore {
+    let mut store = EnvyStore::new(ServeConfig::scaled(1).store).expect("config is valid");
+    store.prefill().expect("prefill fits");
+    let driver = timed_driver(store.config());
+    let (layout, seed) = (driver.layout(), 0xC0FFEE);
+    let accounts = layout.scale.accounts();
+    churn_to_steady_state(&mut store, seed, 2.0, accounts, |id| {
+        layout.account_addr(id)
+    })
+    .expect("churn write");
+    store
+}
+
 pub fn run(args: &Args) {
     let started = Instant::now();
     let quick = args.quick;
@@ -103,10 +125,7 @@ pub fn run(args: &Args) {
     // One churned steady-state baseline; every point forks it, so all
     // runs start byte- and state-identical with the cleaner hot.
     let config = ServeConfig::scaled(1);
-    let mut baseline = EnvyStore::new(config.store.clone()).expect("config is valid");
-    baseline.prefill().expect("prefill fits");
-    let driver = AnalyticTpca::new(TpcaScale::fit_bytes(config.store.logical_bytes()));
-    churn_to_steady_state_for(false, &mut baseline, &driver);
+    let baseline = scaled_baseline();
 
     // ----------------------------------------------------------------
     // Wire anchor: atomic TPC-A over TCP == synchronous monolithic

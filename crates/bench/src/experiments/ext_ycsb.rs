@@ -23,11 +23,16 @@
 //!   projection follows §5.5's scale-free form: flushes *per operation*
 //!   (measured as a delta over the loaded steady state) times an
 //!   assumed serving rate (`--rate`, default 10 000 ops/s).
+//!
+//! Scaled: the shards are 2 MiB functional arrays (`kv_config`), not the
+//! paper's 2 GB one. The KV layer stores real bytes, so a shard's memory
+//! is its array; only the lifetime projection is onto the 2 GB array.
 
 use super::ext_txn::wire_anchor;
 use crate::{emit_rows, ratio, us, Args};
 use envy_bench::{emit, point_seed, PointResult, SweepSpec};
 use envy_core::{lifetime_days, EnvyConfig, EnvyStore};
+use envy_flash::FlashGeometry;
 use envy_server::loadgen::{run_inproc, ycsb_load_requests};
 use envy_server::{LoadSpec, ServeConfig, ShardedStore};
 use envy_sim::report::{fmt_f64, Table};
@@ -40,9 +45,6 @@ const SHARD_COUNTS: [u32; 2] = [1, 8];
 
 /// All five core mixes.
 const MIXES: [YcsbMix; 5] = [YcsbMix::A, YcsbMix::B, YcsbMix::C, YcsbMix::D, YcsbMix::E];
-
-/// The paper's full-scale array: 2 GB of 256-byte pages (§5.5).
-const PAPER_PAGES: u64 = 2 * 1024 * 1024 * 1024 / 256;
 
 /// Rated program/erase cycles per segment (§5.5 uses 1M-cycle parts).
 const RATED_CYCLES: u64 = 1_000_000;
@@ -74,8 +76,7 @@ pub fn run(args: &Args) {
     let mut baseline = EnvyStore::new(config.store.clone()).expect("config is valid");
     baseline.prefill().expect("prefill fits");
     // Uniform 8-byte record overwrites over the whole array: the TPC-A
-    // layout of `churn_to_steady_state_for` needs a larger array than
-    // these functional shards.
+    // account layout needs a larger array than these functional shards.
     let slots = baseline.size() / 8;
     churn_to_steady_state(&mut baseline, 0xC0FFEE, 2.0, slots, |slot| slot * 8)
         .expect("churn write");
@@ -170,6 +171,8 @@ pub fn run(args: &Args) {
     // against the Section 5.5 lifetime machinery.
     // ----------------------------------------------------------------
     let wear_ops = ops * 4;
+    // The projection is onto the paper's 2 GB array (§5.5).
+    let paper_pages = FlashGeometry::paper_2gb().total_pages();
     let mut wear_rows: Vec<(String, Vec<(&'static str, f64)>)> = Vec::new();
     let mut wear_table = Table::new(&[
         "key draw",
@@ -208,7 +211,7 @@ pub fn run(args: &Args) {
         let cost = ratio(clean_programs as f64, flushed as f64);
         let total_ops = report.completed_txns.max(1);
         let flushes_per_op = flushed as f64 / total_ops as f64;
-        let days = lifetime_days(PAPER_PAGES, RATED_CYCLES, flushes_per_op * rate, cost);
+        let days = lifetime_days(paper_pages, RATED_CYCLES, flushes_per_op * rate, cost);
         wear_table.row(&[
             name.to_string(),
             flushed.to_string(),

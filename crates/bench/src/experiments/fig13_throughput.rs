@@ -11,10 +11,10 @@ use envy_sim::report::fmt_f64;
 use envy_workload::run_timed;
 
 pub fn run(args: &Args) {
-    let txns = args.u64("txns", if args.quick { 10_000 } else { 40_000 });
+    let txns = args.u64("txns", if args.quick { 10_000 } else { 250_000 });
     let warmup = txns / 10;
     // Build, prefill and churn the baseline once; every rate forks it.
-    let (base, driver) = timed_system_for(args.paper, 0.8);
+    let (base, driver) = timed_system_for(0.8);
     let rates = vec![
         5_000u64, 10_000, 20_000, 30_000, 40_000, 50_000, 60_000, 70_000, 80_000,
     ];

@@ -10,13 +10,13 @@ use envy_sim::report::fmt_f64;
 use envy_workload::run_timed;
 
 pub fn run(args: &Args) {
-    let txns = args.u64("txns", if args.quick { 8_000 } else { 30_000 });
+    let txns = args.u64("txns", if args.quick { 8_000 } else { 250_000 });
     let warmup = txns / 10;
     let rates = [10_000u64, 20_000, 30_000, 40_000];
     let utils = vec![10u32, 20, 30, 40, 50, 60, 70, 80, 90, 95];
     let outcome = args.sweep("fig14_utilization", utils, |_, &util_pct| {
         // One baseline per utilization point, forked for each rate.
-        let (base, driver) = timed_system_for(args.paper, util_pct as f64 / 100.0);
+        let (base, driver) = timed_system_for(util_pct as f64 / 100.0);
         let mut row = vec![format!("{util_pct}%")];
         let mut result = PointResult::row(format!("{util_pct}%"), Vec::new());
         let mut last_cost = 0.0;

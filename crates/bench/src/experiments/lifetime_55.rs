@@ -13,19 +13,17 @@ use envy_workload::run_timed;
 
 pub fn run(args: &Args) {
     let start = std::time::Instant::now();
-    let txns = args.u64("txns", if args.quick { 10_000 } else { 40_000 });
+    let txns = args.u64("txns", if args.quick { 10_000 } else { 200_000 });
     let rate = args.u64("rate", 10_000) as f64;
-    let (mut store, driver) = timed_system_for(args.paper, 0.8);
+    let (mut store, driver) = timed_system_for(0.8);
     let result = run_timed(&mut store, &driver, rate, txns / 10, txns, 42).expect("timed run");
 
-    // Lifetime at the *paper's* full scale: what matters per transaction
-    // is flushes/txn and cleaning cost, which are scale-free; project
-    // them onto the 2 GB array exactly as §5.5 does.
-    let paper_pages = 2u64 * 1024 * 1024 * 1024 / 256;
+    // Project flushes/txn and cleaning cost onto the offered rate, as
+    // §5.5 does.
     let flushes_per_txn = result.flushes_per_sec / result.achieved_tps;
     let projected_flush_rate = flushes_per_txn * rate;
     let days = lifetime_days(
-        paper_pages,
+        store.config().geometry.total_pages(),
         1_000_000,
         projected_flush_rate,
         result.cleaning_cost,

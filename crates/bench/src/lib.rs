@@ -6,9 +6,9 @@
 //! regenerates one table or figure of the paper's evaluation section and
 //! prints both an aligned text table and a CSV block. The binary parses
 //! the command line once and hands each experiment its flags; nothing in
-//! this library reads the command line. `--quick` selects a scaled-down
-//! run (fewer writes / transactions); the default parameters match
-//! EXPERIMENTS.md.
+//! this library reads the command line. `--quick` selects a shorter run
+//! (fewer writes / transactions) of the same configuration; the default
+//! parameters match EXPERIMENTS.md.
 
 pub mod json;
 pub mod sweep;
@@ -22,19 +22,11 @@ pub use sweep::{
     SweepOutcome, SweepSpec, REPORT_VERSION,
 };
 
-/// The timed TPC-A configuration: the paper's 2 GB array when `paper`
-/// (`--paper`), otherwise a 256 MB scaled version
-/// ([`EnvyConfig::scaled_timing`]: same geometry ratios — 128 segments,
-/// 8 banks, one-segment write buffer — and the paper's erase work per
-/// reclaimed page), at the given utilization.
-pub fn timed_config_for(paper: bool, utilization: f64) -> EnvyConfig {
-    let config = if paper {
-        let mut c = EnvyConfig::paper_2gb();
-        c.word_bytes = 8; // 64-bit host bus (Figure 11)
-        c
-    } else {
-        EnvyConfig::scaled_timing(8, 128, 8192, 256)
-    };
+/// The timed TPC-A configuration: the paper's 2 GB array (Figure 12)
+/// on a 64-bit host bus (Figure 11), at the given utilization.
+pub fn timed_config_for(utilization: f64) -> EnvyConfig {
+    let mut config = EnvyConfig::paper_2gb();
+    config.word_bytes = 8;
     config.with_utilization(utilization)
 }
 
@@ -46,13 +38,11 @@ pub fn timed_driver(config: &EnvyConfig) -> AnalyticTpca {
 
 /// Churn the store to cleaning steady state with uniform account
 /// overwrites ([`churn_to_steady_state`]), consuming the initial free
-/// space twice — 2.5 times at the paper's 2 GB (`paper`), where the
-/// measured windows are comparatively shorter.
-pub fn churn_to_steady_state_for(paper: bool, store: &mut EnvyStore, driver: &AnalyticTpca) {
-    let k = if paper { 2.5 } else { 2.0 };
+/// space 2.5 times.
+pub fn churn_to_steady_state_for(store: &mut EnvyStore, driver: &AnalyticTpca) {
     let (layout, seed) = (driver.layout(), 0xC0FFEE);
     let accounts = layout.scale.accounts();
-    churn_to_steady_state(store, seed, k, accounts, |id| layout.account_addr(id))
+    churn_to_steady_state(store, seed, 2.5, accounts, |id| layout.account_addr(id))
         .expect("churn write");
 }
 
@@ -60,14 +50,19 @@ pub fn churn_to_steady_state_for(paper: bool, store: &mut EnvyStore, driver: &An
 /// `utilization` and churned to cleaning steady state
 /// ([`churn_to_steady_state_for`]).
 ///
+/// A measurement window on it must be long relative to the write buffer
+/// (one 16 MB segment, 65 536 pages, flushed from 32 768): a window the
+/// buffer absorbs reads no cleaning cost and no saturation. The full-run
+/// windows are 200 000–250 000 transactions for that reason.
+///
 /// Sweeps that vary only workload parameters should build this once and
 /// [`EnvyStore::fork`] it per point instead of rebuilding.
-pub fn timed_system_for(paper: bool, utilization: f64) -> (EnvyStore, AnalyticTpca) {
-    let config = timed_config_for(paper, utilization);
+pub fn timed_system_for(utilization: f64) -> (EnvyStore, AnalyticTpca) {
+    let config = timed_config_for(utilization);
     let driver = timed_driver(&config);
     let mut store = EnvyStore::new(config).expect("config is valid");
     store.prefill().expect("prefill fits");
-    churn_to_steady_state_for(paper, &mut store, &driver);
+    churn_to_steady_state_for(&mut store, &driver);
     (store, driver)
 }
 

@@ -72,11 +72,9 @@ const U64_FLAGS: [&str; 12] = [
 
 /// The parsed command line.
 pub struct Args {
-    /// `--quick`: a scaled-down smoke run, reported to a git-ignored
+    /// `--quick`: a shorter smoke run, reported to a git-ignored
     /// `ci_smoke_` file.
     pub quick: bool,
-    /// `--paper`: the paper's 2 GB timed array, reported as `<name>_paper`.
-    pub paper: bool,
     /// `--jobs N`: sweep worker threads (default: available cores).
     pub jobs: usize,
     /// `--hold-idle N PATH`: run as `ext_serve`'s idle-connection holder.
@@ -100,7 +98,7 @@ impl Args {
         points: Vec<P>,
         run_point: impl Fn(usize, &P) -> PointResult + Sync,
     ) -> SweepOutcome {
-        SweepSpec::new(name, points).run(self.quick, self.paper, self.jobs, run_point)
+        SweepSpec::new(name, points).run(self.quick, self.jobs, run_point)
     }
 
     /// Write the report of experiment `name`, begun at `started` (see
@@ -113,8 +111,8 @@ impl Args {
         points: &[(String, Vec<(&'static str, f64)>)],
         extras: &[(&str, String)],
     ) {
-        let (quick, paper, wall) = (self.quick, self.paper, started.elapsed().as_secs_f64());
-        envy_bench::write_report(name, quick, paper, jobs, wall, points, extras);
+        let wall = started.elapsed().as_secs_f64();
+        envy_bench::write_report(name, self.quick, jobs, wall, points, extras);
     }
 }
 
@@ -144,7 +142,6 @@ pub fn ratio(a: f64, b: f64) -> f64 {
 fn parse(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), String> {
     let mut args = Args {
         quick: false,
-        paper: false,
         jobs: std::thread::available_parallelism().map_or(1, usize::from),
         hold_idle: None,
         overrides: [None; U64_FLAGS.len()],
@@ -169,11 +166,8 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), Strin
             (value.parse::<u64>()).map_err(|_| format!("--{flag}: {value:?} is not a count"))
         };
         match flag {
-            "quick" | "paper" if inline.is_some() => {
-                return Err(format!("--{flag} takes no value"))
-            }
+            "quick" if inline.is_some() => return Err(format!("--{flag} takes no value")),
             "quick" => args.quick = true,
-            "paper" => args.paper = true,
             "jobs" => args.jobs = number()?.max(1) as usize,
             "hold-idle" => {
                 let n = number()?;
@@ -191,7 +185,7 @@ fn parse(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), Strin
 
 fn usage() -> String {
     let mut text = String::from(
-        "usage: envy-bench <experiment> [--quick] [--paper] [--jobs N] [--<override> N]...\n\
+        "usage: envy-bench <experiment> [--quick] [--jobs N] [--<override> N]...\n\
          experiments:\n",
     );
     for (name, _) in EXPERIMENTS {
@@ -228,15 +222,15 @@ mod tests {
     fn arg_parsing_defaults() {
         let (name, args) = parse_line("fig13_throughput");
         assert_eq!(name, "fig13_throughput");
-        assert!(!args.quick && !args.paper && args.hold_idle.is_none() && args.jobs >= 1);
+        assert!(!args.quick && args.hold_idle.is_none() && args.jobs >= 1);
         assert_eq!(args.u64("txns", 42), 42);
     }
 
     #[test]
     fn flags_parse_in_both_forms_and_any_order() {
-        let (name, args) = parse_line("--quick --txns=5 ext_serve --rate 7 --jobs 0 --paper");
+        let (name, args) = parse_line("--quick --txns=5 ext_serve --rate 7 --jobs 0");
         assert_eq!(name, "ext_serve");
-        assert!(args.quick && args.paper);
+        assert!(args.quick);
         assert_eq!(args.jobs, 1, "--jobs 0 means one worker");
         assert_eq!(
             (args.u64("txns", 0), args.u64("rate", 0), args.u64("ops", 3)),

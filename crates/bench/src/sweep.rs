@@ -18,8 +18,7 @@
 //! Every run also records a machine-readable report — point labels,
 //! per-point metrics, wall-clock seconds and the number of jobs used —
 //! at `results/BENCH_<name>.json`; a `--quick` run writes
-//! `results/ci_smoke_BENCH_<name>.json` and a `--paper` run
-//! `results/BENCH_<name>_paper.json` instead (see [`write_report`]).
+//! `results/ci_smoke_BENCH_<name>.json` instead (see [`write_report`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,13 +88,13 @@ impl<'a, P: Sync> SweepSpec<'a, P> {
     }
 
     /// Evaluate every point with `jobs` worker threads and write the
-    /// JSON report under `results/` (`quick` and `paper` choose the file,
-    /// see [`write_report`]).
+    /// JSON report under `results/` (`quick` chooses the file, see
+    /// [`write_report`]).
     ///
     /// The closure receives `(point index, point)` and must derive all
     /// randomness from fixed or per-point seeds (see [`point_seed`]) so
     /// its result does not depend on execution order.
-    pub fn run<F>(self, quick: bool, paper: bool, jobs: usize, run_point: F) -> SweepOutcome
+    pub fn run<F>(self, quick: bool, jobs: usize, run_point: F) -> SweepOutcome
     where
         F: Fn(usize, &P) -> PointResult + Sync,
     {
@@ -103,7 +102,6 @@ impl<'a, P: Sync> SweepSpec<'a, P> {
         write_report(
             self.name,
             quick,
-            paper,
             outcome.jobs,
             outcome.wall_seconds,
             &outcome.points,
@@ -189,10 +187,8 @@ pub fn point_seed(base: u64, index: u64) -> u64 {
 
 /// Write a run's report: `results/BENCH_<name>.json`, or
 /// `results/ci_smoke_BENCH_<name>.json` (git-ignored) when `quick`, so a
-/// smoke run can never replace a committed full-run report. A `paper`
-/// (2 GB) run reports as `<name>_paper`, beside the scaled run's report
-/// rather than over it. `report_file` is the only place a report path
-/// is formed.
+/// smoke run can never replace a committed full-run report.
+/// `report_file` is the only place a report path is formed.
 ///
 /// Each `extras` pair is spliced in as a top-level `"key": value`, where
 /// `value` must already be valid JSON (see [`time_series_json`] and
@@ -204,30 +200,23 @@ pub fn point_seed(base: u64, index: u64) -> u64 {
 pub fn write_report(
     name: &str,
     quick: bool,
-    paper: bool,
     jobs: usize,
     wall_seconds: f64,
     points: &[(String, Vec<(&'static str, f64)>)],
     extras: &[(&str, String)],
 ) {
-    let (bench, path) = report_file(name, quick, paper);
-    let json = render_report(&bench, quick, jobs, wall_seconds, points, extras);
+    let path = report_file(name, quick);
+    let json = render_report(name, quick, jobs, wall_seconds, points, extras);
     match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json)) {
         Ok(()) => eprintln!("  report: {}", path.display()),
         Err(e) => eprintln!("  warning: could not write report: {e}"),
     }
 }
 
-/// The report's `bench` name and path for a run of experiment `name`.
-fn report_file(name: &str, quick: bool, paper: bool) -> (String, PathBuf) {
-    let bench = if paper {
-        format!("{name}_paper")
-    } else {
-        name.to_string()
-    };
+/// The report path for a run of experiment `name`.
+fn report_file(name: &str, quick: bool) -> PathBuf {
     let prefix = if quick { "ci_smoke_" } else { "" };
-    let path = PathBuf::from("results").join(format!("{prefix}BENCH_{bench}.json"));
-    (bench, path)
+    PathBuf::from("results").join(format!("{prefix}BENCH_{name}.json"))
 }
 
 /// Render the report document (see [`write_report`]). Public so
@@ -396,14 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn report_path_depends_on_quick_and_paper() {
-        for (quick, paper, bench, file) in [
-            (false, false, "x", "BENCH_x.json"),
-            (true, false, "x", "ci_smoke_BENCH_x.json"),
-            (false, true, "x_paper", "BENCH_x_paper.json"),
-        ] {
-            let want = (bench.to_string(), PathBuf::from("results").join(file));
-            assert_eq!(report_file("x", quick, paper), want);
+    fn report_path_depends_on_quick() {
+        for (quick, file) in [(false, "BENCH_x.json"), (true, "ci_smoke_BENCH_x.json")] {
+            assert_eq!(report_file("x", quick), PathBuf::from("results").join(file));
         }
     }
 }

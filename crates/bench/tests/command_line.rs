@@ -32,6 +32,7 @@ fn unknown_flag_is_refused() {
     assert_refused("table_fig01 --txn=5");
     assert_refused("table_fig01 --jbos 2");
     assert_refused("table_fig01 --quick=1");
+    assert_refused("table_fig01 --paper");
 }
 
 #[test]

@@ -3,15 +3,20 @@
 //! tooling relies on — in particular `report_version`, so report
 //! consumers can detect shape changes — come from a full run and name
 //! an `envy-bench` experiment, every experiment must have its committed
-//! results, and a `--quick` run must not be able to write a report. Run
-//! directly by `ci.sh`.
+//! results and be run by `run_experiments.sh`, reports that measure the
+//! same window must agree, and a `--quick` run must not be able to write
+//! a report. Run directly by `ci.sh`.
 
 use envy_bench::json::{parse, Value};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+fn repo_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    repo_dir().join("results")
 }
 
 /// The experiments `envy-bench` dispatches, read from the usage it
@@ -33,10 +38,65 @@ fn every_experiment_has_committed_results() {
     for name in experiments() {
         let (report, table) = (format!("BENCH_{name}.json"), format!("{name}.txt"));
         assert!(committed(&report), "{report} not committed");
-        // calib_saturation is an internal calibration: JSON only.
-        let json_only = name == "calib_saturation";
-        assert!(json_only || committed(&table), "{table} not committed");
+        assert!(committed(&table), "{table} not committed");
     }
+}
+
+/// `run_experiments.sh` is the one command that regenerates `results/`,
+/// so it must run every experiment the binary has.
+#[test]
+fn run_experiments_names_every_experiment() {
+    let script = std::fs::read_to_string(repo_dir().join("run_experiments.sh"))
+        .expect("run_experiments.sh exists");
+    let names: Vec<&str> = script
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .collect();
+    for name in experiments() {
+        assert!(
+            names.contains(&name.as_str()),
+            "run_experiments.sh does not run {name}"
+        );
+    }
+}
+
+/// The committed report `results/BENCH_<bench>.json`, parsed.
+fn committed_report(bench: &str) -> Value {
+    let file = format!("BENCH_{bench}.json");
+    let text = std::fs::read_to_string(results_dir().join(&file))
+        .unwrap_or_else(|e| panic!("{file}: {e}"));
+    parse(&text).unwrap_or_else(|e| panic!("{file}: parse error: {e}"))
+}
+
+/// `metrics[key]` of the point labelled `label` in `report`.
+fn point_metric(report: &Value, label: &str, key: &str) -> f64 {
+    let points = report.get("points").and_then(Value::as_array);
+    points
+        .expect("points array")
+        .iter()
+        .find(|p| p.get("label").and_then(Value::as_str) == Some(label))
+        .unwrap_or_else(|| panic!("missing point {label:?}"))
+        .get("metrics")
+        .and_then(|m| m.get(key))
+        .and_then(Value::as_number)
+        .unwrap_or_else(|| panic!("point {label:?} missing metric {key:?}"))
+}
+
+/// Figure 14's 80 % row and Figure 13's 40 000 TPS row fork the same
+/// 80 %-utilization base and run the same window at the same rate and
+/// seed, so their cleaning costs are one number.
+#[test]
+fn fig13_and_fig14_agree_at_80_percent() {
+    let fig13 = point_metric(
+        &committed_report("fig13_throughput"),
+        "40000 TPS",
+        "cleaning_cost",
+    );
+    let fig14 = point_metric(
+        &committed_report("fig14_utilization"),
+        "80%",
+        "cleaning_cost",
+    );
+    assert_eq!(fig13.to_bits(), fig14.to_bits(), "{fig13} vs {fig14}");
 }
 
 #[test]
@@ -70,7 +130,7 @@ fn every_committed_report_parses_and_is_versioned() {
             "{name}: bench field must match the file name"
         );
         assert!(
-            bench.ends_with("_paper") || experiments.iter().any(|e| e == bench),
+            experiments.iter().any(|e| e == bench),
             "{name}: envy-bench has no experiment {bench:?}"
         );
         assert_eq!(
@@ -149,23 +209,8 @@ fn quick_run_cannot_write_a_committed_report() {
 /// rows with a lifetime projection.
 #[test]
 fn ext_ycsb_report_carries_anchor_mixes_and_wear_rows() {
-    let text = std::fs::read_to_string(results_dir().join("BENCH_ext_ycsb.json"))
-        .expect("results/BENCH_ext_ycsb.json committed");
-    let doc = parse(&text).expect("well-formed report");
-    let points = doc
-        .get("points")
-        .and_then(Value::as_array)
-        .expect("points array");
-    let metric = |label: &str, key: &str| -> f64 {
-        points
-            .iter()
-            .find(|p| p.get("label").and_then(Value::as_str) == Some(label))
-            .unwrap_or_else(|| panic!("missing point {label:?}"))
-            .get("metrics")
-            .and_then(|m| m.get(key))
-            .and_then(Value::as_number)
-            .unwrap_or_else(|| panic!("point {label:?} missing metric {key:?}"))
-    };
+    let report = committed_report("ext_ycsb");
+    let metric = |label: &str, key: &str| point_metric(&report, label, key);
     assert_eq!(
         metric("anchor", "anchor_match"),
         1.0,
