@@ -61,9 +61,10 @@ echo "== smoke: race suites at full speed =="
 # under optimized codegen and free-running threads, so the debug-mode run
 # above is not enough. The run-to-completion suite races submitters for
 # one shard's lock (the idle-boundary hand-off, shutdown against live
-# submitters); the wire-contract suite's reply-order test races an
-# occupant's last posted completions against the event loop's first
-# inline one, which at full speed is close; and the accept-pressure
+# submitters); the wire-contract suite races the event loop against an
+# occupant thread for the shard it serves (the loop's request queues
+# behind the occupant, or runs on the loop once the occupant has let
+# go), which at full speed is close; and the accept-pressure
 # suite races the server's accept retries against a client holding the
 # process's last descriptor.
 cargo test --release -q -p envy-server --test run_to_completion

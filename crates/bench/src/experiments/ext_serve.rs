@@ -1,11 +1,12 @@
 //! `ext_serve` — extension: sharded serving scalability (the paper's §6
 //! multiple-controller organization).
 //!
-//! Drives the `envy-serve` front end closed-loop with a fixed offered
-//! workload (8 clients, skewed TPC-A mix) at 1, 2, 4 and 8 shards, each
-//! shard an independent eNVy controller forked from one churned
-//! steady-state baseline. On a single-CPU host the worker threads
-//! time-share, so the scaling metric is **aggregate simulated-time
+//! Drives the sharded front end (`ShardedStore`) in process, closed-loop,
+//! with a fixed offered workload (8 clients, skewed TPC-A mix) at 1, 2,
+//! 4 and 8 shards, each shard an independent eNVy controller forked
+//! from one churned steady-state baseline. Each request runs on its
+//! client's thread, and eight client threads share however few CPUs the
+//! host has, so the scaling metric is **aggregate simulated-time
 //! throughput**: completed transactions divided by the slowest shard's
 //! simulated-clock advance — the makespan a real multi-controller array
 //! would take for the same work. Wall-clock throughput and transaction

@@ -126,11 +126,6 @@ impl BTree {
         Ok(addr)
     }
 
-    /// Bytes of the region consumed by nodes.
-    pub fn bytes_used(&self) -> u64 {
-        self.next_free - self.region
-    }
-
     /// Look up a key, loading whole nodes (functional path).
     ///
     /// # Errors

@@ -209,11 +209,6 @@ impl EnvyStore {
         self.engine.trace_mut().enable(capacity);
     }
 
-    /// Stop tracing and drop all buffered records.
-    pub fn disable_trace(&mut self) {
-        self.engine.trace_mut().disable();
-    }
-
     /// The controller trace ring (empty unless [`EnvyStore::enable_trace`]
     /// was called).
     pub fn trace(&self) -> &TraceRing {

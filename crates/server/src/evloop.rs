@@ -6,35 +6,25 @@
 //! bytes and one descriptor each:
 //!
 //! ```text
-//!            readable                admitted             completion
+//!            readable                admitted              result
 //! [reading] ──────────> FrameDecoder ────────> shard (run) ─────────┐
 //!     ^                                                             │
 //!     │           write (one buffer, partial-write continuation)    v
 //!     └────────────────────────────────────────────────── [write queue]
 //! ```
 //!
-//! A shard is a passive object (see [`shard`](crate::shard)), so a
-//! completion reaches the loop by one of two routes:
+//! A shard is a passive object (see [`shard`](crate::shard)), so the
+//! loop runs each request to completion before it takes the next frame:
+//! on an idle shard it executes the request itself; on a shard another
+//! thread holds (only possible when a caller kept a
+//! [`ShardHandle`] beside the server) it queues the
+//! request and waits until that thread has run it. Either way the
+//! result comes back from the submit and goes straight into the
+//! connection's write queue, so:
 //!
-//! * **Inline** — the usual case. The shard was idle, the loop thread
-//!   executed the request itself, and the result comes back from the
-//!   submit and goes straight into the connection's write queue: no
-//!   channel, no wake, no `pending` entry. It goes out in the same tick.
-//! * **Queued** — the request found its shard held by another thread,
-//!   which completes it, posts the completion to the loop's channel and
-//!   then rings a [`Waker`] (eventfd on Linux, self-pipe elsewhere), so
-//!   the loop never blocks on a channel recv. Such a request waits in
-//!   the `pending` map until the loop drains the channel.
-//!
-//! Both routes end in one delivery routine, and on both a reply keeps
-//! its place in its connection:
-//!
-//! * **Per-connection reply order** — before an inline result or a
-//!   reply the loop writes itself (`ERR` id 0 for a malformed frame,
-//!   `Busy`, a rejection, the shutdown ack) is queued, every completion
-//!   already posted is delivered. A queued request on a shard is posted
-//!   before a later one runs inline on it, so a pipeline to one shard
-//!   is answered in request order whichever route each request took.
+//! * **Per-connection reply order** — replies, and the ones the loop
+//!   writes itself (`ERR` id 0 for a malformed frame, `Busy`, a
+//!   rejection, the shutdown ack), are queued in request order.
 //! * **No per-request buffer allocation** — frames are parsed out of
 //!   one compacting buffer per connection
 //!   ([`FrameDecoder`](crate::proto::FrameDecoder)), and replies are
@@ -56,18 +46,17 @@
 //! Both poller backends run this same loop. `tests/driver_diff.rs`
 //! holds each to the answer a socket-free, in-order replay of the same
 //! frames through the shard gives, byte for byte. `Busy` backpressure
-//! leaves the retry to the client, and cleanup aborts are submitted
-//! only after every admitted request has completed, so an admitted
-//! commit always wins over the disconnect.
+//! leaves the retry to the client, and a disconnect's cleanup aborts
+//! run after every request it admitted, so an admitted commit always
+//! wins over the disconnect.
 
 use crate::net::{Listener, NetConfig, ServeSummary, Stream};
 use crate::proto::{self, WireBody, WireOutcome, WireRequest, WireResponse};
-use crate::shard::{Reply, Request, Response, ServeError, ShardHandle, ShardedStore, SubmitError};
-use std::collections::{HashMap, HashSet};
+use crate::shard::{Reply, Request, ServeError, ShardHandle, ShardedStore, SubmitError};
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,8 +80,7 @@ const OUT_BUF_CAP: usize = 16 * 1024;
 pub const OUTPUT_HIGH_WATER: usize = 2 * proto::MAX_FRAME;
 
 const TOK_LISTENER: u64 = 0;
-const TOK_WAKER: u64 = 1;
-const TOK_BASE: u64 = 2;
+const TOK_BASE: u64 = 1;
 
 // ---------------------------------------------------------------------
 // Raw syscalls
@@ -102,7 +90,7 @@ const TOK_BASE: u64 = 2;
 // ---------------------------------------------------------------------
 
 mod sys {
-    use std::os::raw::{c_int, c_ulong, c_void};
+    use std::os::raw::{c_int, c_ulong};
 
     /// `struct pollfd` for `poll(2)`.
     #[repr(C)]
@@ -145,8 +133,6 @@ mod sys {
         pub const EPOLL_CTL_DEL: c_int = 2;
         pub const EPOLL_CTL_MOD: c_int = 3;
         pub const EPOLL_CLOEXEC: c_int = 0x80000;
-        pub const EFD_NONBLOCK: c_int = 0x800;
-        pub const EFD_CLOEXEC: c_int = 0x80000;
 
         extern "C" {
             pub fn epoll_create1(flags: c_int) -> c_int;
@@ -157,16 +143,8 @@ mod sys {
                 maxevents: c_int,
                 timeout_ms: c_int,
             ) -> c_int;
-            pub fn eventfd(initval: u32, flags: c_int) -> c_int;
         }
     }
-
-    #[cfg(not(target_os = "linux"))]
-    pub const F_GETFL: c_int = 3;
-    #[cfg(not(target_os = "linux"))]
-    pub const F_SETFL: c_int = 4;
-    #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: c_int = 0x4;
 
     #[cfg(target_os = "linux")]
     pub const RLIMIT_NOFILE: c_int = 7;
@@ -183,13 +161,7 @@ mod sys {
 
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn close(fd: c_int) -> c_int;
-        #[cfg(not(target_os = "linux"))]
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        #[cfg(not(target_os = "linux"))]
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
         pub fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
     }
@@ -197,20 +169,6 @@ mod sys {
 
 fn last_err() -> io::Error {
     io::Error::last_os_error()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
-    unsafe {
-        let flags = sys::fcntl(fd, sys::F_GETFL, 0);
-        if flags < 0 {
-            return Err(last_err());
-        }
-        if sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) < 0 {
-            return Err(last_err());
-        }
-    }
-    Ok(())
 }
 
 /// Raise the process's open-file soft limit to at least `target`
@@ -265,100 +223,6 @@ fn accept_backpressure(e: &io::Error) -> bool {
         e.kind(),
         io::ErrorKind::OutOfMemory | io::ErrorKind::ConnectionAborted
     ) || matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS))
-}
-
-// ---------------------------------------------------------------------
-// Waker
-// ---------------------------------------------------------------------
-
-/// Cross-thread wakeup for a parked event loop: an eventfd on Linux, a
-/// nonblocking self-pipe elsewhere. A thread that completes one of the
-/// loop's queued requests for it — a shard's lock holder draining its
-/// queue — [`wake`](Waker::wake)s after posting the completion; the
-/// loop drains the fd and then the completion channel. A request the
-/// loop runs itself needs no wake. Writes coalesce, so waking is cheap
-/// and idempotent.
-#[derive(Debug)]
-pub(crate) struct Waker {
-    rfd: RawFd,
-    wfd: RawFd,
-}
-
-impl Waker {
-    /// A fresh waker (two fds for the pipe fallback, one for eventfd).
-    ///
-    /// # Errors
-    ///
-    /// The underlying `eventfd`/`pipe` failure.
-    pub(crate) fn new() -> io::Result<Waker> {
-        #[cfg(target_os = "linux")]
-        {
-            let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
-            if fd < 0 {
-                return Err(last_err());
-            }
-            Ok(Waker { rfd: fd, wfd: fd })
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let mut fds = [0i32; 2];
-            if unsafe { sys::pipe(fds.as_mut_ptr()) } != 0 {
-                return Err(last_err());
-            }
-            for fd in fds {
-                set_nonblocking_fd(fd)?;
-            }
-            Ok(Waker {
-                rfd: fds[0],
-                wfd: fds[1],
-            })
-        }
-    }
-
-    /// Ring the waker. Never blocks: a full pipe (or saturated eventfd
-    /// counter) means a wake is already pending, which is all that is
-    /// needed.
-    pub(crate) fn wake(&self) {
-        let one: u64 = 1;
-        let _ = unsafe {
-            sys::write(
-                self.wfd,
-                (&one as *const u64).cast(),
-                std::mem::size_of::<u64>(),
-            )
-        };
-    }
-
-    /// Consume all pending wakes.
-    fn drain(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            // SAFETY: `rfd` is this waker's open descriptor and `buf` is
-            // writable for the `buf.len()` bytes the kernel may fill.
-            let n = unsafe { sys::read(self.rfd, buf.as_mut_ptr().cast(), buf.len()) };
-            // One read returns an eventfd's whole counter and resets it,
-            // so a second could only fail with EAGAIN; a pipe is empty
-            // once a read comes back short (or fails).
-            if cfg!(target_os = "linux") || n < buf.len() as isize {
-                break;
-            }
-        }
-    }
-
-    fn fd(&self) -> RawFd {
-        self.rfd
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        unsafe {
-            sys::close(self.rfd);
-            if self.wfd != self.rfd {
-                sys::close(self.wfd);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -664,14 +528,12 @@ struct Conn {
     /// keyed by (owning shard, txn id) so that an id completing on
     /// another shard can never resolve the wrong entry.
     open_txns: HashSet<(u32, u64)>,
-    /// Admitted requests whose completions are still due.
-    pending: usize,
     /// Read side is done: EOF, error, wire shutdown, idle timeout, or
     /// server drain. No more frames are parsed.
     read_closed: bool,
     /// Socket is unusable for writes too; outgoing data is discarded.
     dead: bool,
-    /// Disconnect cleanup (orphan aborts) has been submitted.
+    /// Disconnect cleanup (orphan aborts) has run.
     cleaned: bool,
     /// Listed in `EventLoop::dirty` for this tick's flush.
     dirty: bool,
@@ -683,16 +545,8 @@ struct Conn {
     last_activity: Instant,
 }
 
-/// Who a pending completion belongs to.
-enum Owner {
-    /// A connection's request: deliver under the client's wire id.
-    Conn { slot: usize, wire_id: u64 },
-    /// A disconnect-cleanup abort: discard the completion.
-    Cleanup,
-}
-
 /// The readiness-driven server core. Built on the caller's thread (so
-/// poller/waker setup errors surface from `serve_with`), then moved
+/// poller setup errors surface from `serve_with`), then moved
 /// into the serving thread and [`run`](EventLoop::run).
 pub(crate) struct EventLoop {
     listener: Listener,
@@ -701,16 +555,10 @@ pub(crate) struct EventLoop {
     idle_timeout: Option<Duration>,
     stop: Arc<AtomicBool>,
     poller: Poller,
-    waker: Arc<Waker>,
-    ctx: Sender<Response>,
-    crx: Receiver<Response>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     free_pending: Vec<usize>,
     live: usize,
-    pending: HashMap<u64, Owner>,
-    next_iid: u64,
-    cleanup_retry: Vec<(u32, u64, Instant)>,
     dirty: Vec<usize>,
     finalize: Vec<usize>,
     events: Vec<Ev>,
@@ -740,10 +588,7 @@ impl EventLoop {
     ) -> io::Result<EventLoop> {
         let backend = cfg.backend();
         let mut poller = Poller::new(backend)?;
-        let waker = Arc::new(Waker::new()?);
         poller.register(listener.as_raw(), TOK_LISTENER, true, false)?;
-        poller.register(waker.fd(), TOK_WAKER, true, false)?;
-        let (ctx, crx) = mpsc::channel();
         let handle = store.handle();
         Ok(EventLoop {
             listener,
@@ -752,16 +597,10 @@ impl EventLoop {
             idle_timeout: cfg.idle_timeout,
             stop,
             poller,
-            waker,
-            ctx,
-            crx,
             conns: Vec::new(),
             free: Vec::new(),
             free_pending: Vec::new(),
             live: 0,
-            pending: HashMap::new(),
-            next_iid: 0,
-            cleanup_retry: Vec::new(),
             dirty: Vec::new(),
             finalize: Vec::new(),
             events: Vec::new(),
@@ -780,11 +619,7 @@ impl EventLoop {
             if self.stop.load(Ordering::SeqCst) && !self.draining_all {
                 self.begin_drain();
             }
-            if self.draining_all
-                && self.live == 0
-                && self.pending.is_empty()
-                && self.cleanup_retry.is_empty()
-            {
+            if self.draining_all && self.live == 0 {
                 break;
             }
             if self.accepting
@@ -809,13 +644,10 @@ impl EventLoop {
             for &ev in &events {
                 match ev.token {
                     TOK_LISTENER => self.accept_ready(),
-                    TOK_WAKER => self.waker.drain(),
                     t => self.conn_event((t - TOK_BASE) as usize, ev),
                 }
             }
             self.events = events;
-            self.drain_completions();
-            self.retry_cleanups();
             self.idle_sweep();
             self.run_finalize();
             self.flush_dirty();
@@ -882,7 +714,6 @@ impl EventLoop {
                         decoder: proto::FrameDecoder::new(),
                         wq: WriteQueue::default(),
                         open_txns: HashSet::new(),
-                        pending: 0,
                         read_closed: false,
                         dead: false,
                         cleaned: false,
@@ -942,7 +773,7 @@ impl EventLoop {
             // side open: stop trying to flush.
             conn.dead = true;
             conn.wq.clear();
-            if conn.pending == 0 && !conn.cleaned {
+            if !conn.cleaned {
                 self.finalize.push(slot);
             }
             self.mark_dirty(slot);
@@ -1079,77 +910,64 @@ impl EventLoop {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        if conn.read_closed && conn.pending == 0 && !conn.cleaned {
+        if conn.read_closed && !conn.cleaned {
             self.finalize.push(slot);
         }
         self.mark_dirty(slot);
     }
 
+    /// Run one request to completion and queue its reply, or the
+    /// refusal that stands for it.
     fn process_request(&mut self, slot: usize, wreq: WireRequest) {
-        let wire_id = wreq.id;
+        let id = wreq.id;
         let deadline = wreq.deadline();
-        match wreq.body {
+        let req = match wreq.body {
+            WireBody::Req(req) => req,
             WireBody::Shutdown => {
+                let outcome = WireOutcome::ShutdownAck;
                 self.enqueue(
                     slot,
                     WireResponse {
-                        id: wire_id,
+                        id,
                         shard: 0,
-                        outcome: WireOutcome::ShutdownAck,
+                        outcome,
                     },
                 );
                 self.stop.store(true, Ordering::SeqCst);
                 if let Some(conn) = self.conns[slot].as_mut() {
                     conn.read_closed = true;
                 }
+                return;
             }
-            WireBody::Req(req) => {
-                let iid = self.next_iid;
-                self.next_iid += 1;
-                match proto::check_answerable(&req).and_then(|()| {
-                    self.handle
-                        .submit_or_run(iid, req, deadline, &self.ctx, &self.waker)
-                }) {
-                    // Ran on this thread: straight to the connection,
-                    // behind whatever the shard's holder posted before.
-                    Ok(Some((shard, result))) => {
-                        self.requests += 1;
-                        self.drain_completions();
-                        self.deliver(slot, wire_id, shard, result);
-                    }
-                    Ok(None) => {
-                        self.pending.insert(iid, Owner::Conn { slot, wire_id });
-                        self.requests += 1;
-                        if let Some(conn) = self.conns[slot].as_mut() {
-                            conn.pending += 1;
+        };
+        let ran = proto::check_answerable(&req).and_then(|()| self.handle.run(id, req, deadline));
+        let (shard, outcome) = match ran {
+            Ok((shard, result)) => {
+                self.requests += 1;
+                if let Some(conn) = self.conns[slot].as_mut() {
+                    match &result {
+                        Ok(Reply::TxnStarted { txn }) => {
+                            conn.open_txns.insert((shard, *txn));
                         }
+                        Ok(Reply::Committed { txn }) | Ok(Reply::Aborted { txn }) => {
+                            conn.open_txns.remove(&(shard, *txn));
+                        }
+                        _ => {}
                     }
-                    Err(SubmitError::Busy(b)) => self.enqueue(
-                        slot,
-                        WireResponse {
-                            id: wire_id,
-                            shard: b.shard,
-                            outcome: WireOutcome::Busy(b),
-                        },
-                    ),
-                    Err(SubmitError::Rejected(e)) => self.enqueue(
-                        slot,
-                        WireResponse {
-                            id: wire_id,
-                            shard: 0,
-                            outcome: WireOutcome::Err(e),
-                        },
-                    ),
+                }
+                match result {
+                    Ok(reply) => (shard, WireOutcome::Reply(reply)),
+                    Err(e) => (shard, WireOutcome::Err(e)),
                 }
             }
-        }
+            Err(SubmitError::Busy(b)) => (b.shard, WireOutcome::Busy(b)),
+            Err(SubmitError::Rejected(e)) => (0, WireOutcome::Err(e)),
+        };
+        self.enqueue(slot, WireResponse { id, shard, outcome });
     }
 
-    /// Queue a reply the loop originates itself, behind the completions
-    /// already posted: a queued request that another thread has
-    /// completed must not be overtaken by a later frame's refusal.
+    /// Queue a reply on a connection; a dead one's is discarded.
     fn enqueue(&mut self, slot: usize, resp: WireResponse) {
-        self.drain_completions();
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
@@ -1159,129 +977,27 @@ impl EventLoop {
         self.mark_dirty(slot);
     }
 
-    /// Deliver every completion posted to the loop's channel. Only a
-    /// request that queued behind another thread is posted there, and
-    /// each has a `pending` entry until it is delivered, so an empty
-    /// map means an empty channel.
-    fn drain_completions(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        while let Ok(resp) = self.crx.try_recv() {
-            if let Some(Owner::Conn { slot, wire_id }) = self.pending.remove(&resp.id) {
-                let Some(conn) = self.conns[slot].as_mut() else {
-                    continue;
-                };
-                conn.pending -= 1;
-                self.deliver(slot, wire_id, resp.shard, resp.result);
-            }
-        }
-    }
-
-    /// Hand one completion to its connection, by either route — from
-    /// the channel or straight from a request the loop ran itself:
-    /// transaction bookkeeping, the reply frame, the finalize check.
-    fn deliver(
-        &mut self,
-        slot: usize,
-        wire_id: u64,
-        shard: u32,
-        result: Result<Reply, ServeError>,
-    ) {
-        let Some(conn) = self.conns[slot].as_mut() else {
-            return;
-        };
-        match &result {
-            Ok(Reply::TxnStarted { txn }) => {
-                conn.open_txns.insert((shard, *txn));
-            }
-            Ok(Reply::Committed { txn }) | Ok(Reply::Aborted { txn }) => {
-                conn.open_txns.remove(&(shard, *txn));
-            }
-            _ => {}
-        }
-        if !conn.dead {
-            conn.wq.push(&WireResponse {
-                id: wire_id,
-                shard,
-                outcome: match result {
-                    Ok(reply) => WireOutcome::Reply(reply),
-                    Err(e) => WireOutcome::Err(e),
-                },
-            });
-        }
-        if conn.read_closed && conn.pending == 0 && !conn.cleaned {
-            self.finalize.push(slot);
-        }
-        self.mark_dirty(slot);
-    }
-
-    /// Submit the disconnect cleanup for a connection whose read side
-    /// is closed and whose admitted requests have all completed: abort
-    /// every transaction it left open. Runs once per connection; an
-    /// already-resolved transaction surfaces as `NoSuchTxn` and is
-    /// discarded.
+    /// Run the disconnect cleanup of a connection whose read side is
+    /// closed: abort every transaction it left open. Every request it
+    /// admitted has already run, so an admitted commit wins. Runs once
+    /// per connection; nobody waits for the answers (an
+    /// already-resolved transaction answers `NoSuchTxn`).
     fn run_finalize(&mut self) {
         while let Some(slot) = self.finalize.pop() {
             let orphans: Vec<(u32, u64)> = {
                 let Some(conn) = self.conns[slot].as_mut() else {
                     continue;
                 };
-                if conn.cleaned || !conn.read_closed || conn.pending > 0 {
+                if conn.cleaned || !conn.read_closed {
                     continue;
                 }
                 conn.cleaned = true;
                 conn.open_txns.drain().collect()
             };
             for (shard, txn) in orphans {
-                self.submit_cleanup(shard, txn);
+                let _ = self.handle.call(Request::TxnAbort { shard, txn });
             }
             self.maybe_close(slot);
-        }
-    }
-
-    fn submit_cleanup(&mut self, shard: u32, txn: u64) {
-        let iid = self.next_iid;
-        self.next_iid += 1;
-        let abort = Request::TxnAbort { shard, txn };
-        match self
-            .handle
-            .submit_or_run(iid, abort, None, &self.ctx, &self.waker)
-        {
-            // Ran here: nobody waits for the answer.
-            Ok(Some(_)) => {}
-            Ok(None) => {
-                self.pending.insert(iid, Owner::Cleanup);
-            }
-            Err(SubmitError::Busy(b)) => {
-                self.cleanup_retry
-                    .push((shard, txn, Instant::now() + b.retry_after));
-            }
-            // Rejected: the store is already closing; its own drain
-            // releases the slot.
-            Err(SubmitError::Rejected(_)) => {}
-        }
-    }
-
-    fn retry_cleanups(&mut self) {
-        if self.cleanup_retry.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let due: Vec<(u32, u64)> = {
-            let mut due = Vec::new();
-            self.cleanup_retry.retain(|&(shard, txn, at)| {
-                if at <= now {
-                    due.push((shard, txn));
-                    false
-                } else {
-                    true
-                }
-            });
-            due
-        };
-        for (shard, txn) in due {
-            self.submit_cleanup(shard, txn);
         }
     }
 
@@ -1308,10 +1024,8 @@ impl EventLoop {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
         };
-        if !conn.read_closed {
-            conn.read_closed = true;
-        }
-        if conn.pending == 0 && !conn.cleaned {
+        conn.read_closed = true;
+        if !conn.cleaned {
             self.finalize.push(slot);
         }
         self.mark_dirty(slot);
@@ -1335,9 +1049,7 @@ impl EventLoop {
             if conn.dead {
                 conn.wq.clear();
             } else if let Err(_e) = conn.wq.flush(&mut conn.stream) {
-                // Dead client: discard its output, keep draining its
-                // admitted completions (never couple a shard to a
-                // client's fate).
+                // Dead client: discard its output from here on.
                 conn.dead = true;
                 conn.wq.clear();
             }
@@ -1371,7 +1083,7 @@ impl EventLoop {
     }
 
     /// Close once the state machine is finished: read side closed,
-    /// cleanup submitted, and the write queue flushed (or the socket
+    /// cleanup run, and the write queue flushed (or the socket
     /// dead).
     fn maybe_close(&mut self, slot: usize) {
         let close = match self.conns[slot].as_ref() {

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! # envy-server — a sharded concurrent front end over the eNVy store
 //!
 //! The paper's §6 scalability discussion grows eNVy beyond one datapath
@@ -22,8 +23,8 @@
 //!   portable poll — see [`NetDriver`]), plus a blocking/pipelined
 //!   [`Client`].
 //! * `evloop` (private) — the event-loop internals: an epoll/poll
-//!   readiness shim over raw syscalls, a cross-thread waker, and the
-//!   per-connection state machines with one output buffer each.
+//!   readiness shim over raw syscalls (the crate's only `unsafe`) and
+//!   the per-connection state machines with one output buffer each.
 //! * [`loadgen`] — an open- and closed-loop multi-client load generator
 //!   driving a skewed TPC-A-style mix (reusing [`envy_workload`]).
 //!
@@ -49,6 +50,7 @@
 //! assert_eq!(outcome.total_served(), 2);
 //! ```
 
+#[allow(unsafe_code)] // the raw epoll/poll/rlimit syscalls
 mod evloop;
 pub mod loadgen;
 pub mod net;

@@ -17,9 +17,9 @@
 //! wire `SHUTDOWN` opcode) stops accepting, stops reading, lets every
 //! admitted request complete and flush to its client, and only then
 //! drains the sharded store itself. A connection that dies
-//! mid-pipeline only loses its own completions: the loop keeps
-//! draining (discarding) them so a shard never waits on a dead client,
-//! and every other connection is untouched.
+//! mid-pipeline only loses its own replies, which the loop discards: no
+//! shard ever waits on a client, and every other connection is
+//! untouched.
 //!
 //! # Transactions and disconnects
 //!
@@ -238,7 +238,7 @@ pub struct ServeSummary {
     pub requests: u64,
     /// The largest unwritten output, in bytes, any connection held: at
     /// most [`OUTPUT_HIGH_WATER`](crate::OUTPUT_HIGH_WATER) plus one
-    /// reply while only the loop completes that connection's requests.
+    /// reply.
     pub max_output_backlog: usize,
     /// The drained store's per-shard outcomes.
     pub outcome: ServeOutcome,
@@ -296,8 +296,8 @@ pub fn serve(listener: Listener, store: ShardedStore) -> io::Result<ServerHandle
 ///
 /// # Errors
 ///
-/// Socket errors configuring the listener, setting up the poller or
-/// the waker, or spawning the event-loop thread.
+/// Socket errors configuring the listener, setting up the poller, or
+/// spawning the event-loop thread.
 pub fn serve_with(
     listener: Listener,
     store: ShardedStore,

@@ -31,7 +31,6 @@
 //! simulated-time metrics depend only on the request subsequence it
 //! received — the determinism anchor the differential tests pin.
 
-use crate::evloop::Waker;
 use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, TraceEvent, TxnMemory};
 use envy_sim::time::Ns;
 use std::borrow::Cow;
@@ -510,30 +509,20 @@ struct Job {
     req: Request,
     deadline: Option<Instant>,
     reply: Sender<Response>,
-    /// Rung after the completion is posted, so a parked event loop
-    /// wakes without polling the channel (see
-    /// [`ShardHandle::submit_or_run`]).
-    notify: Option<Arc<Waker>>,
 }
 
-/// A request that ran on its submitter's thread: its shard and result
-/// (see [`ShardHandle::submit_or_run`]).
-pub(crate) type RanInline = (u32, Result<Reply, ServeError>);
-
 /// Where the completion of an admitted request goes — the one thing
-/// the three ways into [`ShardHandle::admit`] differ in. An enum and
-/// not a pair of closures, so `admit` has one shape, fixed in source
-/// (see `docs/PERFORMANCE.md`, "Inline completions skip the channel").
+/// the ways into [`ShardHandle::admit`] differ in. An enum and not a
+/// pair of closures, so `admit` has one shape, fixed in source (see
+/// `docs/PERFORMANCE.md`, "Inline completions skip the channel").
 enum Completion<'a> {
     /// [`ShardHandle::submit_with_id`]: every completion is posted here,
     /// an inline one while the shard is still held — so completions
     /// leave a shard in execution order.
     Post(&'a Sender<Response>),
-    /// [`ShardHandle::submit_or_run`], the event loop: an inline result
-    /// is returned; a queued request posts here and rings the waker.
-    Return(&'a Sender<Response>, &'a Arc<Waker>),
-    /// [`ShardHandle::call`]: an inline result is returned; a queued
-    /// request posts to a fresh channel whose receiver is left here.
+    /// [`ShardHandle::run`] and [`ShardHandle::call`]: an inline result
+    /// is returned; a queued request posts to a fresh channel whose
+    /// receiver is left here for the caller to [`wait`] on.
     Channel(&'a mut Option<Receiver<Response>>),
 }
 
@@ -552,22 +541,32 @@ impl Completion<'_> {
                 let _ = reply.send(Response { id, shard, result });
                 None
             }
-            Completion::Return(..) | Completion::Channel(_) => Some(result),
+            Completion::Channel(_) => Some(result),
         }
     }
 
-    /// Where a queued request's holder posts its completion, and whom
-    /// it wakes after posting.
-    fn queued(self) -> (Sender<Response>, Option<Arc<Waker>>) {
+    /// Where a queued request's holder posts its completion.
+    fn queued(self) -> Sender<Response> {
         match self {
-            Completion::Post(reply) => (reply.clone(), None),
-            Completion::Return(reply, waker) => (reply.clone(), Some(Arc::clone(waker))),
+            Completion::Post(reply) => reply.clone(),
             Completion::Channel(slot) => {
                 let (tx, rx) = mpsc::channel();
                 *slot = Some(rx);
-                (tx, None)
+                tx
             }
         }
+    }
+}
+
+/// Block until the holder of a shard posts the completion of a request
+/// queued behind it. Out of line and cold: only a caller that found
+/// its shard held by another thread gets here.
+#[cold]
+#[inline(never)]
+fn wait(completion: Option<Receiver<Response>>) -> Result<Reply, ServeError> {
+    match completion.and_then(|rx| rx.recv().ok()) {
+        Some(resp) => resp.result,
+        None => Err(ServeError::ShuttingDown),
     }
 }
 
@@ -725,19 +724,10 @@ impl ShardLink {
                 return;
             }
             let t0 = self.begin(core, batch.iter().map(|job| job.id), true);
-            // One wake per distinct event loop per batch (not per job):
-            // wakes coalesce, so ringing after the batch is enough.
-            let mut wakers: Vec<&Arc<Waker>> = Vec::new();
             for job in &batch {
                 let run = |store: &mut EnvyStore| apply(store, &job.req);
                 job.complete(self.execute(core, job.id, job.deadline, run));
-                if let Some(w) = &job.notify {
-                    if !wakers.iter().any(|k| Arc::ptr_eq(k, w)) {
-                        wakers.push(w);
-                    }
-                }
             }
-            wakers.iter().for_each(|w| w.wake());
             self.settle(batch.len(), t0);
             batch.clear();
         }
@@ -1073,26 +1063,29 @@ impl ShardHandle {
         Ok(())
     }
 
-    /// The event loop's submit. A request that runs on the calling
-    /// thread returns its `(shard, result)` here and is never posted
-    /// (`Some`); one queued behind another thread (`None`) is posted to
-    /// `reply` by that thread, which then rings `notify`, so a loop
-    /// parked in `epoll_wait`/`poll` sees the completion without
-    /// polling the channel. Anything that thread posted before this
-    /// returned `Some` is already on `reply`: a caller that keeps
-    /// per-connection order delivers those first.
-    pub(crate) fn submit_or_run(
+    /// The event loop's submit: run one request to completion and
+    /// return its `(shard, result)`. On an idle shard it runs on the
+    /// calling thread; on one held by another thread it queues, and the
+    /// caller waits until that thread has run it. `id` names the request
+    /// in the shard's trace (the loop passes the client's wire id).
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](ShardHandle::submit): nothing was admitted.
+    pub(crate) fn run(
         &self,
         id: u64,
         req: Request,
         deadline: Option<Duration>,
-        reply: &Sender<Response>,
-        notify: &Arc<Waker>,
-    ) -> Result<Option<RanInline>, SubmitError> {
+    ) -> Result<(u32, Result<Reply, ServeError>), SubmitError> {
         let (shard, req) = self.localize(req).map_err(SubmitError::Rejected)?;
-        let to = Completion::Return(reply, notify);
-        let done = self.admit(shard, id, Cow::Owned(req), deadline, to)?;
-        Ok(done.map(|result| (shard, result)))
+        let mut completion = None;
+        let to = Completion::Channel(&mut completion);
+        let result = match self.admit(shard, id, Cow::Owned(req), deadline, to)? {
+            Some(result) => result,
+            None => wait(completion),
+        };
+        Ok((shard, result))
     }
 
     /// Blocking convenience: submit with no deadline, retrying through
@@ -1112,15 +1105,11 @@ impl ShardHandle {
             let to = Completion::Channel(&mut completion);
             match self.admit(shard, id, Cow::Borrowed(&req), None, to) {
                 Ok(Some(result)) => return result,
-                Ok(None) => break,
+                Ok(None) => return wait(completion),
                 // Not admitted; back off for the hinted interval and retry.
                 Err(SubmitError::Busy(b)) => std::thread::sleep(b.retry_after),
                 Err(SubmitError::Rejected(e)) => return Err(e),
             }
-        }
-        match completion.and_then(|rx| rx.recv().ok()) {
-            Some(resp) => resp.result,
-            None => Err(ServeError::ShuttingDown),
         }
     }
 
@@ -1172,14 +1161,12 @@ impl ShardHandle {
                 let retry_after = link.retry_hint();
                 return Err(SubmitError::Busy(Busy { shard, retry_after }));
             }
-            let (reply, notify) = to.queued();
             queue.push_back(Job {
                 id,
                 shard,
                 req: req.into_owned(),
                 deadline: deadline.map(|d| Instant::now() + d),
-                reply,
-                notify,
+                reply: to.queued(),
             });
             link.depth.store(queue.len(), Ordering::Relaxed);
             drop(queue);

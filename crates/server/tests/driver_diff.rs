@@ -2,11 +2,12 @@
 //! (`epoll`, `poll`): a seeded pipelined workload must be answered
 //! byte for byte as a socket-free replay of the same frames through the
 //! shard answers it, with the `ServeSummary` counting exactly the
-//! admitted requests; a pipeline whose requests reach the loop by both
-//! completion routes must still be answered in request order, and so
-//! must one whose reader falls far behind, with the server holding no
-//! more than its output mark plus one reply; and both backends must run
-//! the same disconnect cleanup for half-closed and silent sockets.
+//! admitted requests; a pipeline whose requests queue behind another
+//! thread holding the shard must still be answered in request order,
+//! and so must one whose reader falls far behind, with the server
+//! holding no more than its output mark plus one reply, whether or not
+//! the shard is held; and both backends must run the same disconnect
+//! cleanup for half-closed and silent sockets.
 
 mod common;
 
@@ -385,15 +386,22 @@ fn full_scan_frames() -> Vec<Vec<u8>> {
 /// reads, every reply equals the socket-free replay's, byte for byte.
 /// With `drain`, the server is asked to shut down while the connection
 /// is held: it answers what it admitted, drops the frames still waiting
-/// in the decoder, and closes.
-fn pipelined_scans_keep_output_bounded(driver: NetDriver, drain: bool) {
+/// in the decoder, and closes. With `occupied`, an [`Occupant`] holds
+/// the shard for the whole run, so the loop's requests queue behind
+/// another thread: the bound holds all the same.
+fn pipelined_scans_keep_output_bounded(driver: NetDriver, drain: bool, occupied: bool) {
+    let config = if occupied {
+        scan_config().with_service_delay(Duration::from_micros(200))
+    } else {
+        scan_config()
+    };
     let frames = full_scan_frames();
-    let expected = replay(scan_config(), &frames.concat());
+    let expected = replay(config.clone(), &frames.concat());
     let largest_frame = expected.iter().map(|r| 4 + r.len()).max().unwrap();
     assert!(largest_frame > 512 * 1024, "a scan answers every value");
 
     let path = std::env::temp_dir().join(format!(
-        "envy-bounded-{}-{}-{drain}.sock",
+        "envy-bounded-{}-{}-{drain}-{occupied}.sock",
         std::process::id(),
         driver.name()
     ));
@@ -402,7 +410,9 @@ fn pipelined_scans_keep_output_bounded(driver: NetDriver, drain: bool) {
         driver,
         idle_timeout: None,
     };
-    let server = serve_with(listener, ShardedStore::launch(scan_config()).unwrap(), net).unwrap();
+    let store = ShardedStore::launch(config).unwrap();
+    let occupant = occupied.then(|| Occupant::hold(&store.handle()));
+    let server = serve_with(listener, store, net).unwrap();
     let mut raw = UnixStream::connect(&path).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     raw.write_all(&frames.concat()).unwrap();
@@ -422,6 +432,9 @@ fn pipelined_scans_keep_output_bounded(driver: NetDriver, drain: bool) {
         }
     }
     drop(raw);
+    if let Some(occupant) = occupant {
+        occupant.release();
+    }
     let summary = server.shutdown();
     let _ = std::fs::remove_file(&path);
     if drain {
@@ -449,22 +462,32 @@ fn pipelined_scans_keep_output_bounded(driver: NetDriver, drain: bool) {
 
 #[test]
 fn pipelined_scans_keep_output_bounded_under_epoll() {
-    pipelined_scans_keep_output_bounded(NetDriver::Epoll, false);
+    pipelined_scans_keep_output_bounded(NetDriver::Epoll, false, false);
 }
 
 #[test]
 fn pipelined_scans_keep_output_bounded_under_poll_backend() {
-    pipelined_scans_keep_output_bounded(NetDriver::Poll, false);
+    pipelined_scans_keep_output_bounded(NetDriver::Poll, false, false);
+}
+
+#[test]
+fn pipelined_scans_keep_output_bounded_while_shard_held_under_epoll() {
+    pipelined_scans_keep_output_bounded(NetDriver::Epoll, false, true);
+}
+
+#[test]
+fn pipelined_scans_keep_output_bounded_while_shard_held_under_poll_backend() {
+    pipelined_scans_keep_output_bounded(NetDriver::Poll, false, true);
 }
 
 #[test]
 fn held_connection_drains_on_shutdown_under_epoll() {
-    pipelined_scans_keep_output_bounded(NetDriver::Epoll, true);
+    pipelined_scans_keep_output_bounded(NetDriver::Epoll, true, false);
 }
 
 #[test]
 fn held_connection_drains_on_shutdown_under_poll_backend() {
-    pipelined_scans_keep_output_bounded(NetDriver::Poll, true);
+    pipelined_scans_keep_output_bounded(NetDriver::Poll, true, false);
 }
 
 /// On a shard larger than a frame the same read passes routing, so
@@ -683,20 +706,23 @@ fn mixed_kv(i: u64) -> Request {
     }
 }
 
-/// Replies keep request order across both completion routes. A
-/// pipelined request reaches the loop either straight from the submit
-/// (the loop ran it) or through the channel (it queued behind a thread
-/// holding the shard, which ran and posted it). A 64-request pipeline
-/// goes out in eight parts. In each, the first half queues behind an
-/// [`Occupant`]; the occupant leaves, and the second half runs on the
-/// loop, whose first inline result can be ready before the loop has
-/// drained what the occupant posted on its way out. Every reply must
-/// still come back in request order, under its own id, with the answer
-/// an in-order replay gives.
-fn replies_keep_order_across_both_routes(driver: NetDriver) {
+/// Replies keep request order while another thread holds the shard. A
+/// pipelined request either runs on the loop (the shard was idle) or
+/// queues behind the thread holding the shard, which runs it while the
+/// loop waits. A 64-request pipeline goes out in eight parts. In each,
+/// the first half meets an [`Occupant`] inside the shard; the occupant
+/// leaves, and the second half finds the shard free. Every reply must
+/// come back in request order, under its own id, with the answer an
+/// in-order replay gives.
+fn replies_keep_order_while_another_thread_holds_the_shard(driver: NetDriver) {
     const FRAMES: u64 = 64;
     const PARTS: u64 = 8;
-    let config = ServeConfig::small(1).with_service_delay(Duration::from_micros(50));
+    // Each request holds the shard this long. The loop has one request
+    // in flight, so a batch of two forms only when its first request
+    // reaches the queue while the probe still waits there, within what
+    // is left of the occupant's own request: long enough for a loop
+    // slowed by a loaded debug build.
+    let config = ServeConfig::small(1).with_service_delay(Duration::from_millis(1));
     let expected: Vec<WireOutcome> = {
         let store = ShardedStore::launch(config.clone()).unwrap();
         let handle = store.handle();
@@ -731,16 +757,16 @@ fn replies_keep_order_across_both_routes(driver: NetDriver) {
         // on it, and would read as a later probe's.
         let (tx, rx) = mpsc::channel();
         until_contended(&handle, &tx, &rx);
-        // One write: the loop reads this half-part at once and queues it
-        // behind the occupant, who runs it as one batch.
+        // One write: the loop reads this half-part at once, and its
+        // first request finds the occupant inside the shard, maybe with
+        // the probe still queued, and queues behind them.
         client.set_corked(true).unwrap();
         for i in first..first + part / 2 {
             client.submit_with_id(i, mixed_kv(i), None).unwrap();
         }
         client.set_corked(false).unwrap();
-        // The occupant drains that batch, posts it, rings the loop and
-        // leaves; the next frame is on its way at once and finds the
-        // shard free.
+        // The occupant runs what queued behind it and leaves; the next
+        // frame is on its way at once and finds the shard free.
         occupant.release();
         for i in first + part / 2..first + part {
             client.submit_with_id(i, mixed_kv(i), None).unwrap();
@@ -755,7 +781,7 @@ fn replies_keep_order_across_both_routes(driver: NetDriver) {
     let summary = server.shutdown();
     let _ = std::fs::remove_file(&path);
     assert_eq!(summary.requests, FRAMES, "{driver:?}");
-    // Both routes ran: something was queued and drained as a batch.
+    // The shard was held: something was queued and drained as a batch.
     let shard = &summary.outcome.shards[0];
     assert!(
         shard.batches < shard.served || shard.max_batch > 1,
@@ -766,13 +792,13 @@ fn replies_keep_order_across_both_routes(driver: NetDriver) {
 }
 
 #[test]
-fn replies_keep_order_across_both_routes_under_epoll() {
-    replies_keep_order_across_both_routes(NetDriver::Epoll);
+fn replies_keep_order_while_another_thread_holds_the_shard_under_epoll() {
+    replies_keep_order_while_another_thread_holds_the_shard(NetDriver::Epoll);
 }
 
 #[test]
-fn replies_keep_order_across_both_routes_under_poll_backend() {
-    replies_keep_order_across_both_routes(NetDriver::Poll);
+fn replies_keep_order_while_another_thread_holds_the_shard_under_poll_backend() {
+    replies_keep_order_while_another_thread_holds_the_shard(NetDriver::Poll);
 }
 
 /// A half-closed socket — the client shuts down only its **write**

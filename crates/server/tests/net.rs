@@ -424,6 +424,57 @@ fn socket_atomic_tpca_matches_monolithic_replay() {
     assert_eq!(got, want, "contents diverged");
 }
 
+/// The same anchor for the KV operations: a YCSB load phase sent over
+/// the socket, then a seeded atomic YCSB-A run (gets, puts and seeded
+/// aborts under `TXN_BEGIN`/`TXN_COMMIT`/`TXN_ABORT`) must land on the
+/// clock, statistics and bytes of the same requests applied to a
+/// monolithic store.
+#[test]
+fn socket_atomic_ycsb_matches_monolithic_replay() {
+    use envy_workload::ycsb::{YcsbConfig, YcsbMix};
+    let config = ServeConfig::small(1);
+    let mut baseline = envy_core::EnvyStore::new(config.store.clone()).unwrap();
+    baseline.prefill().unwrap();
+    let kv = YcsbConfig::standard(YcsbMix::A, 64);
+    let load = envy_server::ycsb_load_requests(&kv, 1);
+    let mut mono = baseline.fork();
+    for req in &load {
+        envy_server::shard::apply(&mut mono, req).unwrap();
+    }
+    let store = ShardedStore::launch_from(vec![baseline.fork()], &config);
+    let plan = *store.plan();
+    let server = serve(Listener::bind_tcp("127.0.0.1:0").unwrap(), store).unwrap();
+    let addr = server.addr().to_string();
+    let mut loader = Client::connect_tcp(&addr).unwrap();
+    for req in load {
+        loader.call(req).unwrap();
+    }
+    drop(loader);
+
+    let spec = envy_server::LoadSpec::closed(1, 40)
+        .with_seed(43)
+        .with_ycsb(kv)
+        .atomic(0.2);
+    let report =
+        envy_server::loadgen::run_socket(|| Client::connect_tcp(&addr), plan, &spec).unwrap();
+    let mut summary = server.shutdown();
+    let mono_report = envy_server::loadgen::run_monolithic(&mut mono, &spec);
+
+    assert!(report.aborted_txns > 0, "seeded abort draw must be nonzero");
+    assert_eq!(report.completed_txns, mono_report.completed_txns);
+    assert_eq!(report.aborted_txns, mono_report.aborted_txns);
+    assert_eq!(report.completed_ops, mono_report.completed_ops);
+    assert_eq!(report.errors, 0);
+    let served = &summary.outcome.shards[0].store;
+    assert_eq!(served.now(), mono.now(), "simulated clock diverged");
+    assert_eq!(served.stats(), mono.stats(), "statistics diverged");
+    let mut got = vec![0u8; served.size() as usize];
+    let mut want = vec![0u8; mono.size() as usize];
+    summary.outcome.shards[0].store.read(0, &mut got).unwrap();
+    mono.read(0, &mut want).unwrap();
+    assert_eq!(got, want, "contents diverged");
+}
+
 #[test]
 fn socket_loadgen_closed_loop_over_tcp() {
     let (server, addr) = launch_tcp(ServeConfig::small(2));
