@@ -91,6 +91,12 @@ BENCH=./target/release/envy-bench
 if nm -C "$BENCH" | grep -E 'EnvyStore::(read_at|write_at|timed_access|timed_chunk|move_chunk)$'; then
   echo "envy-bench carries an outlined copy of the timed access step"; exit 1
 fi
+# The page-table decode is part of that step: PageTable::lookup (one
+# u32 load, a compare and a shift/mask) is #[inline(always)], so an SRAM
+# hit or a Flash page resolves without a call.
+if nm -C "$BENCH" | grep -E 'PageTable::(lookup|decode)$'; then
+  echo "envy-bench carries an outlined copy of PageTable::lookup"; exit 1
+fi
 $BENCH fig13_throughput --quick --jobs 2 > results/ci_smoke_fig13.txt
 test -s results/ci_smoke_fig13.txt
 test -s results/ci_smoke_BENCH_fig13_throughput.json

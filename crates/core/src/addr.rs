@@ -20,8 +20,8 @@ pub enum Location {
     Unmapped,
     /// The live copy is in Flash.
     Flash(FlashLocation),
-    /// The live copy is in the SRAM write buffer.
-    Sram,
+    /// The live copy is in this frame of the SRAM write buffer.
+    Sram(u32),
 }
 
 /// Splits byte addresses into (page, offset) pairs for a given page size.

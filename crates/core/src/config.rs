@@ -314,6 +314,15 @@ impl EnvyConfig {
         if self.buffer_pages == 0 {
             return Err(EnvyError::BadConfig("write buffer must be non-empty"));
         }
+        if !crate::page_table::fits_u32(
+            self.logical_pages,
+            &self.geometry,
+            self.buffer_pages as u64,
+        ) {
+            return Err(EnvyError::BadConfig(
+                "page table exceeds its 32-bit words: Flash pages plus buffer frames too many",
+            ));
+        }
         if self.flush_threshold >= self.buffer_pages {
             return Err(EnvyError::BadConfig(
                 "flush threshold must be below buffer capacity",
@@ -370,6 +379,21 @@ mod tests {
     fn oversubscription_rejected() {
         let mut c = EnvyConfig::small_test();
         c.logical_pages = c.geometry.total_pages(); // no spare
+        assert!(matches!(c.validate(), Err(EnvyError::BadConfig(_))));
+    }
+
+    #[test]
+    fn page_table_word_overflow_refused_before_allocation() {
+        // 2^16 segments of 2^16 pages take every 32-bit word for Flash
+        // pages, leaving none for buffer frames. Only `validate` runs:
+        // building this array would allocate 2^32 page states first.
+        let c = EnvyConfig::scaled(8, 65_536, 65_536, 256);
+        assert!(matches!(c.validate(), Err(EnvyError::BadConfig(_))));
+        // Half the segments leave room for the buffer; one frame too many
+        // tips it over.
+        let c = EnvyConfig::scaled(8, 32_768, 65_536, 256);
+        c.validate().unwrap();
+        let c = c.with_buffer_pages(1 << 31);
         assert!(matches!(c.validate(), Err(EnvyError::BadConfig(_))));
     }
 

@@ -49,7 +49,7 @@ impl Engine {
     /// Propagates cleaning errors and armed power failures
     /// ([`EnvyError::PowerLoss`]); does nothing on an empty buffer.
     pub(crate) fn flush_tail(&mut self, ops: &mut Vec<BgOp>) -> Result<(), EnvyError> {
-        let Some(tail) = self.buffer.peek_tail() else {
+        let Some((frame, tail)) = self.buffer.peek_tail() else {
             return Ok(());
         };
         let origin = tail.origin;
@@ -69,7 +69,7 @@ impl Engine {
             // until the pop.
             let data = self
                 .buffer
-                .frame_span(logical)
+                .frame_span(frame)
                 .map_or(PageData::None, PageData::Bytes);
             self.flash.program_page_torn(phys, pg, data, chips)?;
             return Err(EnvyError::PowerLoss);
@@ -90,7 +90,7 @@ impl Engine {
             let pg = self.write_cursor(phys);
             let data = self
                 .buffer
-                .frame_span(logical)
+                .frame_span(frame)
                 .map_or(PageData::None, PageData::Bytes);
             match self.flash.program_page(phys, pg, data) {
                 Ok(t) => break (t, pg),

@@ -70,16 +70,10 @@ impl Engine {
     ) -> Result<ReadSource, EnvyError> {
         self.check_page(lp, offset, buf.len())?;
         match self.page_table.lookup(lp) {
-            Location::Sram => {
-                // One probe answers both residency and payload presence;
-                // a payload-less frame (store_data off) reads as erased.
-                match self.buffer.read_into(lp, offset, buf) {
-                    Some(true) => {}
-                    Some(false) => buf.fill(0xFF),
-                    None => {
-                        debug_assert!(false, "SRAM mapping must be buffered");
-                        buf.fill(0xFF);
-                    }
+            Location::Sram(frame) => {
+                // A payload-less frame (store_data off) reads as erased.
+                if !self.buffer.read_into(frame, offset, buf) {
+                    buf.fill(0xFF);
                 }
                 Ok(ReadSource::Sram)
             }
@@ -124,6 +118,22 @@ impl Engine {
         Ok(())
     }
 
+    /// Claim a buffer frame for a page that is not buffered yet; the
+    /// caller has flushed until there is room, and maps the page to the
+    /// returned frame.
+    pub(super) fn buffer_insert(&mut self, lp: LogicalPage, origin: Option<u32>) -> u32 {
+        // The buffer keeps no logical-page index: a second frame for the
+        // same page is caught here, and by the frame bijection in
+        // `check_invariants`.
+        debug_assert!(
+            self.buffer.iter().all(|(_, p)| p.logical != lp),
+            "logical page {lp} is already buffered"
+        );
+        self.buffer
+            .insert_frame(lp, origin)
+            .expect("buffer has space after flushing")
+    }
+
     /// Write bytes within one logical page, with transparent in-place
     /// update semantics: a Flash-resident page is copied into SRAM first
     /// (copy-on-write, §3.1), and the page table is repointed atomically.
@@ -158,16 +168,15 @@ impl Engine {
             // below yields a durable shadow.
             if writer.is_some()
                 && self.txn_owner_of(lp).is_none()
-                && self.page_table.lookup(lp) == Location::Sram
+                && matches!(self.page_table.lookup(lp), Location::Sram(_))
             {
                 self.flush_all(ops)?;
             }
         }
         match self.page_table.lookup(lp) {
-            Location::Sram => {
+            Location::Sram(frame) => {
                 // §3.2: "Changes can be made directly in SRAM."
-                let found = self.buffer.write(lp, offset, bytes);
-                debug_assert!(found, "SRAM mapping must be buffered");
+                self.buffer.write(frame, offset, bytes);
                 self.stats.sram_write_hits.incr();
                 self.trace.emit(crate::trace::TraceEvent::BufferHit { lp });
                 Ok(WriteResult {
@@ -183,20 +192,17 @@ impl Engine {
                 }
                 let origin = self.pos_of[loc.segment as usize];
                 debug_assert_ne!(origin, crate::engine::POS_NONE, "live data in the spare");
-                // One probe claims the SRAM frame; the Flash original
-                // moves into it in one copy (the wide datapath), then the
-                // host bytes land on top.
-                let frame = self
-                    .buffer
-                    .insert_frame(lp, Some(origin))
-                    .expect("buffer has space after flushing");
+                // The Flash original moves into the claimed SRAM frame in
+                // one copy (the wide datapath), then the host bytes land
+                // on top.
+                let frame = self.buffer_insert(lp, Some(origin));
                 let original = self.flash.read_page_span(loc.segment, loc.page)?;
-                if let Some(frame) = frame {
+                if let Some(page) = self.buffer.frame_mut(frame) {
                     match original {
-                        Some(original) => frame.copy_from_slice(original),
-                        None => frame.fill(0xFF),
+                        Some(original) => page.copy_from_slice(original),
+                        None => page.fill(0xFF),
                     }
-                    frame[offset..offset + bytes.len()].copy_from_slice(bytes);
+                    page[offset..offset + bytes.len()].copy_from_slice(bytes);
                 }
                 // §6: the invalidated original is a free shadow copy —
                 // pinned only for a *transactional* writer. A plain write
@@ -207,7 +213,7 @@ impl Engine {
                     }
                 }
                 self.flash.invalidate_page(loc.segment, loc.page)?;
-                self.page_table.map_sram(lp);
+                self.page_table.map_sram(lp, frame);
                 self.mmu.invalidate(lp);
                 self.stats.cow_ops.incr();
                 self.trace.emit(crate::trace::TraceEvent::Cow {
@@ -230,15 +236,12 @@ impl Engine {
                 if let Some(txn) = writer {
                     self.txn_fresh.insert(lp, txn);
                 }
-                if let Some(frame) = self
-                    .buffer
-                    .insert_frame(lp, None)
-                    .expect("buffer has space after flushing")
-                {
-                    frame.fill(0xFF);
-                    frame[offset..offset + bytes.len()].copy_from_slice(bytes);
+                let frame = self.buffer_insert(lp, None);
+                if let Some(page) = self.buffer.frame_mut(frame) {
+                    page.fill(0xFF);
+                    page[offset..offset + bytes.len()].copy_from_slice(bytes);
                 }
-                self.page_table.map_sram(lp);
+                self.page_table.map_sram(lp, frame);
                 self.mmu.invalidate(lp);
                 self.stats.fresh_allocs.incr();
                 self.trace.emit(crate::trace::TraceEvent::FreshAlloc { lp });

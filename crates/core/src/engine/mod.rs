@@ -129,7 +129,6 @@ impl Engine {
         let buffer = WriteBuffer::new(
             config.buffer_pages,
             geo.page_bytes() as usize,
-            config.logical_pages,
             config.store_data,
         );
         let page_table = PageTable::new(config.logical_pages, &geo);
@@ -364,23 +363,26 @@ impl Engine {
                 }
             }
         }
-        // Buffered pages are exactly the SRAM-mapped logical pages.
-        let mut sram_mapped = 0u64;
+        // Buffer frames and SRAM mappings are a bijection: every
+        // occupied frame's page maps back to that frame, and every SRAM
+        // mapping names an occupied frame holding that page.
+        for (frame, page) in self.buffer.iter() {
+            let at = self.page_table.lookup(page.logical);
+            if at != crate::addr::Location::Sram(frame) {
+                return Err(format!(
+                    "frame {frame} holds logical page {} but the page maps to {at:?}",
+                    page.logical
+                ));
+            }
+        }
         for lp in 0..self.page_table.logical_pages() {
-            if self.page_table.lookup(lp) == crate::addr::Location::Sram {
-                sram_mapped += 1;
-                if !self.buffer.contains(lp) {
+            if let crate::addr::Location::Sram(frame) = self.page_table.lookup(lp) {
+                if self.buffer.get(frame).map(|p| p.logical) != Some(lp) {
                     return Err(format!(
-                        "logical page {lp} maps to SRAM but is not buffered"
+                        "logical page {lp} maps to SRAM frame {frame}, which does not hold it"
                     ));
                 }
             }
-        }
-        if sram_mapped != self.buffer.len() as u64 {
-            return Err(format!(
-                "{} buffered pages but {sram_mapped} SRAM mappings",
-                self.buffer.len()
-            ));
         }
         // Shadow pages reference invalid flash pages.
         self.shadows.check(&self.flash)?;

@@ -30,7 +30,7 @@
 //!    uncommitted transaction rolls back to its pre-transaction page
 //!    images, in begin order.
 
-use crate::addr::{Location, LogicalPage};
+use crate::addr::Location;
 use crate::engine::Engine;
 use crate::error::EnvyError;
 use crate::timing::BgOp;
@@ -182,15 +182,15 @@ impl Engine {
     /// flush already made the flash copy the page of record; only the
     /// buffer pop was lost.
     fn drop_stale_buffer_entries(&mut self) -> u64 {
-        let stale: Vec<LogicalPage> = self
+        let stale: Vec<u32> = self
             .buffer
             .iter()
-            .map(|p| p.logical)
-            .filter(|&lp| self.page_table.lookup(lp) != Location::Sram)
+            .filter(|&(frame, p)| self.page_table.lookup(p.logical) != Location::Sram(frame))
+            .map(|(frame, _)| frame)
             .collect();
         let dropped = stale.len() as u64;
-        for lp in stale {
-            self.buffer.remove(lp);
+        for frame in stale {
+            self.buffer.remove(frame);
         }
         self.stats.recovery_dropped_buffer.add(dropped);
         dropped

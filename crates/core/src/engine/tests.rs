@@ -84,7 +84,7 @@ fn cow_invalidates_flash_copy_and_remaps() {
         write_lp(&mut e, lp, 0x11),
         WriteKind::CopyOnWrite { .. }
     ));
-    assert_eq!(e.page_table.lookup(lp), Location::Sram);
+    assert!(matches!(e.page_table.lookup(lp), Location::Sram(_)));
     assert_eq!(
         e.flash.page_state(loc.segment, loc.page),
         envy_flash::PageState::Invalid
@@ -521,7 +521,7 @@ fn txn_write_after_plain_cow_pins_durable_shadow() {
     let mut ops = Vec::new();
     let txn = e.txn_begin(&mut ops).unwrap();
     write_lp(&mut e, 9, 0x91); // plain: CoW into SRAM, no shadow
-    assert_eq!(e.page_table.lookup(9), Location::Sram);
+    assert!(matches!(e.page_table.lookup(9), Location::Sram(_)));
     txn_write_lp(&mut e, txn, 9, 0x92);
     assert_eq!(
         e.shadow_pages(),
@@ -586,7 +586,7 @@ fn interrupted_clean_preserves_data() {
 fn power_failure_preserves_buffered_writes() {
     let mut e = small(PolicyKind::paper_default());
     write_lp(&mut e, 8, 0xCD);
-    assert_eq!(e.page_table.lookup(8), Location::Sram);
+    assert!(matches!(e.page_table.lookup(8), Location::Sram(_)));
     e.power_failure();
     let mut ops = Vec::new();
     let report = e.recover(&mut ops).unwrap();
@@ -1178,4 +1178,52 @@ fn policy_partition_counts() {
     assert_eq!(e.policy.partitions(), 1);
     let e = small(PolicyKind::CostBenefit);
     assert_eq!(e.policy.partitions(), 1);
+}
+
+/// An engine with nothing prefilled and logical page 8 buffered, and the
+/// frame that holds it.
+fn one_buffered_page() -> (Engine, u32) {
+    let mut e = Engine::new(EnvyConfig::small_test()).unwrap();
+    write_lp(&mut e, 8, 0xCD);
+    e.check_invariants().unwrap();
+    let Location::Sram(frame) = e.page_table.lookup(8) else {
+        panic!("page 8 is buffered");
+    };
+    (e, frame)
+}
+
+#[test]
+fn invariants_catch_a_frame_whose_page_maps_elsewhere() {
+    // Frame side of the frame <-> SRAM-mapping bijection: a second frame
+    // for a buffered page (what the buffer's own duplicate check used to
+    // refuse), and a frame for a page that is not SRAM-mapped.
+    for lp in [8, 9] {
+        let (mut e, _) = one_buffered_page();
+        e.buffer.insert_frame(lp, None).unwrap();
+        let err = e.check_invariants().unwrap_err();
+        assert!(err.contains(&format!("holds logical page {lp}")), "{err}");
+    }
+}
+
+#[test]
+fn invariants_catch_an_sram_mapping_to_the_wrong_frame() {
+    // Mapping side: an unmapped page pointed at a frame that holds
+    // another page, and at a frame nothing occupies.
+    let (mut e, frame) = one_buffered_page();
+    e.page_table.map_sram(9, frame);
+    let err = e.check_invariants().unwrap_err();
+    assert!(err.contains("logical page 9 maps to SRAM frame"), "{err}");
+
+    let (mut e, frame) = one_buffered_page();
+    e.page_table.map_sram(9, frame + 1);
+    let err = e.check_invariants().unwrap_err();
+    assert!(err.contains("logical page 9 maps to SRAM frame"), "{err}");
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "already buffered")]
+fn duplicate_buffer_insert_panics() {
+    let (mut e, _) = one_buffered_page();
+    e.buffer_insert(8, None);
 }

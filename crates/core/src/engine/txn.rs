@@ -318,8 +318,8 @@ impl Engine {
         fresh.sort_unstable();
         for lp in fresh {
             match self.page_table.lookup(lp) {
-                Location::Sram => {
-                    self.buffer.remove(lp);
+                Location::Sram(frame) => {
+                    self.buffer.remove(frame);
                 }
                 Location::Flash(cur) => {
                     self.flash.invalidate_page(cur.segment, cur.page)?;
@@ -340,8 +340,8 @@ impl Engine {
     /// Restore one page to its pre-transaction shadow copy.
     fn rollback_page(&mut self, lp: LogicalPage, shadow: FlashLocation) -> Result<(), EnvyError> {
         match self.page_table.lookup(lp) {
-            Location::Sram => {
-                self.buffer.remove(lp);
+            Location::Sram(frame) => {
+                self.buffer.remove(frame);
             }
             Location::Flash(cur) => {
                 // The dirty version was flushed during the

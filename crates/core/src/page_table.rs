@@ -3,7 +3,9 @@
 //! "A page table maintains a mapping between the linear logical address
 //! space presented to the host and the physical address space of the Flash
 //! array." The table lives in battery-backed SRAM because mappings change
-//! on every copy-on-write and must update in place.
+//! on every copy-on-write and must update in place. A logical page lives
+//! either in Flash or in an SRAM buffer frame, and the one forward word
+//! says which: an SRAM hit finds its frame here, with no second index.
 //!
 //! Besides the forward map, the controller needs the reverse map — which
 //! logical page a physical Flash page holds — to repoint mappings during
@@ -20,32 +22,34 @@ use envy_flash::FlashGeometry;
 /// [`EnvyStore::fork`](crate::store::EnvyStore::fork).
 const REV_EMPTY: u32 = 0;
 
-/// Forward-map encoding: one word per logical page instead of a 12-byte
-/// [`Location`], shrinking the hottest lookup table by a third.
-const FWD_UNMAPPED: u64 = 0;
-const FWD_SRAM: u64 = 1;
-/// Flash locations are stored as `((segment << 32) | page) + FWD_FLASH_BASE`.
-const FWD_FLASH_BASE: u64 = 2;
+/// Forward-map encoding, one `u32` per logical page: `0` is unmapped,
+/// `1 + (segment << page_bits | page)` a Flash page, and
+/// `sram_base + frame` an SRAM buffer frame, where `sram_base` is one
+/// past the last Flash word. Zero as "unmapped" keeps the fresh table
+/// lazily zeroed, like the reverse map.
+const FWD_UNMAPPED: u32 = 0;
 
-#[inline]
-fn fwd_encode_flash(loc: FlashLocation) -> u64 {
-    debug_assert!(loc.page < u32::MAX - 1, "page index near u32::MAX");
-    (((loc.segment as u64) << 32) | loc.page as u64) + FWD_FLASH_BASE
+/// Bits that hold a page index within a segment (`pages_per_segment - 1`),
+/// so a Flash word packs and unpacks with a shift and a mask.
+fn page_bits(geo: &FlashGeometry) -> u32 {
+    u32::BITS - (geo.pages_per_segment() - 1).leading_zeros()
 }
 
-#[inline]
-pub(crate) fn fwd_decode(v: u64) -> Location {
-    match v {
-        FWD_UNMAPPED => Location::Unmapped,
-        FWD_SRAM => Location::Sram,
-        v => {
-            let packed = v - FWD_FLASH_BASE;
-            Location::Flash(FlashLocation {
-                segment: (packed >> 32) as u32,
-                page: packed as u32,
-            })
-        }
-    }
+/// Number of Flash words for a geometry, `sram_base - 1`.
+fn flash_words(geo: &FlashGeometry) -> u64 {
+    u64::from(geo.segments()) << page_bits(geo)
+}
+
+/// Whether a table of `logical_pages` pages over `geo`, with `frames`
+/// SRAM buffer frames, fits its 32-bit words: every Flash page and every
+/// frame needs its own forward word, and every logical page its own
+/// reverse entry. `EnvyConfig::validate` refuses a configuration that
+/// does not, before anything is allocated.
+pub(crate) fn fits_u32(logical_pages: u64, geo: &FlashGeometry, frames: u64) -> bool {
+    // At most 2^32 - 1 segments shifted by at most 32 bits: the shift
+    // fits a u64, and saturation keeps a huge `frames` from wrapping.
+    let words = flash_words(geo).saturating_add(frames);
+    logical_pages < u64::from(u32::MAX) && words < 1 << 32
 }
 
 /// Forward (logical → physical) and reverse (physical → logical) page
@@ -67,12 +71,18 @@ pub(crate) fn fwd_decode(v: u64) -> Location {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
-    /// Packed forward map; see [`fwd_decode`].
-    forward: Vec<u64>,
+    /// Packed forward map; see [`FWD_UNMAPPED`].
+    forward: Vec<u32>,
     /// Flat reverse map (`segment * pages_per_segment + page`); see
     /// [`REV_EMPTY`].
     reverse: Vec<u32>,
     pages_per_segment: u32,
+    /// Flash word layout: `page_bits` low bits hold the page.
+    page_bits: u32,
+    page_mask: u32,
+    /// Number of Flash words, `sram_base - 1`: a word minus one below it
+    /// is a Flash page, at or above it an SRAM frame.
+    flash_words: u32,
 }
 
 impl PageTable {
@@ -81,17 +91,41 @@ impl PageTable {
     ///
     /// # Panics
     ///
-    /// Panics if `logical_pages` does not fit the reverse map's `u32`
-    /// encoding (over four billion pages).
+    /// Panics unless the table, with at least one SRAM frame, fits its
+    /// `u32` words: Flash pages plus frames, and logical pages, each below
+    /// 2^32. [`EnvyConfig::validate`](crate::EnvyConfig::validate) refuses
+    /// such a configuration first.
     pub fn new(logical_pages: u64, geo: &FlashGeometry) -> PageTable {
         assert!(
-            logical_pages < u32::MAX as u64,
-            "logical page count exceeds the reverse-map encoding"
+            fits_u32(logical_pages, geo, 1),
+            "page table exceeds its 32-bit encoding"
         );
+        let page_bits = page_bits(geo);
         PageTable {
             forward: vec![FWD_UNMAPPED; logical_pages as usize],
             reverse: vec![REV_EMPTY; geo.segments() as usize * geo.pages_per_segment() as usize],
             pages_per_segment: geo.pages_per_segment(),
+            page_bits,
+            page_mask: ((1u64 << page_bits) - 1) as u32,
+            flash_words: flash_words(geo) as u32,
+        }
+    }
+
+    /// One subtraction serves all three cases: a Flash word minus one is
+    /// the packed page, an SRAM word minus one is `flash_words + frame`,
+    /// and the unmapped word wraps to `u32::MAX`.
+    #[inline(always)]
+    fn decode(&self, v: u32) -> Location {
+        let packed = v.wrapping_sub(1);
+        if packed < self.flash_words {
+            Location::Flash(FlashLocation {
+                segment: packed >> self.page_bits,
+                page: packed & self.page_mask,
+            })
+        } else if v == FWD_UNMAPPED {
+            Location::Unmapped
+        } else {
+            Location::Sram(packed - self.flash_words)
         }
     }
 
@@ -107,12 +141,15 @@ impl PageTable {
 
     /// Current location of a logical page.
     ///
+    /// Forced inline: it is the first step of every timed access, and
+    /// `ci.sh` fails on an outlined copy in `envy-bench`.
+    ///
     /// # Panics
     ///
     /// Panics if `lp` is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn lookup(&self, lp: LogicalPage) -> Location {
-        fwd_decode(self.forward[lp as usize])
+        self.decode(self.forward[lp as usize])
     }
 
     /// The logical page stored at a physical location, if any.
@@ -129,8 +166,13 @@ impl PageTable {
     /// # Panics
     ///
     /// Panics if the destination already holds a different logical page —
-    /// the controller must never double-map a physical page.
+    /// the controller must never double-map a physical page — or lies
+    /// outside the geometry.
     pub fn map_flash(&mut self, lp: LogicalPage, loc: FlashLocation) {
+        assert!(
+            loc.page < self.pages_per_segment,
+            "page index within the segment"
+        );
         let di = self.rev_index(loc.segment, loc.page);
         let dest = self.reverse[di];
         assert!(
@@ -142,18 +184,25 @@ impl PageTable {
             let oi = self.rev_index(old.segment, old.page);
             self.reverse[oi] = REV_EMPTY;
         }
-        self.forward[lp as usize] = fwd_encode_flash(loc);
+        self.forward[lp as usize] = 1 + ((loc.segment << self.page_bits) | loc.page);
         self.reverse[di] = lp as u32 + 1;
     }
 
-    /// Point a logical page at the SRAM write buffer, clearing any Flash
-    /// reverse mapping.
-    pub fn map_sram(&mut self, lp: LogicalPage) {
+    /// Point a logical page at an SRAM write-buffer frame, clearing any
+    /// Flash reverse mapping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is past the last word of the encoding.
+    pub fn map_sram(&mut self, lp: LogicalPage, frame: u32) {
+        let word = (self.flash_words + 1)
+            .checked_add(frame)
+            .expect("frame within the 32-bit encoding");
         if let Location::Flash(old) = self.lookup(lp) {
             let oi = self.rev_index(old.segment, old.page);
             self.reverse[oi] = REV_EMPTY;
         }
-        self.forward[lp as usize] = FWD_SRAM;
+        self.forward[lp as usize] = word;
     }
 
     /// Return a logical page to the unmapped state.
@@ -212,7 +261,7 @@ impl PageTable {
         let pps = self.pages_per_segment as usize;
         let segments = self.reverse.len() / pps.max(1);
         for (lp, &v) in self.forward.iter().enumerate() {
-            if let Location::Flash(f) = fwd_decode(v) {
+            if let Location::Flash(f) = self.decode(v) {
                 if f.page >= self.pages_per_segment || f.segment as usize >= segments {
                     return Err(format!("logical page {lp} maps out of range"));
                 }
@@ -231,7 +280,7 @@ impl PageTable {
             if entry != REV_EMPTY {
                 let (seg, page) = (i / pps, i % pps);
                 let lp = entry as u64 - 1;
-                let fwd = self.forward.get(lp as usize).map(|&v| fwd_decode(v));
+                let fwd = self.forward.get(lp as usize).map(|&v| self.decode(v));
                 match fwd {
                     Some(Location::Flash(f))
                         if f.segment as usize == seg && f.page as usize == page => {}
@@ -305,8 +354,8 @@ mod tests {
             page: 1,
         };
         pt.map_flash(2, a);
-        pt.map_sram(2);
-        assert_eq!(pt.lookup(2), Location::Sram);
+        pt.map_sram(2, 3);
+        assert_eq!(pt.lookup(2), Location::Sram(3));
         assert_eq!(pt.logical_at(a), None);
         pt.check_consistency().unwrap();
     }
@@ -366,6 +415,39 @@ mod tests {
         let r = pt.residents_of(1);
         assert_eq!(r, vec![(2, 11), (4, 12), (6, 10)]);
         assert_eq!(pt.resident_count(1), 3);
+    }
+
+    #[test]
+    fn words_round_trip_at_the_encoding_edges() {
+        // 7 pages per segment: three page bits, so the last Flash word
+        // and the first SRAM word sit next to each other.
+        let geo = FlashGeometry::new(1, 5, 7, 64).unwrap();
+        let mut pt = PageTable::new(4, &geo);
+        let last = FlashLocation {
+            segment: 4,
+            page: 6,
+        };
+        pt.map_flash(0, last);
+        pt.map_sram(1, 0);
+        pt.map_sram(2, u32::MAX - pt.flash_words - 1);
+        assert_eq!(pt.lookup(0), Location::Flash(last));
+        assert_eq!(pt.lookup(1), Location::Sram(0));
+        assert_eq!(pt.lookup(2), Location::Sram(u32::MAX - pt.flash_words - 1));
+        assert_eq!(pt.lookup(3), Location::Unmapped);
+        pt.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn fits_u32_counts_flash_words_and_frames() {
+        // 2^16 segments of 2^16 pages fill all 2^32 words before any frame.
+        let huge = FlashGeometry::new(8, 65_536, 65_536, 256).unwrap();
+        assert!(!fits_u32(1, &huge, 1));
+        // 2^15 segments leave 2^31 - 1 words for frames.
+        let half = FlashGeometry::new(8, 32_768, 65_536, 256).unwrap();
+        assert!(fits_u32(1, &half, (1 << 31) - 1));
+        assert!(!fits_u32(1, &half, 1 << 31));
+        assert!(!fits_u32(1, &half, u64::MAX));
+        assert!(!fits_u32(u64::from(u32::MAX), &half, 1));
     }
 
     #[test]

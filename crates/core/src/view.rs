@@ -41,7 +41,7 @@ impl<'a> ReadView<'a> {
             let copied = match engine.page_table.lookup(c.page) {
                 Location::Unmapped => false,
                 // A payload-less frame (store_data off) reads as erased.
-                Location::Sram => engine.buffer.read_into(c.page, c.offset, dst) == Some(true),
+                Location::Sram(frame) => engine.buffer.read_into(frame, c.offset, dst),
                 Location::Flash(loc) => match engine.flash.page_payload(loc.segment, loc.page) {
                     Some(page) => {
                         dst.copy_from_slice(&page[c.offset..c.offset + c.len]);

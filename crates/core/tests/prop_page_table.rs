@@ -1,5 +1,7 @@
 //! Randomized test: the page table's forward and reverse maps stay
-//! mutually consistent under arbitrary map/unmap sequences.
+//! mutually consistent under arbitrary map/unmap sequences, and every
+//! forward word decodes back to the Flash page or SRAM frame it was
+//! given.
 
 use envy_core::addr::{FlashLocation, Location};
 use envy_core::page_table::PageTable;
@@ -10,13 +12,16 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 enum Op {
     MapFlash { lp: u64, seg: u32, page: u32 },
-    MapSram { lp: u64 },
+    MapSram { lp: u64, frame: u32 },
     Unmap { lp: u64 },
 }
 
 const LPS: u64 = 32;
 const SEGS: u32 = 4;
 const PPS: u32 = 8;
+/// Frames up to the last word the encoding has: 4 segments of 8 pages
+/// take words 1..=32, so frames run to `u32::MAX - 33`.
+const MAX_FRAME: u64 = u32::MAX as u64 - 33;
 
 fn gen_op(g: &mut Gen) -> Op {
     match g.below(3) {
@@ -25,7 +30,15 @@ fn gen_op(g: &mut Gen) -> Op {
             seg: g.below(SEGS as u64) as u32,
             page: g.below(PPS as u64) as u32,
         },
-        1 => Op::MapSram { lp: g.below(LPS) },
+        1 => Op::MapSram {
+            lp: g.below(LPS),
+            // Both ends of the frame range as well as small frames.
+            frame: match g.below(3) {
+                0 => g.below(64) as u32,
+                1 => (MAX_FRAME - g.below(64)) as u32,
+                _ => g.below(MAX_FRAME + 1) as u32,
+            },
+        },
         _ => Op::Unmap { lp: g.below(LPS) },
     }
 }
@@ -37,7 +50,7 @@ fn forward_reverse_consistent() {
         let geo = FlashGeometry::new(2, SEGS, PPS, 16).unwrap();
         let mut pt = PageTable::new(LPS, &geo);
         // Model: lp -> location, plus reverse occupancy.
-        let mut fwd: HashMap<u64, Option<FlashLocation>> = HashMap::new();
+        let mut fwd: HashMap<u64, Location> = HashMap::new();
         let mut occupied: HashMap<(u32, u32), u64> = HashMap::new();
 
         for op in ops {
@@ -48,22 +61,23 @@ fn forward_reverse_consistent() {
                     if occupied.get(&(seg, page)).is_some_and(|&o| o != lp) {
                         continue;
                     }
-                    if let Some(Some(old)) = fwd.get(&lp) {
+                    if let Some(Location::Flash(old)) = fwd.get(&lp) {
                         occupied.remove(&(old.segment, old.page));
                     }
-                    pt.map_flash(lp, FlashLocation { segment: seg, page });
-                    fwd.insert(lp, Some(FlashLocation { segment: seg, page }));
+                    let loc = FlashLocation { segment: seg, page };
+                    pt.map_flash(lp, loc);
+                    fwd.insert(lp, Location::Flash(loc));
                     occupied.insert((seg, page), lp);
                 }
-                Op::MapSram { lp } => {
-                    if let Some(Some(old)) = fwd.get(&lp) {
+                Op::MapSram { lp, frame } => {
+                    if let Some(Location::Flash(old)) = fwd.get(&lp) {
                         occupied.remove(&(old.segment, old.page));
                     }
-                    pt.map_sram(lp);
-                    fwd.insert(lp, None);
+                    pt.map_sram(lp, frame);
+                    fwd.insert(lp, Location::Sram(frame));
                 }
                 Op::Unmap { lp } => {
-                    if let Some(Some(old)) = fwd.get(&lp) {
+                    if let Some(Location::Flash(old)) = fwd.get(&lp) {
                         occupied.remove(&(old.segment, old.page));
                     }
                     pt.unmap(lp);
@@ -75,13 +89,10 @@ fn forward_reverse_consistent() {
 
         // Final cross-check against the model.
         for lp in 0..LPS {
-            match fwd.get(&lp) {
-                Some(Some(loc)) => {
-                    assert_eq!(pt.lookup(lp), Location::Flash(*loc));
-                    assert_eq!(pt.logical_at(*loc), Some(lp));
-                }
-                Some(None) => assert_eq!(pt.lookup(lp), Location::Sram),
-                None => assert_eq!(pt.lookup(lp), Location::Unmapped),
+            let want = fwd.get(&lp).copied().unwrap_or(Location::Unmapped);
+            assert_eq!(pt.lookup(lp), want);
+            if let Location::Flash(loc) = want {
+                assert_eq!(pt.logical_at(loc), Some(lp));
             }
         }
         for seg in 0..SEGS {

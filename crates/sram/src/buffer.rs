@@ -12,11 +12,11 @@
 //! placed into the SRAM buffer, we record which segment it comes from.
 //! When it is flushed, it is written back to the same segment.").
 //!
-//! The logical-page → frame index is a direct-map array over the bounded
-//! logical page space rather than a hash map: every host access probes
-//! the buffer, and at 4 bytes per logical page the index costs less SRAM
-//! than the page table's 6 bytes per mapping while making the probe a
-//! single array load.
+//! The buffer is addressed by frame, not by logical page: the page table
+//! is the one map from a logical page to where it lives, Flash page or
+//! SRAM frame, as in the paper's controller. The buffer keeps no
+//! logical-page index of its own, so it costs host memory per frame, not
+//! per logical page, and an SRAM hit is one page-table load.
 
 use envy_sync::ByteArena;
 
@@ -31,47 +31,40 @@ pub struct BufferedPage {
     pub origin: Option<u32>,
 }
 
-/// Why an insert was refused.
+/// An insert was refused because every frame is occupied — the caller
+/// must flush first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertError {
-    /// Every frame is occupied — the caller must flush first.
-    BufferFull,
-    /// The page is already buffered — re-writes go through
-    /// [`WriteBuffer::write`], not a second insert.
-    AlreadyBuffered,
-}
+pub struct BufferFull;
 
-impl std::fmt::Display for InsertError {
+impl std::fmt::Display for BufferFull {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InsertError::BufferFull => write!(f, "write buffer is full"),
-            InsertError::AlreadyBuffered => write!(f, "page is already buffered"),
-        }
+        write!(f, "write buffer is full")
     }
 }
 
-impl std::error::Error for InsertError {}
-
-/// Direct-map index encoding: `0` = not buffered, else `slot + 1`, so
-/// "not buffered" is the all-zeroes state.
-const IDX_EMPTY: u32 = 0;
+impl std::error::Error for BufferFull {}
 
 /// FIFO write buffer of page frames.
 ///
 /// Frames are stored in a fixed slab so that a buffered page's contents
 /// can be updated in place (that is the buffer's purpose) while FIFO order
 /// is tracked separately. Steady-state copy-on-write/flush cycles never
-/// allocate: slots and frames are recycled by index.
+/// allocate: frames are recycled by index.
+///
+/// Every frame-taking method expects an occupied frame, one that
+/// [`WriteBuffer::insert_frame`] returned and nothing has removed since:
+/// the caller (the page table) knows which frame holds which page.
 ///
 /// # Example
 ///
 /// ```
 /// use envy_sram::WriteBuffer;
 ///
-/// let mut buf = WriteBuffer::new(2, 16, 64, false);
-/// buf.insert(7, Some(3), None).unwrap();
-/// buf.insert(9, None, None).unwrap();
+/// let mut buf = WriteBuffer::new(2, 16, false);
+/// let frame = buf.insert_frame(7, Some(3)).unwrap();
+/// buf.insert_frame(9, None).unwrap();
 /// assert!(buf.is_full());
+/// assert_eq!(buf.get(frame).unwrap().logical, 7);
 /// let oldest = buf.pop_tail().unwrap();
 /// assert_eq!(oldest.logical, 7); // FIFO: first in, first out
 /// ```
@@ -80,46 +73,37 @@ pub struct WriteBuffer {
     capacity: usize,
     page_bytes: usize,
     len: usize,
-    slots: Vec<Option<BufferedPage>>,
-    free: Vec<usize>,
-    fifo: std::collections::VecDeque<usize>,
-    /// `index[logical] = slot + 1`, [`IDX_EMPTY`] when not buffered.
-    index: Vec<u32>,
-    /// Page frame slab: slot `s` occupies bytes
-    /// `s * page_bytes .. (s + 1) * page_bytes`. `None` when payload
+    frames: Vec<Option<BufferedPage>>,
+    free: Vec<u32>,
+    fifo: std::collections::VecDeque<u32>,
+    /// Page payload slab: frame `f` occupies bytes
+    /// `f * page_bytes .. (f + 1) * page_bytes`. `None` when payload
     /// storage is disabled (residency-only mode).
-    frames: Option<ByteArena>,
+    payload: Option<ByteArena>,
 }
 
 impl WriteBuffer {
-    /// Create a buffer of `capacity` page frames of `page_bytes` each,
-    /// indexing the logical page space `0..logical_pages`.
+    /// Create a buffer of `capacity` page frames of `page_bytes` each.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` or `page_bytes` is zero, or if `capacity`
-    /// overflows the slot index width.
-    pub fn new(
-        capacity: usize,
-        page_bytes: usize,
-        logical_pages: u64,
-        store_data: bool,
-    ) -> WriteBuffer {
+    /// overflows the `u32` frame number.
+    pub fn new(capacity: usize, page_bytes: usize, store_data: bool) -> WriteBuffer {
         assert!(capacity > 0, "buffer capacity must be non-zero");
         assert!(page_bytes > 0, "page size must be non-zero");
         assert!(
-            capacity < u32::MAX as usize,
-            "buffer capacity overflows the slot index"
+            capacity <= u32::MAX as usize,
+            "buffer capacity overflows the frame number"
         );
         WriteBuffer {
             capacity,
             page_bytes,
             len: 0,
-            slots: (0..capacity).map(|_| None).collect(),
-            free: (0..capacity).rev().collect(),
+            frames: (0..capacity).map(|_| None).collect(),
+            free: (0..capacity as u32).rev().collect(),
             fifo: std::collections::VecDeque::with_capacity(capacity),
-            index: vec![IDX_EMPTY; logical_pages as usize],
-            frames: store_data.then(|| ByteArena::new(capacity * page_bytes, 0xFF)),
+            payload: store_data.then(|| ByteArena::new(capacity * page_bytes, 0xFF)),
         }
     }
 
@@ -150,204 +134,138 @@ impl WriteBuffer {
 
     /// Whether page payloads are stored (vs. residency-only tracking).
     pub fn stores_data(&self) -> bool {
-        self.frames.is_some()
+        self.payload.is_some()
     }
 
-    /// The occupied slot holding a logical page, if buffered. Pages
-    /// outside the indexed logical space are never buffered.
     #[inline]
-    fn slot_of(&self, logical: u64) -> Option<usize> {
-        match self.index.get(logical as usize) {
-            None | Some(&IDX_EMPTY) => None,
-            Some(&entry) => Some(entry as usize - 1),
-        }
-    }
-
-    /// Whether a logical page is buffered.
-    #[inline]
-    pub fn contains(&self, logical: u64) -> bool {
-        self.slot_of(logical).is_some()
-    }
-
-    /// Insert a page at the FIFO head and expose its frame.
-    ///
-    /// This is the combined insert-and-fill entry point for the
-    /// copy-on-write path: one index probe claims the frame, and the
-    /// caller writes the Flash original plus the host bytes straight into
-    /// the returned frame. The frame's contents are **unspecified** — the
-    /// caller must overwrite or fill the whole page before relying on any
-    /// byte. Returns `Ok(None)` when payload storage is disabled.
-    ///
-    /// # Errors
-    ///
-    /// [`InsertError::BufferFull`] or [`InsertError::AlreadyBuffered`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `logical` is outside the indexed logical page space.
-    pub fn insert_frame(
-        &mut self,
-        logical: u64,
-        origin: Option<u32>,
-    ) -> Result<Option<&mut [u8]>, InsertError> {
-        assert!(
-            (logical as usize) < self.index.len(),
-            "logical page within the indexed space"
+    fn frame_offset(&self, frame: u32) -> usize {
+        debug_assert!(
+            self.frames[frame as usize].is_some(),
+            "frame {frame} is not occupied"
         );
-        if self.index[logical as usize] != IDX_EMPTY {
-            return Err(InsertError::AlreadyBuffered);
-        }
-        if self.len == self.capacity {
-            return Err(InsertError::BufferFull);
-        }
-        let slot = self.free.pop().expect("free list tracks occupancy");
-        self.slots[slot] = Some(BufferedPage { logical, origin });
-        self.fifo.push_back(slot);
-        self.len += 1;
-        self.index[logical as usize] = slot as u32 + 1;
-        let page_bytes = self.page_bytes;
-        Ok(self
-            .frames
-            .as_mut()
-            .map(|arena| arena.span_mut(slot * page_bytes, page_bytes)))
+        frame as usize * self.page_bytes
     }
 
-    /// Insert a page at the FIFO head.
+    /// Insert a page at the FIFO head and return the frame that holds it.
     ///
-    /// `initial` seeds the frame contents (the Flash copy made by
-    /// copy-on-write); `None` seeds erased (0xFF) bytes. Ignored when
-    /// payload storage is disabled.
+    /// The frame's contents are **unspecified** — the caller fills the
+    /// whole page through [`WriteBuffer::frame_mut`] (the Flash original
+    /// of a copy-on-write, or erased bytes) before relying on any byte.
+    /// The caller also guarantees the page is not buffered already:
+    /// re-writes go through [`WriteBuffer::write`], not a second insert.
     ///
     /// # Errors
     ///
-    /// [`InsertError::BufferFull`] if the buffer is full — the caller
-    /// must flush first — or [`InsertError::AlreadyBuffered`] (re-writes
-    /// go through [`WriteBuffer::write`], not a second insert).
-    pub fn insert(
-        &mut self,
-        logical: u64,
-        origin: Option<u32>,
-        initial: Option<&[u8]>,
-    ) -> Result<(), InsertError> {
-        if let Some(frame) = self.insert_frame(logical, origin)? {
-            match initial {
-                Some(initial) => frame.copy_from_slice(initial),
-                None => frame.fill(0xFF),
-            }
-        }
-        Ok(())
+    /// [`BufferFull`] if every frame is occupied.
+    pub fn insert_frame(&mut self, logical: u64, origin: Option<u32>) -> Result<u32, BufferFull> {
+        let frame = self.free.pop().ok_or(BufferFull)?;
+        self.frames[frame as usize] = Some(BufferedPage { logical, origin });
+        self.fifo.push_back(frame);
+        self.len += 1;
+        Ok(frame)
     }
 
-    /// Write bytes into a buffered page.
-    ///
-    /// Returns `false` if the page is not buffered. With payload storage
-    /// disabled this only confirms residency.
+    /// An occupied frame's whole page, writable. `None` when payload
+    /// storage is disabled.
+    pub fn frame_mut(&mut self, frame: u32) -> Option<&mut [u8]> {
+        let (offset, page_bytes) = (self.frame_offset(frame), self.page_bytes);
+        self.payload
+            .as_mut()
+            .map(|arena| arena.span_mut(offset, page_bytes))
+    }
+
+    /// An occupied frame's whole page as the source of a copy (the flush
+    /// into Flash). `None` when payload storage is disabled.
+    pub fn frame_span(&self, frame: u32) -> Option<&[u8]> {
+        let offset = self.frame_offset(frame);
+        self.payload
+            .as_ref()
+            .map(|arena| arena.span(offset, self.page_bytes))
+    }
+
+    /// Write bytes into an occupied frame. With payload storage disabled
+    /// this does nothing.
     ///
     /// # Panics
     ///
     /// Panics if `offset + bytes.len()` exceeds the page size.
-    pub fn write(&mut self, logical: u64, offset: usize, bytes: &[u8]) -> bool {
+    pub fn write(&mut self, frame: u32, offset: usize, bytes: &[u8]) {
         assert!(
             offset + bytes.len() <= self.page_bytes,
             "write exceeds page bounds"
         );
-        let Some(slot) = self.slot_of(logical) else {
-            return false;
-        };
-        if let Some(arena) = &mut self.frames {
-            arena.write_bytes(slot * self.page_bytes + offset, bytes);
+        let base = self.frame_offset(frame);
+        if let Some(arena) = &mut self.payload {
+            arena.write_bytes(base + offset, bytes);
         }
-        true
     }
 
-    /// Read bytes from a buffered page.
-    ///
-    /// Returns `false` if the page is not buffered.
+    /// Read bytes from an occupied frame. Returns `true` if `buf` was
+    /// filled, `false` if the buffer tracks residency only (payload
+    /// storage disabled — the caller substitutes erased bytes).
     ///
     /// # Panics
     ///
     /// Panics if `offset + buf.len()` exceeds the page size.
-    pub fn read(&self, logical: u64, offset: usize, buf: &mut [u8]) -> bool {
-        self.read_into(logical, offset, buf).is_some()
-    }
-
-    /// Read bytes from a buffered page, reporting in one probe both
-    /// residency and whether payload bytes were copied.
-    ///
-    /// Returns `None` if the page is not buffered, `Some(true)` if `buf`
-    /// was filled from the frame, and `Some(false)` if the buffer tracks
-    /// residency only (payload storage disabled — the caller substitutes
-    /// erased bytes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + buf.len()` exceeds the page size.
-    pub fn read_into(&self, logical: u64, offset: usize, buf: &mut [u8]) -> Option<bool> {
+    #[inline]
+    pub fn read_into(&self, frame: u32, offset: usize, buf: &mut [u8]) -> bool {
         assert!(
             offset + buf.len() <= self.page_bytes,
             "read exceeds page bounds"
         );
-        let slot = self.slot_of(logical)?;
-        match &self.frames {
+        let base = self.frame_offset(frame);
+        match &self.payload {
             Some(arena) => {
-                arena.read_bytes(slot * self.page_bytes + offset, buf);
-                Some(true)
+                arena.read_bytes(base + offset, buf);
+                true
             }
-            None => Some(false),
+            None => false,
         }
     }
 
-    /// A buffered page's whole frame as the source of a copy (the flush
-    /// into Flash). `None` if the page is not buffered or payload storage
-    /// is disabled.
-    pub fn frame_span(&self, logical: u64) -> Option<&[u8]> {
-        // Payload presence first: a residency-only buffer answers
-        // without probing the index.
-        let arena = self.frames.as_ref()?;
-        let slot = self.slot_of(logical)?;
-        Some(arena.span(slot * self.page_bytes, self.page_bytes))
+    /// The page a frame holds, if it is occupied.
+    pub fn get(&self, frame: u32) -> Option<&BufferedPage> {
+        self.frames.get(frame as usize)?.as_ref()
     }
 
-    /// Borrow a buffered page's metadata.
-    pub fn get(&self, logical: u64) -> Option<&BufferedPage> {
-        self.slot_of(logical)
-            .and_then(|slot| self.slots[slot].as_ref())
-    }
-
-    /// The oldest page (next flush candidate) without removing it.
-    pub fn peek_tail(&self) -> Option<&BufferedPage> {
-        self.fifo
-            .front()
-            .and_then(|&slot| self.slots[slot].as_ref())
+    /// The oldest page (next flush candidate) and its frame, without
+    /// removing it.
+    pub fn peek_tail(&self) -> Option<(u32, &BufferedPage)> {
+        let &frame = self.fifo.front()?;
+        self.frames[frame as usize]
+            .as_ref()
+            .map(|page| (frame, page))
     }
 
     /// Remove and return the oldest page.
     pub fn pop_tail(&mut self) -> Option<BufferedPage> {
-        let slot = self.fifo.pop_front()?;
-        let page = self.slots[slot].take().expect("fifo tracks live slots");
-        self.index[page.logical as usize] = IDX_EMPTY;
-        self.free.push(slot);
+        let frame = self.fifo.pop_front()?;
+        let page = self.frames[frame as usize]
+            .take()
+            .expect("fifo tracks live frames");
+        self.free.push(frame);
         self.len -= 1;
         Some(page)
     }
 
-    /// Remove a specific page (used when a cleaned/rolled-back page must
-    /// leave the buffer out of FIFO order).
-    pub fn remove(&mut self, logical: u64) -> Option<BufferedPage> {
-        let slot = self.slot_of(logical)?;
-        let page = self.slots[slot].take().expect("index tracks live slots");
-        self.index[logical as usize] = IDX_EMPTY;
-        self.fifo.retain(|&s| s != slot);
-        self.free.push(slot);
+    /// Remove the page a frame holds, out of FIFO order (a rolled-back or
+    /// stale page). `None` if the frame is not occupied.
+    pub fn remove(&mut self, frame: u32) -> Option<BufferedPage> {
+        let page = self.frames.get_mut(frame as usize)?.take()?;
+        self.fifo.retain(|&f| f != frame);
+        self.free.push(frame);
         self.len -= 1;
         Some(page)
     }
 
-    /// Iterate over buffered pages in FIFO order (oldest first).
-    pub fn iter(&self) -> impl Iterator<Item = &BufferedPage> {
-        self.fifo
-            .iter()
-            .filter_map(move |&slot| self.slots[slot].as_ref())
+    /// Iterate over buffered pages and their frames in FIFO order (oldest
+    /// first).
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &BufferedPage)> {
+        self.fifo.iter().filter_map(move |&frame| {
+            self.frames[frame as usize]
+                .as_ref()
+                .map(|page| (frame, page))
+        })
     }
 }
 
@@ -355,11 +273,23 @@ impl WriteBuffer {
 mod tests {
     use super::*;
 
+    /// Insert a page and seed its frame (erased when `initial` is `None`).
+    fn insert(b: &mut WriteBuffer, logical: u64, initial: Option<&[u8]>) -> u32 {
+        let frame = b.insert_frame(logical, None).unwrap();
+        if let Some(page) = b.frame_mut(frame) {
+            match initial {
+                Some(initial) => page.copy_from_slice(initial),
+                None => page.fill(0xFF),
+            }
+        }
+        frame
+    }
+
     #[test]
     fn fifo_order_is_insertion_order() {
-        let mut b = WriteBuffer::new(4, 8, 64, false);
+        let mut b = WriteBuffer::new(4, 8, false);
         for lp in [10, 20, 30] {
-            b.insert(lp, None, None).unwrap();
+            insert(&mut b, lp, None);
         }
         assert_eq!(b.pop_tail().unwrap().logical, 10);
         assert_eq!(b.pop_tail().unwrap().logical, 20);
@@ -369,123 +299,106 @@ mod tests {
 
     #[test]
     fn rewrite_does_not_change_fifo_position() {
-        let mut b = WriteBuffer::new(4, 8, 64, true);
-        b.insert(1, None, None).unwrap();
-        b.insert(2, None, None).unwrap();
-        assert!(b.write(1, 0, &[42])); // rewrite of oldest page
-        assert_eq!(b.peek_tail().unwrap().logical, 1);
+        let mut b = WriteBuffer::new(4, 8, true);
+        let first = insert(&mut b, 1, None);
+        insert(&mut b, 2, None);
+        b.write(first, 0, &[42]); // rewrite of oldest page
+        let (tail, page) = b.peek_tail().unwrap();
+        assert_eq!((tail, page.logical), (first, 1));
     }
 
     #[test]
     fn insert_full_fails() {
-        let mut b = WriteBuffer::new(2, 8, 64, false);
-        b.insert(1, None, None).unwrap();
-        b.insert(2, None, None).unwrap();
+        let mut b = WriteBuffer::new(2, 8, false);
+        insert(&mut b, 1, None);
+        insert(&mut b, 2, None);
         assert!(b.is_full());
-        assert_eq!(b.insert(3, None, None), Err(InsertError::BufferFull));
-    }
-
-    #[test]
-    fn duplicate_insert_fails() {
-        let mut b = WriteBuffer::new(4, 8, 64, false);
-        b.insert(1, None, None).unwrap();
-        assert_eq!(b.insert(1, None, None), Err(InsertError::AlreadyBuffered));
-        assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn duplicate_insert_reported_even_when_full() {
-        // AlreadyBuffered takes precedence over BufferFull: a re-write of
-        // a buffered page must never look like a capacity problem.
-        let mut b = WriteBuffer::new(2, 8, 64, false);
-        b.insert(1, None, None).unwrap();
-        b.insert(2, None, None).unwrap();
-        assert_eq!(b.insert(1, None, None), Err(InsertError::AlreadyBuffered));
+        assert_eq!(b.insert_frame(3, None), Err(BufferFull));
+        assert_eq!(b.len(), 2);
     }
 
     #[test]
     fn data_roundtrip_with_seed() {
-        let mut b = WriteBuffer::new(2, 4, 64, true);
-        b.insert(5, Some(9), Some(&[1, 2, 3, 4])).unwrap();
-        b.write(5, 1, &[9, 9]);
+        let mut b = WriteBuffer::new(2, 4, true);
+        let frame = b.insert_frame(5, Some(9)).unwrap();
+        b.frame_mut(frame).unwrap().copy_from_slice(&[1, 2, 3, 4]);
+        b.write(frame, 1, &[9, 9]);
         let mut out = [0; 4];
-        assert!(b.read(5, 0, &mut out));
+        assert!(b.read_into(frame, 0, &mut out));
         assert_eq!(out, [1, 9, 9, 4]);
-        let page = b.get(5).unwrap();
+        let page = b.get(frame).unwrap();
+        assert_eq!(page.logical, 5);
         assert_eq!(page.origin, Some(9));
     }
 
     #[test]
     fn insert_frame_exposes_writable_frame() {
-        let mut b = WriteBuffer::new(2, 4, 64, true);
-        let frame = b.insert_frame(3, Some(1)).unwrap().unwrap();
-        frame.copy_from_slice(&[7, 8, 9, 10]);
+        let mut b = WriteBuffer::new(2, 4, true);
+        let frame = b.insert_frame(3, Some(1)).unwrap();
+        b.frame_mut(frame).unwrap().copy_from_slice(&[7, 8, 9, 10]);
         let mut out = [0; 4];
-        assert_eq!(b.read_into(3, 0, &mut out), Some(true));
+        assert!(b.read_into(frame, 0, &mut out));
         assert_eq!(out, [7, 8, 9, 10]);
-        assert_eq!(b.get(3).unwrap().origin, Some(1));
+        assert_eq!(b.get(frame).unwrap().origin, Some(1));
     }
 
     #[test]
     fn insert_frame_stateless_returns_no_frame() {
-        let mut b = WriteBuffer::new(2, 4, 64, false);
-        assert!(b.insert_frame(3, None).unwrap().is_none());
-        assert!(b.contains(3));
+        let mut b = WriteBuffer::new(2, 4, false);
+        let frame = b.insert_frame(3, None).unwrap();
+        assert!(b.frame_mut(frame).is_none());
+        assert_eq!(b.frame_span(frame), None);
+        assert_eq!(b.get(frame).unwrap().logical, 3);
     }
 
     #[test]
     fn insert_seeds_erased_bytes_over_reused_frames() {
-        // A reused frame slot holds stale contents; an insert with no
-        // seed must still read back erased.
-        let mut b = WriteBuffer::new(1, 4, 64, true);
-        b.insert(1, None, Some(&[1, 2, 3, 4])).unwrap();
+        // A reused frame holds stale contents; an insert seeded erased
+        // must still read back erased.
+        let mut b = WriteBuffer::new(1, 4, true);
+        insert(&mut b, 1, Some(&[1, 2, 3, 4]));
         b.pop_tail().unwrap();
-        b.insert(2, None, None).unwrap();
+        let frame = insert(&mut b, 2, None);
         let mut out = [0; 4];
-        assert_eq!(b.read_into(2, 0, &mut out), Some(true));
+        assert!(b.read_into(frame, 0, &mut out));
         assert_eq!(out, [0xFF; 4]);
     }
 
     #[test]
-    fn read_write_missing_page() {
-        let mut b = WriteBuffer::new(2, 4, 64, true);
-        assert!(!b.write(7, 0, &[0]));
-        let mut out = [0; 1];
-        assert!(!b.read(7, 0, &mut out));
-        assert_eq!(b.read_into(7, 0, &mut out), None);
-    }
-
-    #[test]
     fn read_into_reports_payload_presence() {
-        let mut b = WriteBuffer::new(2, 4, 64, false);
-        b.insert(1, None, None).unwrap();
+        let mut b = WriteBuffer::new(2, 4, false);
+        let frame = insert(&mut b, 1, None);
         let mut out = [0xAB; 2];
         // Residency-only mode: buffered, but no payload was copied.
-        assert_eq!(b.read_into(1, 0, &mut out), Some(false));
+        assert!(!b.read_into(frame, 0, &mut out));
         assert_eq!(out, [0xAB; 2]);
     }
 
     #[test]
     fn remove_out_of_order_keeps_fifo_consistent() {
-        let mut b = WriteBuffer::new(4, 8, 64, false);
-        for lp in [1, 2, 3] {
-            b.insert(lp, None, None).unwrap();
-        }
-        let removed = b.remove(2).unwrap();
+        let mut b = WriteBuffer::new(4, 8, false);
+        let frames: Vec<u32> = [1, 2, 3]
+            .iter()
+            .map(|&lp| insert(&mut b, lp, None))
+            .collect();
+        let removed = b.remove(frames[1]).unwrap();
         assert_eq!(removed.logical, 2);
+        assert_eq!(b.remove(frames[1]), None);
+        assert_eq!(b.get(frames[1]), None);
         assert_eq!(b.len(), 2);
         assert_eq!(b.pop_tail().unwrap().logical, 1);
         assert_eq!(b.pop_tail().unwrap().logical, 3);
-        // Slot can be reused.
-        b.insert(9, None, None).unwrap();
-        assert!(b.contains(9));
+        // The frame can be reused.
+        let again = insert(&mut b, 9, None);
+        assert_eq!(b.get(again).unwrap().logical, 9);
     }
 
     #[test]
     fn slots_recycle_under_churn() {
-        let mut b = WriteBuffer::new(3, 8, 256, true);
+        let mut b = WriteBuffer::new(3, 8, true);
         for round in 0..100u64 {
-            b.insert(round, None, None).unwrap();
+            let frame = insert(&mut b, round, None);
+            assert!(frame < 3);
             if b.is_full() {
                 b.pop_tail();
             }
@@ -495,53 +408,51 @@ mod tests {
 
     #[test]
     fn iter_is_oldest_first() {
-        let mut b = WriteBuffer::new(4, 8, 64, false);
-        for lp in [5, 6, 7] {
-            b.insert(lp, None, None).unwrap();
-        }
-        let order: Vec<u64> = b.iter().map(|p| p.logical).collect();
-        assert_eq!(order, vec![5, 6, 7]);
+        let mut b = WriteBuffer::new(4, 8, false);
+        let frames: Vec<u32> = [5, 6, 7]
+            .iter()
+            .map(|&lp| insert(&mut b, lp, None))
+            .collect();
+        let order: Vec<(u32, u64)> = b.iter().map(|(f, p)| (f, p.logical)).collect();
+        assert_eq!(order, vec![(frames[0], 5), (frames[1], 6), (frames[2], 7)]);
     }
 
     #[test]
     #[should_panic(expected = "exceeds page bounds")]
     fn write_past_page_end_panics() {
-        let mut b = WriteBuffer::new(1, 4, 64, true);
-        b.insert(1, None, None).unwrap();
-        b.write(1, 3, &[0, 0]);
+        let mut b = WriteBuffer::new(1, 4, true);
+        let frame = insert(&mut b, 1, None);
+        b.write(frame, 3, &[0, 0]);
     }
 
     #[test]
     fn stateless_mode_tracks_residency_only() {
-        let mut b = WriteBuffer::new(2, 8, 64, false);
+        let mut b = WriteBuffer::new(2, 8, false);
         assert!(!b.stores_data());
-        b.insert(1, Some(0), None).unwrap();
-        assert!(b.write(1, 0, &[1, 2]));
+        let frame = b.insert_frame(1, Some(0)).unwrap();
+        b.write(frame, 0, &[1, 2]);
         let mut out = [0u8; 2];
-        assert_eq!(b.read_into(1, 0, &mut out), Some(false));
+        assert!(!b.read_into(frame, 0, &mut out));
+        assert_eq!(b.get(frame).unwrap().origin, Some(0));
     }
 
     #[test]
     fn out_of_space_pages_are_never_buffered() {
-        let b = WriteBuffer::new(2, 8, 64, false);
-        // Probes beyond the indexed logical space are cheap misses, not
-        // panics (the engine bounds-checks before inserting).
-        assert!(!b.contains(64));
-        assert!(!b.contains(u64::MAX));
+        let mut b = WriteBuffer::new(2, 8, false);
+        insert(&mut b, 1, None);
+        // Frames beyond the capacity are cheap misses, not panics.
+        assert_eq!(b.get(2), None);
+        assert_eq!(b.get(u32::MAX), None);
+        assert_eq!(b.remove(u32::MAX), None);
+        assert_eq!(b.len(), 1);
     }
 
     #[test]
     fn frame_span_tracks_writer_state() {
-        let mut b = WriteBuffer::new(2, 4, 64, true);
-        b.insert(5, None, Some(&[1, 2, 3, 4])).unwrap();
-        assert_eq!(b.frame_span(5), Some(&[1, 2, 3, 4][..]));
-        b.write(5, 2, &[9]);
-        assert_eq!(b.frame_span(5), Some(&[1, 2, 9, 4][..]));
-        b.pop_tail().unwrap();
-        assert_eq!(b.frame_span(5), None);
-        // Residency-only: no frame to lend, buffered or not.
-        let mut s = WriteBuffer::new(2, 4, 64, false);
-        s.insert(5, None, None).unwrap();
-        assert_eq!(s.frame_span(5), None);
+        let mut b = WriteBuffer::new(2, 4, true);
+        let frame = insert(&mut b, 5, Some(&[1, 2, 3, 4]));
+        assert_eq!(b.frame_span(frame), Some(&[1, 2, 3, 4][..]));
+        b.write(frame, 2, &[9]);
+        assert_eq!(b.frame_span(frame), Some(&[1, 2, 9, 4][..]));
     }
 }

@@ -16,4 +16,4 @@
 
 pub mod buffer;
 
-pub use buffer::{BufferedPage, InsertError, WriteBuffer};
+pub use buffer::{BufferFull, BufferedPage, WriteBuffer};
