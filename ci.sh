@@ -60,11 +60,11 @@ echo "== smoke: race suites at full speed =="
 # Release-mode rerun of the three suites whose races only mean something
 # under optimized codegen and free-running threads, so the debug-mode run
 # above is not enough. The run-to-completion suite races submitters for
-# one shard's lock (the idle-boundary hand-off, shutdown against live
-# submitters); the wire-contract suite races the event loop against an
-# occupant thread for the shard it serves (the loop's request queues
-# behind the occupant, or runs on the loop once the occupant has let
-# go), which at full speed is close; and the accept-pressure
+# one shard's lock (one execution order per shard, shutdown against live
+# submitters and waiters); the wire-contract suite races the event loop
+# against an occupant thread for the shard it serves (the loop waits for
+# the occupant, or finds the shard free once the occupant has let go),
+# which at full speed is close; and the accept-pressure
 # suite races the server's accept retries against a client holding the
 # process's last descriptor.
 cargo test --release -q -p envy-server --test run_to_completion

@@ -38,6 +38,10 @@ use std::time::{Duration, Instant};
 /// Shard counts on the x-axis.
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
 
+/// Waiters the burst point's shard admits: fewer than its 8 clients,
+/// of whom at most 7 can wait while one runs.
+const BURST_WAITERS: usize = 4;
+
 /// Open file descriptors of this process (`/proc/self/fd`).
 fn fd_count() -> u64 {
     std::fs::read_dir("/proc/self/fd")
@@ -156,12 +160,7 @@ pub fn run(args: &Args) {
                 .txn_latency
                 .percentiles()
                 .expect("latencies recorded");
-            let max_batch = outcome
-                .shards
-                .iter()
-                .map(|s| s.max_batch)
-                .max()
-                .unwrap_or(0);
+            let waited: u64 = outcome.shards.iter().map(|s| s.waited).sum();
             PointResult::row(
                 format!("{shards} shards"),
                 vec![
@@ -187,7 +186,7 @@ pub fn run(args: &Args) {
             .metric("p99_us", us(p99))
             .metric("p999_us", us(p999))
             .metric("busy_retries", report.busy_retries as f64)
-            .metric("max_batch", f64::from(max_batch))
+            .metric("waited", waited as f64)
         },
     );
 
@@ -292,11 +291,12 @@ pub fn run(args: &Args) {
         ],
     );
 
-    // Backpressure burst: a deliberately small queue under a slow,
-    // pipelined burst must reject with Busy { retry_after }; the
-    // hinted-backoff retry loop still completes every transaction.
+    // Backpressure burst: a shard that admits fewer waiters than there
+    // are clients, under a slow burst, must reject with
+    // Busy { retry_after }; the hinted-backoff retry loop still
+    // completes every transaction.
     let burst_config = ServeConfig::scaled(1)
-        .with_queue_capacity(8)
+        .with_queue_capacity(BURST_WAITERS)
         .with_service_delay(Duration::from_micros(50));
     let burst_front = ShardedStore::launch_from(vec![baseline.fork()], &burst_config);
     let burst_spec = LoadSpec::closed(8, if quick { 20 } else { 100 }).with_seed(0xB057);
@@ -313,12 +313,12 @@ pub fn run(args: &Args) {
         "busy retries must complete every transaction"
     );
     println!(
-        "burst: queue=8, 8 pipelined clients -> {} Busy retries, all {} txns completed",
+        "burst: {BURST_WAITERS} waiters admitted, 8 clients -> {} Busy retries, all {} txns completed",
         burst_report.busy_retries, burst_report.completed_txns
     );
     println!();
     let burst_point = (
-        "burst/queue8".to_string(),
+        format!("burst/waiters{BURST_WAITERS}"),
         vec![
             ("busy_retries", burst_report.busy_retries as f64),
             ("completed_txns", burst_report.completed_txns as f64),

@@ -58,7 +58,6 @@ fn kv_config(shards: u32) -> ServeConfig {
     let mut config = ServeConfig::small(shards);
     config.store = EnvyConfig::scaled(4, 32, 256, 256).with_utilization(0.8);
     config.queue_capacity = 1_024;
-    config.batch_max = 64;
     config
 }
 

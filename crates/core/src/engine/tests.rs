@@ -334,12 +334,14 @@ fn wear_leveling_bounds_cycle_spread() {
     assert!(e.stats().wear_swaps.get() > 0, "wear leveling must trigger");
     // Without wear leveling the hot segments would accumulate thousands
     // of cycles while cold segments stay at ~0; swapping keeps the spread
-    // within a small multiple of the threshold.
+    // at the threshold. The +1: the last erase may land on the worn
+    // segment while it is parked, before the next check swaps it.
     let spread = e.flash.max_erase_cycles() - e.flash.min_erase_cycles();
     let total = e.stats().erases.get();
+    let threshold = e.config().wear_threshold;
     assert!(
-        (spread as f64) < (total as f64) * 0.1,
-        "cycle spread {spread} too large for {total} erases"
+        spread <= threshold + 1,
+        "cycle spread {spread} over threshold {threshold} + 1 after {total} erases"
     );
     e.check_invariants().unwrap();
 }
@@ -1105,6 +1107,37 @@ fn crash_recover_verify(point: InjectionPoint, seed: u64) -> bool {
         e.open_txns().is_empty(),
         "no transaction stays open across recovery after {point:?}"
     );
+    // Recovery is idempotent: a second power failure straight after it
+    // finds nothing left to repair and starts no background work.
+    e.power_failure();
+    let mut again_ops = Vec::new();
+    let again = e
+        .recover(&mut again_ops)
+        .unwrap_or_else(|err| panic!("second recover after {point:?}: {err}"));
+    assert!(!again.resumed_clean, "clean resumed twice after {point:?}");
+    assert_eq!(
+        (
+            again.scavenged_pages,
+            again.dropped_buffer_pages,
+            again.released_shadows
+        ),
+        (0, 0, 0),
+        "second recovery repaired pages after {point:?}: {again:?}"
+    );
+    assert!(
+        again.txn_completed.is_empty() && again.txn_rolled_back.is_empty(),
+        "second recovery resolved a transaction after {point:?}: {again:?}"
+    );
+    assert_eq!(
+        again.buffered_pages, report.buffered_pages,
+        "after {point:?}"
+    );
+    assert!(
+        again_ops.is_empty(),
+        "second recovery emitted background ops after {point:?}"
+    );
+    e.check_invariants()
+        .unwrap_or_else(|err| panic!("invariants after a second recovery at {point:?}: {err}"));
     if let Some((id, snapshot)) = txn {
         if report.txn_rolled_back.contains(&id) {
             // The transaction never reached its durable commit point (or

@@ -113,22 +113,23 @@ pub enum TraceEvent {
         /// The exhausted segment.
         segment: u32,
     },
-    /// A serving front end admitted a request into a shard's queue
-    /// (recorded by the shard worker in admission order).
+    /// A serving front end admitted a request to a shard (recorded by
+    /// the thread that runs it, once it holds the shard's lock).
     ServeEnqueue {
         /// Shard the request was routed to.
         shard: u32,
         /// Request id assigned by the front end.
         seq: u64,
     },
-    /// A shard worker drained a batch from its request queue.
+    /// A shard started running what it admitted: one request, since a
+    /// shard runs one at a time.
     ServeDispatch {
         /// The dispatching shard.
         shard: u32,
-        /// Requests in the drained batch.
+        /// Requests dispatched together (always 1).
         batch: u32,
     },
-    /// A shard worker finished executing a request and posted its
+    /// A shard finished executing a request and handed over its
     /// completion.
     ServeComplete {
         /// The executing shard.

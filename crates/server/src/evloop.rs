@@ -14,11 +14,10 @@
 //! ```
 //!
 //! A shard is a passive object (see [`shard`](crate::shard)), so the
-//! loop runs each request to completion before it takes the next frame:
-//! on an idle shard it executes the request itself; on a shard another
-//! thread holds (only possible when a caller kept a
-//! [`ShardHandle`] beside the server) it queues the
-//! request and waits until that thread has run it. Either way the
+//! loop runs each request to completion before it takes the next frame,
+//! on its own thread: at once on an idle shard, or, on a shard another
+//! thread holds (only possible when a caller kept a [`ShardHandle`]
+//! beside the server), once that thread lets go of it. Either way the
 //! result comes back from the submit and goes straight into the
 //! connection's write queue, so:
 //!

@@ -10,12 +10,12 @@
 //! admission-controlled request plane.
 //!
 //! * [`shard`] — the in-process client API: [`ShardedStore`], whose
-//!   shards are passive objects — every request runs to completion on
-//!   the thread that submits it, or queues (bounded, batch-drained)
-//!   behind the thread that holds its shard — with typed completions,
-//!   explicit backpressure ([`Busy`] with a retry hint — never silent
-//!   blocking), per-request deadlines, and a graceful shutdown that
-//!   drains every queue.
+//!   shards are passive objects — one lock each: every request runs to
+//!   completion on the thread that submits it, waiting (a bounded number
+//!   at a time) for a shard another thread holds — with typed
+//!   completions, explicit backpressure ([`Busy`] with a retry hint once
+//!   a shard's waiters are full), per-request deadlines, and a graceful
+//!   shutdown that completes every admitted request.
 //! * [`proto`] — a length-prefixed binary wire protocol for the same
 //!   request set.
 //! * [`net`] — TCP and Unix-socket serving on one readiness-driven

@@ -3,42 +3,39 @@
 //! A [`ShardedStore`] statically partitions the logical word address
 //! space across N independent [`EnvyStore`] instances, shared-nothing,
 //! modeling §6's multiple-controller organization. A shard is a
-//! **passive object** — a lock around its store, a bounded queue beside
-//! it — and owns no thread: every request runs to completion on the
-//! thread that submits it. Clients talk to the shards through a cheap,
-//! cloneable [`ShardHandle`]:
+//! **passive object** — one lock around its store and a count of the
+//! threads waiting for it — and owns no thread: every request runs to
+//! completion on the thread that submits it, one at a time per shard,
+//! as each of the paper's controllers serves one host access at a time.
+//! Clients talk to the shards through a cheap, cloneable
+//! [`ShardHandle`]:
 //!
 //! * **Run to completion**: a submitter that finds the shard idle takes
 //!   its lock, executes the request and posts the completion before
 //!   `submit` returns — no queue hop, no sleep, no wake.
-//! * **Bounded admission**: a submitter that finds the lock taken puts
-//!   the request in the shard's bounded queue instead and leaves. A
-//!   full queue rejects the request with [`Busy`] carrying a
-//!   `retry_after` hint — submission never blocks.
-//! * **Batched dispatch**: the lock holder drains that queue in batches
-//!   of up to `batch_max` before it leaves, and looks again after it has
-//!   released the lock, so no admitted request is ever stranded (flat
-//!   combining).
+//! * **Bounded admission**: a submitter that finds the lock taken waits
+//!   for it, unless `queue_capacity` requests are already waiting; then
+//!   it is refused at once with [`Busy`] carrying a `retry_after` hint.
 //! * **Typed completions**: every admitted request produces exactly one
 //!   [`Response`] on the completion channel supplied at submit time,
-//!   even across graceful shutdown.
-//! * **Deadlines**: a request whose deadline has passed when it is taken
-//!   off the queue completes with [`ServeError::DeadlineExceeded`]
-//!   instead of executing.
+//!   posted while the shard is still held — so completions leave a
+//!   shard in execution order on every channel.
+//! * **Deadlines**: a request whose deadline passed while it waited for
+//!   the lock completes with [`ServeError::DeadlineExceeded`] instead of
+//!   executing.
 //!
-//! Within a shard, requests execute in admission order on the shard's
-//! own simulated clock (`now = store.now()`, back-to-back), so a shard's
-//! simulated-time metrics depend only on the request subsequence it
-//! received — the determinism anchor the differential tests pin.
+//! Within a shard, requests execute in the order they take its lock, on
+//! the shard's own simulated clock (`now = store.now()`, back-to-back),
+//! so a shard's simulated-time metrics depend only on the request
+//! subsequence it received — the determinism anchor the differential
+//! tests pin.
 
 use envy_core::{EnvyConfig, EnvyError, EnvyStats, EnvyStore, TraceEvent, TxnMemory};
 use envy_sim::time::Ns;
-use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -47,11 +44,10 @@ const EST_INIT_NS: u64 = 2_000;
 /// Bounds on the [`Busy::retry_after`] hint.
 const RETRY_MIN: Duration = Duration::from_micros(1);
 const RETRY_MAX: Duration = Duration::from_millis(100);
-/// Two wall-clock reads cost as much as a small request, so an
-/// uncontended shard takes them (for the service estimate behind the
-/// [`Busy::retry_after`] hint) on one inline run in this many. Queue
-/// drains always do.
-const INLINE_CLOCK_EVERY: u64 = 16;
+/// Two wall-clock reads cost as much as a small request, so a shard
+/// takes them (for the service estimate behind the
+/// [`Busy::retry_after`] hint) on one run in this many.
+const CLOCK_EVERY: u64 = 16;
 
 // ---------------------------------------------------------------------
 // Requests, replies, errors
@@ -178,7 +174,7 @@ pub enum Reply {
         /// Simulated latency of the write.
         latency: Ns,
     },
-    /// The shard's write buffer was drained.
+    /// The shard's write buffer was flushed to Flash.
     Flushed,
     /// Ping answer.
     Pong,
@@ -218,7 +214,7 @@ pub enum Reply {
 /// submit-time rejection — requests never disappear).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The request's deadline passed while it waited in the shard queue.
+    /// The request's deadline passed while it waited for its shard.
     DeadlineExceeded,
     /// The byte range spans two shard slices; a request must be served
     /// by exactly one controller.
@@ -285,20 +281,22 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Explicit backpressure: the target shard's queue is full.
+/// Explicit backpressure: as many requests as the target shard admits
+/// ([`ServeConfig::queue_capacity`]) are already waiting for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Busy {
     /// The saturated shard.
     pub shard: u32,
     /// Suggested wait before retrying: the shard's estimated per-request
-    /// service time times its queue depth, clamped to sane bounds.
+    /// service time times the requests waiting for it, clamped to sane
+    /// bounds.
     pub retry_after: Duration,
 }
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Queue full — retry after the hint. The request was **not**
+    /// Shard saturated — retry after the hint. The request was **not**
     /// admitted and will produce no completion.
     Busy(Busy),
     /// Rejected outright (bad range, shutdown); no completion follows.
@@ -421,10 +419,12 @@ pub struct ServeConfig {
     pub shards: u32,
     /// Per-shard store configuration (every shard is identical).
     pub store: EnvyConfig,
-    /// Bounded per-shard queue capacity; a full queue returns
-    /// [`Busy`].
+    /// How many requests may wait for a held shard; one more is
+    /// refused with [`Busy`].
     pub queue_capacity: usize,
-    /// Maximum queued requests the lock holder drains per dispatch.
+    /// Read by nothing: a shard runs one request at a time. Kept only
+    /// because `benchmark/` still sets it; the next benchmark change
+    /// deletes it.
     pub batch_max: usize,
     /// Artificial per-request service delay (wall clock) — a pacing and
     /// test knob modeling a slower device; `None` in production.
@@ -465,17 +465,10 @@ impl ServeConfig {
         }
     }
 
-    /// Set the bounded queue capacity (builder-style).
+    /// Set how many requests may wait for a held shard (builder-style).
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> ServeConfig {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Set the dispatch batch bound (builder-style).
-    #[must_use]
-    pub fn with_batch_max(mut self, batch: usize) -> ServeConfig {
-        self.batch_max = batch;
         self
     }
 
@@ -498,86 +491,8 @@ impl ServeConfig {
 }
 
 // ---------------------------------------------------------------------
-// Jobs and shard state
+// Shard state
 // ---------------------------------------------------------------------
-
-/// A request queued behind its shard's lock holder: all it takes to run
-/// it later and say so.
-struct Job {
-    id: u64,
-    shard: u32,
-    req: Request,
-    deadline: Option<Instant>,
-    reply: Sender<Response>,
-}
-
-/// Where the completion of an admitted request goes — the one thing
-/// the ways into [`ShardHandle::admit`] differ in. An enum and not a
-/// pair of closures, so `admit` has one shape, fixed in source (see
-/// `docs/PERFORMANCE.md`, "Inline completions skip the channel").
-enum Completion<'a> {
-    /// [`ShardHandle::submit_with_id`]: every completion is posted here,
-    /// an inline one while the shard is still held — so completions
-    /// leave a shard in execution order.
-    Post(&'a Sender<Response>),
-    /// [`ShardHandle::run`] and [`ShardHandle::call`]: an inline result
-    /// is returned; a queued request posts to a fresh channel whose
-    /// receiver is left here for the caller to [`wait`] on.
-    Channel(&'a mut Option<Receiver<Response>>),
-}
-
-impl Completion<'_> {
-    /// Hand over the result of a request that ran on the submitting
-    /// thread: posted (`None`) or returned to the caller (`Some`).
-    #[inline(always)]
-    fn done(
-        self,
-        id: u64,
-        shard: u32,
-        result: Result<Reply, ServeError>,
-    ) -> Option<Result<Reply, ServeError>> {
-        match self {
-            Completion::Post(reply) => {
-                let _ = reply.send(Response { id, shard, result });
-                None
-            }
-            Completion::Channel(_) => Some(result),
-        }
-    }
-
-    /// Where a queued request's holder posts its completion.
-    fn queued(self) -> Sender<Response> {
-        match self {
-            Completion::Post(reply) => reply.clone(),
-            Completion::Channel(slot) => {
-                let (tx, rx) = mpsc::channel();
-                *slot = Some(rx);
-                tx
-            }
-        }
-    }
-}
-
-/// Block until the holder of a shard posts the completion of a request
-/// queued behind it. Out of line and cold: only a caller that found
-/// its shard held by another thread gets here.
-#[cold]
-#[inline(never)]
-fn wait(completion: Option<Receiver<Response>>) -> Result<Reply, ServeError> {
-    match completion.and_then(|rx| rx.recv().ok()) {
-        Some(resp) => resp.result,
-        None => Err(ServeError::ShuttingDown),
-    }
-}
-
-impl Job {
-    /// Post the completion. A dropped receiver (dead client) is that
-    /// client's loss, never the shard's.
-    fn complete(&self, result: Result<Reply, ServeError>) {
-        let (id, shard) = (self.id, self.shard);
-        let _ = self.reply.send(Response { id, shard, result });
-    }
-}
 
 /// What a request that panics gets for an answer, and every request to
 /// its shard after it: the store may be half-written, so nothing runs
@@ -599,38 +514,35 @@ fn trace(store: &mut EnvyStore, events: impl Iterator<Item = TraceEvent>) {
 }
 
 /// One shard. Whoever holds `core` is, for that long, the shard's
-/// single writer; everyone else leaves work in `queue` for it.
+/// single writer; everyone else waits for it, up to `capacity` at once.
 struct ShardLink {
     shard: u32,
     /// `None` once [`ShardedStore::shutdown`] has taken the outcome.
     core: Mutex<Option<ShardCore>>,
-    /// Requests admitted while `core` was held elsewhere, oldest first;
-    /// never longer than `capacity` ([`ServeConfig::queue_capacity`]).
-    queue: Mutex<VecDeque<Job>>,
+    /// Threads waiting for `core` right now; never more than `capacity`
+    /// ([`ServeConfig::queue_capacity`]).
+    waiters: AtomicUsize,
     capacity: usize,
-    /// `queue.len()`, readable without the queue lock.
-    depth: AtomicUsize,
     /// EWMA of the wall-clock service time per request.
     est_ns: AtomicU64,
 }
 
 /// What a shard's lock guards: its store and dispatch counters — the
-/// [`ShardOutcome`] in the making — and how to dispatch.
+/// [`ShardOutcome`] in the making — and how to run a request.
 struct ShardCore {
     out: ShardOutcome,
-    batch_max: usize,
     service_delay: Option<Duration>,
 }
 
-impl ShardLink {
-    /// Neither lock can be left poisoned by a request (`execute`
-    /// contains those panics), and what they guard stays usable if the
-    /// bookkeeping around one ever panics: recover the guard.
-    fn queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// A shard's lock, held, and the deadline the request that took it
+/// must still meet (`None` for one that found the shard idle).
+type Held<'a> = (MutexGuard<'a, Option<ShardCore>>, Option<Instant>);
 
-    /// `core` if nobody holds it.
+impl ShardLink {
+    /// `core` if nobody holds it. The lock cannot be left poisoned by a
+    /// request (`execute` contains those panics), and what it guards
+    /// stays usable if the bookkeeping around one ever panics: recover
+    /// the guard.
     fn try_core(&self) -> Option<MutexGuard<'_, Option<ShardCore>>> {
         match self.core.try_lock() {
             Ok(guard) => Some(guard),
@@ -639,34 +551,51 @@ impl ShardLink {
         }
     }
 
-    /// Start a dispatch of the requests `ids`: count it, trace
-    /// admission + dispatch and, if `timed`, read the wall clock for
+    /// Wait for `core`, which another thread holds — unless `capacity`
+    /// requests already wait for it: then refuse with [`Busy`] at once.
+    /// The deadline runs from here. Out of line and cold: only a caller
+    /// that found its shard held gets here.
+    #[cold]
+    #[inline(never)]
+    fn wait(&self, deadline: Option<Duration>) -> Result<Held<'_>, SubmitError> {
+        if self.waiters.fetch_add(1, Ordering::Relaxed) >= self.capacity {
+            self.waiters.fetch_sub(1, Ordering::Relaxed);
+            let retry_after = self.retry_hint();
+            return Err(SubmitError::Busy(Busy {
+                shard: self.shard,
+                retry_after,
+            }));
+        }
+        let deadline = deadline.map(|d| Instant::now() + d);
+        let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        if let Some(core) = guard.as_mut() {
+            core.out.waited += 1;
+        }
+        Ok((guard, deadline))
+    }
+
+    /// Start running request `seq`: count it, trace admission +
+    /// dispatch and, if `timed`, read the wall clock for
     /// [`settle`](ShardLink::settle).
     /// Forced inline, as [`execute`](ShardLink::execute) is: `admit`
     /// has three callers, and an outlined copy of either costs the
     /// in-process path (`docs/PERFORMANCE.md`, inventory).
     #[inline(always)]
-    fn begin(
-        &self,
-        core: &mut ShardCore,
-        ids: impl ExactSizeIterator<Item = u64>,
-        timed: bool,
-    ) -> Option<Instant> {
-        let (n, shard, out) = (ids.len(), self.shard, &mut core.out);
+    fn begin(&self, core: &mut ShardCore, seq: u64, timed: bool) -> Option<Instant> {
+        let (shard, out) = (self.shard, &mut core.out);
         out.batches += 1;
-        out.max_batch = out.max_batch.max(n as u32);
         let t0 = timed.then(Instant::now);
-        let batch = n as u32;
-        let enqueued = ids.map(|seq| TraceEvent::ServeEnqueue { shard, seq });
-        let dispatched = std::iter::once(TraceEvent::ServeDispatch { shard, batch });
-        trace(&mut out.store, enqueued.chain(dispatched));
+        let enqueued = TraceEvent::ServeEnqueue { shard, seq };
+        let dispatched = TraceEvent::ServeDispatch { shard, batch: 1 };
+        trace(&mut out.store, [enqueued, dispatched].into_iter());
         t0
     }
 
-    /// Execute one request of the dispatch in progress (`run`, which is
-    /// [`apply`] outside tests) and count its completion — unless its
-    /// deadline lapsed in the queue, or an earlier request panicked. A
-    /// panic stops here instead of unwinding the submitter's thread.
+    /// Execute one request (`run`, which is [`apply`] outside tests) and
+    /// count its completion — unless its deadline lapsed while it
+    /// waited, or an earlier request panicked. A panic stops here
+    /// instead of unwinding the submitter's thread.
     #[inline(always)]
     fn execute(
         &self,
@@ -697,81 +626,31 @@ impl ShardLink {
         result
     }
 
-    /// Fold a dispatch of `n` requests begun at `t0` into the
-    /// per-request service estimate: EWMA (3 old + 1 new) / 4, kept in
-    /// integers.
-    fn settle(&self, n: usize, t0: Option<Instant>) {
+    /// Fold a request begun at `t0` into the per-request service
+    /// estimate: EWMA (3 old + 1 new) / 4, kept in integers.
+    fn settle(&self, t0: Option<Instant>) {
         if let Some(t0) = t0 {
-            let per_op = (t0.elapsed().as_nanos() as u64 / n as u64).max(1);
+            let per_op = (t0.elapsed().as_nanos() as u64).max(1);
             let old = self.est_ns.load(Ordering::Relaxed);
             let est = (old.saturating_mul(3) + per_op) / 4;
             self.est_ns.store(est, Ordering::Relaxed);
         }
     }
 
-    /// Serve the queue until it is empty, at most `batch_max` jobs per
-    /// dispatch. The caller holds `core`.
-    fn drain(&self, core: &mut ShardCore) {
-        let mut batch: Vec<Job> = Vec::new();
-        loop {
-            {
-                let mut queue = self.queue();
-                let n = queue.len().min(core.batch_max);
-                batch.extend(queue.drain(..n));
-                self.depth.store(queue.len(), Ordering::Relaxed);
-            }
-            if batch.is_empty() {
-                return;
-            }
-            let t0 = self.begin(core, batch.iter().map(|job| job.id), true);
-            for job in &batch {
-                let run = |store: &mut EnvyStore| apply(store, &job.req);
-                job.complete(self.execute(core, job.id, job.deadline, run));
-            }
-            self.settle(batch.len(), t0);
-            batch.clear();
-        }
-    }
-
-    /// Leave no admitted job behind. Called by a thread that has just
-    /// released `core` and by one that has just queued a job behind it:
-    /// whichever of the two acts second sees the other's store (the
-    /// fences order each side's store before its load), so either the
-    /// old holder finds the job or the submitter finds the lock free.
-    fn kick(&self) {
-        loop {
-            fence(Ordering::SeqCst);
-            if self.depth.load(Ordering::Relaxed) == 0 {
-                return;
-            }
-            // A taken lock is fine: its holder looks at the queue again
-            // once it lets go. A shut-down shard has an empty queue.
-            let Some(mut guard) = self.try_core() else {
-                return;
-            };
-            match guard.as_mut() {
-                Some(core) => self.drain(core),
-                None => return,
-            }
-        }
-    }
-
     /// The backpressure hint: estimated per-request service time times
-    /// the current queue depth, clamped to `[1 µs, 100 ms]`.
+    /// the requests waiting, clamped to `[1 µs, 100 ms]`.
     fn retry_hint(&self) -> Duration {
         let est = self.est_ns.load(Ordering::Relaxed).max(1);
-        let depth = self.depth.load(Ordering::Relaxed).max(1) as u64;
-        Duration::from_nanos(est.saturating_mul(depth)).clamp(RETRY_MIN, RETRY_MAX)
+        let waiting = self.waiters.load(Ordering::Relaxed).max(1) as u64;
+        Duration::from_nanos(est.saturating_mul(waiting)).clamp(RETRY_MIN, RETRY_MAX)
     }
 
-    /// Shutdown's half: serve what is still queued, then give up the
-    /// outcome. The close flag is already up, so nothing is admitted
-    /// behind this drain.
+    /// Shutdown's half: wait out whoever is inside and give up the
+    /// outcome. A request still waiting finds the shard gone and is
+    /// refused, never admitted.
     fn close(&self) -> ShardOutcome {
         let mut guard = self.core.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut core = guard.take().expect("a shard is shut down once");
-        self.drain(&mut core);
-        core.out
+        guard.take().expect("a shard is shut down once").out
     }
 }
 
@@ -786,16 +665,17 @@ pub struct ShardOutcome {
     pub shard: u32,
     /// The shard's store (final contents, stats, simulated clock).
     pub store: EnvyStore,
-    /// Completions posted (including typed failures).
+    /// Requests answered (including typed failures).
     pub served: u64,
-    /// Requests that expired in the queue.
+    /// Requests whose deadline lapsed while they waited for the shard.
     pub timed_out: u64,
-    /// Dispatches. A request run inline on its submitter's thread is a
-    /// batch of 1, a drain of the queue a batch of up to `batch_max` —
-    /// so `served / batches` reads ≈ 1 wherever nothing contends.
+    /// Dispatches: one per request run, so always equal to `served`.
+    /// Kept only because `benchmark/` still reads it; the next benchmark
+    /// change deletes it.
     pub batches: u64,
-    /// Largest batch of one dispatch (1 if nothing ever queued).
-    pub max_batch: u32,
+    /// Requests that found the shard held and waited for it (0 wherever
+    /// nothing contends).
+    pub waited: u64,
     /// Set when a request panicked on this shard: that request and
     /// every later one completed with this error instead of running,
     /// and `store` is whatever the panic left — possibly mid-operation.
@@ -924,19 +804,17 @@ impl ShardedStore {
                 served: 0,
                 timed_out: 0,
                 batches: 0,
-                max_batch: 0,
+                waited: 0,
                 failure: None,
             };
             links.push(ShardLink {
                 shard: i as u32,
                 core: Mutex::new(Some(ShardCore {
                     out,
-                    batch_max: config.batch_max.max(1),
                     service_delay: config.service_delay,
                 })),
-                queue: Mutex::new(VecDeque::new()),
+                waiters: AtomicUsize::new(0),
                 capacity: config.queue_capacity,
-                depth: AtomicUsize::new(0),
                 est_ns: AtomicU64::new(EST_INIT_NS),
             });
         }
@@ -962,9 +840,10 @@ impl ShardedStore {
 
     /// Graceful shutdown: stop admitting (every [`ShardHandle`] clone
     /// now rejects with [`ServeError::ShuttingDown`]), take each shard's
-    /// lock in turn — waiting out whoever is inside — and serve what is
-    /// still queued, so every already-admitted request completes; then
-    /// return the per-shard outcomes.
+    /// lock in turn — waiting out whoever is inside, so every
+    /// already-admitted request completes — and return the per-shard
+    /// outcomes. A request still waiting for a shard when its outcome is
+    /// taken is refused with [`ServeError::ShuttingDown`].
     pub fn shutdown(self) -> ServeOutcome {
         self.handle.closed.store(true, Ordering::SeqCst);
         let shards = self.handle.links.iter().map(ShardLink::close).collect();
@@ -978,10 +857,10 @@ impl ShardHandle {
         &self.plan
     }
 
-    /// Requests waiting in a shard's queue right now (0 while nothing
-    /// contends for the shard: those requests run without queueing).
+    /// Requests waiting for a shard right now (0 while nothing contends
+    /// for it: those requests run without waiting).
     pub fn queue_depth(&self, shard: u32) -> usize {
-        self.links[shard as usize].depth.load(Ordering::Relaxed)
+        self.links[shard as usize].waiters.load(Ordering::Relaxed)
     }
 
     /// Route a request to its shard without submitting it.
@@ -1019,18 +898,17 @@ impl ShardHandle {
     }
 
     /// Submit a request. On admission the request id is returned and
-    /// exactly one [`Response`] with that id will arrive on `reply`.
-    /// When the shard is idle — its lock free and nothing admitted
-    /// earlier still waiting — the request runs on the calling thread
-    /// and its completion is on `reply` before this returns; otherwise
-    /// it is queued and the thread that holds the shard completes it.
-    /// On [`SubmitError`] nothing was admitted and no completion will
+    /// exactly one [`Response`] with that id is on `reply` by then: the
+    /// request runs on the calling thread, at once on an idle shard, or
+    /// once the thread that holds the shard lets go of it. On
+    /// [`SubmitError`] nothing was admitted and no completion will
     /// follow — the caller owns the retry.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Busy`] when the shard queue is full,
-    /// [`SubmitError::Rejected`] for range errors or shutdown.
+    /// [`SubmitError::Busy`] when the shard is held and as many requests
+    /// as it admits already wait for it, [`SubmitError::Rejected`] for
+    /// range errors or shutdown.
     pub fn submit(
         &self,
         req: Request,
@@ -1058,16 +936,19 @@ impl ShardHandle {
         reply: &Sender<Response>,
     ) -> Result<(), SubmitError> {
         let (shard, req) = self.localize(req).map_err(SubmitError::Rejected)?;
-        let to = Completion::Post(reply);
-        self.admit(shard, id, Cow::Owned(req), deadline, to)?;
-        Ok(())
+        // Posted while the shard is still held, so completions leave a
+        // shard in execution order. A dropped receiver (dead client) is
+        // that client's loss, never the shard's.
+        let post = |result| {
+            let _ = reply.send(Response { id, shard, result });
+        };
+        self.admit(shard, id, &req, deadline, post)
     }
 
     /// The event loop's submit: run one request to completion and
-    /// return its `(shard, result)`. On an idle shard it runs on the
-    /// calling thread; on one held by another thread it queues, and the
-    /// caller waits until that thread has run it. `id` names the request
-    /// in the shard's trace (the loop passes the client's wire id).
+    /// return its `(shard, result)` — at once on an idle shard, or once
+    /// the thread that holds it lets go. `id` names the request in the
+    /// shard's trace (the loop passes the client's wire id).
     ///
     /// # Errors
     ///
@@ -1079,19 +960,13 @@ impl ShardHandle {
         deadline: Option<Duration>,
     ) -> Result<(u32, Result<Reply, ServeError>), SubmitError> {
         let (shard, req) = self.localize(req).map_err(SubmitError::Rejected)?;
-        let mut completion = None;
-        let to = Completion::Channel(&mut completion);
-        let result = match self.admit(shard, id, Cow::Owned(req), deadline, to)? {
-            Some(result) => result,
-            None => wait(completion),
-        };
+        let result = self.admit(shard, id, &req, deadline, |result| result)?;
         Ok((shard, result))
     }
 
     /// Blocking convenience: submit with no deadline, retrying through
-    /// [`Busy`] backpressure (sleeping each `retry_after`), and wait for
-    /// the completion. On an idle shard that is a plain function call:
-    /// the result comes straight back and no channel is made.
+    /// [`Busy`] backpressure (sleeping each `retry_after`), and return
+    /// the result. No channel is made.
     ///
     /// # Errors
     ///
@@ -1100,12 +975,9 @@ impl ShardHandle {
     pub fn call(&self, req: Request) -> Result<Reply, ServeError> {
         let (shard, req) = self.localize(req)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut completion = None;
         loop {
-            let to = Completion::Channel(&mut completion);
-            match self.admit(shard, id, Cow::Borrowed(&req), None, to) {
-                Ok(Some(result)) => return result,
-                Ok(None) => return wait(completion),
+            match self.admit(shard, id, &req, None, |result| result) {
+                Ok(result) => return result,
                 // Not admitted; back off for the hinted interval and retry.
                 Err(SubmitError::Busy(b)) => std::thread::sleep(b.retry_after),
                 Err(SubmitError::Rejected(e)) => return Err(e),
@@ -1130,68 +1002,31 @@ impl ShardHandle {
         Ok((shard, req))
     }
 
-    /// Admit one shard-local request. If its shard is idle it runs here
-    /// and now, and [`Completion::done`] either posts its result while
-    /// the shard is still held — so completions leave a shard in
-    /// execution order — or hands it back to return (`Some`). Otherwise
-    /// it is queued (`None`) and its holder posts the completion where
-    /// [`Completion::queued`] says — asked for only then, just as a
-    /// borrowed `req` is cloned only then.
+    /// Admit one shard-local request: take its shard's lock — at once if
+    /// it is free, else by [`waiting`](ShardLink::wait) for it — run the
+    /// request and hand the result to `done` before letting go.
     #[inline(always)]
-    fn admit(
+    fn admit<R>(
         &self,
         shard: u32,
         id: u64,
-        req: Cow<'_, Request>,
+        req: &Request,
         deadline: Option<Duration>,
-        to: Completion<'_>,
-    ) -> Result<Option<Result<Reply, ServeError>>, SubmitError> {
+        done: impl FnOnce(Result<Reply, ServeError>) -> R,
+    ) -> Result<R, SubmitError> {
         let link = &self.links[shard as usize];
-        let shutting_down = Err(SubmitError::Rejected(ServeError::ShuttingDown));
-        let Some(mut guard) = link.try_core() else {
-            // Someone is inside: queue behind them.
-            let mut queue = link.queue();
-            // Checked under the queue lock: shutdown raises the flag
-            // before its last look at the queue, so a job pushed here
-            // is one it still drains.
-            if self.closed.load(Ordering::SeqCst) {
-                return shutting_down;
-            }
-            if queue.len() >= link.capacity {
-                let retry_after = link.retry_hint();
-                return Err(SubmitError::Busy(Busy { shard, retry_after }));
-            }
-            queue.push_back(Job {
-                id,
-                shard,
-                req: req.into_owned(),
-                deadline: deadline.map(|d| Instant::now() + d),
-                reply: to.queued(),
-            });
-            link.depth.store(queue.len(), Ordering::Relaxed);
-            drop(queue);
-            link.kick();
-            return Ok(None);
+        let (mut guard, deadline) = match link.try_core() {
+            Some(guard) => (guard, None),
+            None => link.wait(deadline)?,
         };
         let Some(core) = guard.as_mut() else {
-            return shutting_down;
+            return Err(SubmitError::Rejected(ServeError::ShuttingDown));
         };
-        // Whatever was admitted earlier goes first: per-shard order is
-        // admission order. (A submit that happened before this one has
-        // stored its depth where this load sees it; one that races it
-        // has no order to keep.)
-        if link.depth.load(Ordering::Relaxed) != 0 {
-            link.drain(core);
-        }
-        // Then this request, as a dispatch of its own, on this thread.
-        let timed = core.out.batches % INLINE_CLOCK_EVERY == 0;
-        let t0 = link.begin(core, std::iter::once(id), timed);
-        let result = link.execute(core, id, None, |store| apply(store, &req));
-        link.settle(1, t0);
-        let done = to.done(id, shard, result);
-        drop(guard);
-        link.kick();
-        Ok(done)
+        let timed = core.out.batches % CLOCK_EVERY == 0;
+        let t0 = link.begin(core, id, timed);
+        let result = link.execute(core, id, deadline, |store| apply(store, req));
+        link.settle(t0);
+        Ok(done(result))
     }
 }
 
@@ -1349,6 +1184,7 @@ fn map_kv_err(size: u64) -> impl Fn(envy_kv::KvError) -> ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn plan_locates_and_rejects() {

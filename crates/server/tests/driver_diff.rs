@@ -387,8 +387,8 @@ fn full_scan_frames() -> Vec<Vec<u8>> {
 /// With `drain`, the server is asked to shut down while the connection
 /// is held: it answers what it admitted, drops the frames still waiting
 /// in the decoder, and closes. With `occupied`, an [`Occupant`] holds
-/// the shard for the whole run, so the loop's requests queue behind
-/// another thread: the bound holds all the same.
+/// the shard for the whole run, so the loop's requests wait for another
+/// thread: the bound holds all the same.
 fn pipelined_scans_keep_output_bounded(driver: NetDriver, drain: bool, occupied: bool) {
     let config = if occupied {
         scan_config().with_service_delay(Duration::from_micros(200))
@@ -707,20 +707,17 @@ fn mixed_kv(i: u64) -> Request {
 }
 
 /// Replies keep request order while another thread holds the shard. A
-/// pipelined request either runs on the loop (the shard was idle) or
-/// queues behind the thread holding the shard, which runs it while the
-/// loop waits. A 64-request pipeline goes out in eight parts. In each,
-/// the first half meets an [`Occupant`] inside the shard; the occupant
-/// leaves, and the second half finds the shard free. Every reply must
-/// come back in request order, under its own id, with the answer an
-/// in-order replay gives.
+/// pipelined request runs on the loop, at once if the shard is idle or
+/// after the loop waits for the thread holding it. A 64-request
+/// pipeline goes out in eight parts. In each, the first half meets an
+/// [`Occupant`] inside the shard; the occupant leaves, and the second
+/// half finds the shard free. Every reply must come back in request
+/// order, under its own id, with the answer an in-order replay gives.
 fn replies_keep_order_while_another_thread_holds_the_shard(driver: NetDriver) {
     const FRAMES: u64 = 64;
     const PARTS: u64 = 8;
-    // Each request holds the shard this long. The loop has one request
-    // in flight, so a batch of two forms only when its first request
-    // reaches the queue while the probe still waits there, within what
-    // is left of the occupant's own request: long enough for a loop
+    // Each request holds the shard this long: long enough for the
+    // loop's first request to meet the occupant inside, even in a loop
     // slowed by a loaded debug build.
     let config = ServeConfig::small(1).with_service_delay(Duration::from_millis(1));
     let expected: Vec<WireOutcome> = {
@@ -753,21 +750,21 @@ fn replies_keep_order_while_another_thread_holds_the_shard(driver: NetDriver) {
     let part = FRAMES / PARTS;
     for first in (0..FRAMES).step_by(part as usize) {
         let occupant = Occupant::hold(&handle);
-        // A channel per part: the last probe's completion is still due
-        // on it, and would read as a later probe's.
-        let (tx, rx) = mpsc::channel();
-        until_contended(&handle, &tx, &rx);
+        // A channel per part, so a probe's completion never reads as a
+        // later part's.
+        let (tx, _rx) = mpsc::channel();
+        let probe = until_contended(&handle, &tx);
         // One write: the loop reads this half-part at once, and its
-        // first request finds the occupant inside the shard, maybe with
-        // the probe still queued, and queues behind them.
+        // first request finds the shard held and waits for it.
         client.set_corked(true).unwrap();
         for i in first..first + part / 2 {
             client.submit_with_id(i, mixed_kv(i), None).unwrap();
         }
         client.set_corked(false).unwrap();
-        // The occupant runs what queued behind it and leaves; the next
-        // frame is on its way at once and finds the shard free.
+        // The occupant leaves; the next frame is on its way at once and
+        // finds the shard free.
         occupant.release();
+        probe.join().unwrap();
         for i in first + part / 2..first + part {
             client.submit_with_id(i, mixed_kv(i), None).unwrap();
         }
@@ -781,12 +778,11 @@ fn replies_keep_order_while_another_thread_holds_the_shard(driver: NetDriver) {
     let summary = server.shutdown();
     let _ = std::fs::remove_file(&path);
     assert_eq!(summary.requests, FRAMES, "{driver:?}");
-    // The shard was held: something was queued and drained as a batch.
+    // The shard was held: something waited for it.
     let shard = &summary.outcome.shards[0];
     assert!(
-        shard.batches < shard.served || shard.max_batch > 1,
-        "{driver:?}: nothing queued ({} batches, {} served)",
-        shard.batches,
+        shard.waited > 0,
+        "{driver:?}: nothing waited ({} served)",
         shard.served
     );
 }

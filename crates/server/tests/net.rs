@@ -187,18 +187,16 @@ fn killed_connection_leaves_other_clients_intact() {
 
 #[test]
 fn wire_deadline_surfaces_typed_timeout() {
-    let config = ServeConfig::small(1)
-        .with_batch_max(16)
-        .with_service_delay(Duration::from_millis(10));
+    let config = ServeConfig::small(1).with_service_delay(Duration::from_millis(10));
     let store = ShardedStore::launch(config).unwrap();
-    // The event loop runs its requests itself, so they queue only
-    // behind some other thread: an in-process submitter holds the shard.
+    // The event loop runs its requests itself, so they wait only for
+    // some other thread: an in-process submitter holds the shard.
     let handle = store.handle();
     let server = serve(Listener::bind_tcp("127.0.0.1:0").unwrap(), store).unwrap();
     let mut client = Client::connect_tcp(server.addr()).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
+    let (tx, _rx) = std::sync::mpsc::channel();
     let occupant = common::Occupant::hold(&handle);
-    common::until_contended(&handle, &tx, &rx);
+    let probe = common::until_contended(&handle, &tx);
     let deadline = Some(Duration::from_millis(1));
     for i in 0..6u64 {
         client
@@ -219,8 +217,12 @@ fn wire_deadline_surfaces_typed_timeout() {
             other => panic!("unexpected outcome {other:?}"),
         }
     }
-    assert!(timed_out > 0, "queued-behind-slow requests must expire");
+    assert!(
+        timed_out > 0,
+        "requests waiting behind a slow one must expire"
+    );
     occupant.release();
+    probe.join().unwrap();
     let summary = server.shutdown();
     assert_eq!(summary.outcome.total_timed_out(), timed_out);
 }

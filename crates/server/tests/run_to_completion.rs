@@ -1,9 +1,9 @@
 //! Run to completion: a shard is a passive object — a lock around its
-//! store, a bounded queue beside it — and every request runs on the
-//! thread that submits it, or on the thread that held the lock when it
-//! arrived. These tests hold that design to its contract: one
-//! admission order per shard, no stranded job, no `Busy` without
-//! contention, no thread of its own, and a shutdown that loses nothing.
+//! store and a count of the threads waiting for it — and every request
+//! runs on the thread that submits it, at once or after waiting its
+//! turn. These tests hold that design to its contract: one execution
+//! order per shard, no wait and no `Busy` without contention, no
+//! thread of its own, and a shutdown that loses nothing.
 
 mod common;
 
@@ -13,7 +13,6 @@ use envy_server::shard::apply;
 use envy_server::{
     Request, Response, ServeConfig, ServeError, ShardHandle, ShardedStore, SubmitError,
 };
-use envy_sim::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -111,61 +110,10 @@ fn submitters_interleave_in_one_admission_order() {
     );
 }
 
-/// (b) Two submitters meet at the idle boundary, over and over: one is
-/// leaving the shard as the other queues behind it. Whoever acts second
-/// must see the other, or the queued job waits for a holder that never
-/// comes — nobody else submits, so the watchdog below would fire.
-#[test]
-fn no_job_is_stranded_at_the_idle_boundary() {
-    const ROUNDS: u64 = 20_000;
-    let store = ShardedStore::launch(ServeConfig::small(1)).unwrap();
-    let handle = store.handle();
-    let round = Barrier::new(2);
-    std::thread::scope(|scope| {
-        for t in 0..2u64 {
-            let (h, round) = (handle.clone(), &round);
-            scope.spawn(move || {
-                let mut rng = Rng::seed_from(0x1D1E + t);
-                let (tx, rx) = mpsc::channel();
-                for i in 0..ROUNDS {
-                    round.wait();
-                    // A seeded stagger of a few tens of nanoseconds
-                    // walks the two submits across each other.
-                    for _ in 0..rng.below(48) {
-                        std::hint::spin_loop();
-                    }
-                    let req = if i % 2 == t {
-                        Request::Ping { shard: 0 }
-                    } else {
-                        Request::Write {
-                            addr: (i % 64) * 16,
-                            bytes: vec![t as u8; 8],
-                        }
-                    };
-                    submit_retrying(&h, i, &req, &tx);
-                    // The watchdog. The other submitter is parked at the
-                    // barrier by now, so a panic here would hang the
-                    // scope instead of failing the test: abort.
-                    let resp = rx
-                        .recv_timeout(Duration::from_secs(10))
-                        .unwrap_or_else(|_| {
-                            eprintln!("round {i}: submitter {t}'s job is stranded in the queue");
-                            std::process::abort();
-                        });
-                    assert_eq!(resp.id, i);
-                    resp.result.expect("request must succeed");
-                }
-            });
-        }
-    });
-    let outcome = store.shutdown();
-    assert_eq!(outcome.total_served(), 2 * ROUNDS);
-}
-
-/// (c) Without a second submitter there is nothing to queue behind: a
-/// lone thread runs every request itself and never sees `Busy`, however
-/// small the queue and however slow the shard — and each answer is
-/// there when `submit` returns.
+/// (b) Without a second submitter there is nothing to wait for: a lone
+/// thread runs every request itself, never waits and never sees
+/// `Busy`, however few waiters the shard admits and however slow it is
+/// — and each answer is there when `submit` returns.
 #[test]
 fn lone_submitter_is_never_busy() {
     let config = ServeConfig::small(1)
@@ -186,8 +134,8 @@ fn lone_submitter_is_never_busy() {
     let outcome = store.shutdown();
     assert_eq!(outcome.total_served(), 200);
     let shard = &outcome.shards[0];
-    assert_eq!(shard.batches, 200, "an inline run is a batch of 1");
-    assert_eq!(shard.max_batch, 1);
+    assert_eq!(shard.batches, 200, "one dispatch per request");
+    assert_eq!(shard.waited, 0, "nothing held the shard");
 }
 
 /// This process's threads named `envy-shard-*`, each with its count of
@@ -216,7 +164,7 @@ fn shard_threads() -> Vec<(String, u64)> {
     found
 }
 
-/// (d) A launched store owns no thread and, idle, wakes nothing.
+/// (c) A launched store owns no thread and, idle, wakes nothing.
 /// Nothing in the shard layer spawns any more, so the
 /// probe is checked against a thread this test starts itself: named
 /// like a shard's and polling every 10 ms, as the shard workers and
@@ -264,7 +212,7 @@ fn a_launched_store_owns_no_thread_and_an_idle_one_never_wakes() {
     control.join().unwrap();
 }
 
-/// (e) `shutdown()` racing live submitters: every request admitted
+/// (d) `shutdown()` racing live submitters: every request admitted
 /// before or during it completes, nothing is admitted after it, and
 /// the outcome accounts for exactly the admitted ones.
 #[test]

@@ -197,6 +197,36 @@ fn opt_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> R
     }
 }
 
+/// [`opt_parse`] for a count, which must be at least 1.
+fn opt_count<T>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+{
+    let n = opt_parse(args, name, default)?;
+    if n < T::from(1) {
+        return Err(format!("{name} must be at least 1"));
+    }
+    Ok(n)
+}
+
+/// [`opt_parse`] for a rate, which must be positive and finite.
+fn opt_rate(args: &[String], name: &str, default: f64) -> Result<f64, String> {
+    let rate: f64 = opt_parse(args, name, default)?;
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!("{name} must be positive and finite"));
+    }
+    Ok(rate)
+}
+
+/// `--util`, the array utilization, which must lie in (0, 1).
+fn opt_util(args: &[String]) -> Result<f64, String> {
+    let util: f64 = opt_parse(args, "--util", 0.8)?;
+    if !(util > 0.0 && util < 1.0) {
+        return Err("--util must lie strictly between 0 and 1".into());
+    }
+    Ok(util)
+}
+
 fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
@@ -259,9 +289,9 @@ fn parse_locality(s: &str) -> Result<(u32, u32), String> {
 fn cmd_cleaning(args: &[String]) -> Result<(), String> {
     let policy = parse_policy(opt(args, "--policy").unwrap_or("hybrid:16"))?;
     let locality = parse_locality(opt(args, "--locality").unwrap_or("50/50"))?;
-    let segments: u32 = opt_parse(args, "--segments", 64)?;
-    let pages: u32 = opt_parse(args, "--pages", 256)?;
-    let util: f64 = opt_parse(args, "--util", 0.8)?;
+    let segments: u32 = opt_count(args, "--segments", 64)?;
+    let pages: u32 = opt_count(args, "--pages", 256)?;
+    let util = opt_util(args)?;
     let mut study = CleaningStudy::sized(segments, pages, policy, locality);
     study.utilization = util;
     let out = study.run().map_err(|e| e.to_string())?;
@@ -288,9 +318,9 @@ fn scaled_tpca(util: f64) -> Result<(EnvyStore, AnalyticTpca), String> {
 }
 
 fn cmd_tpca(args: &[String]) -> Result<(), String> {
-    let rate: f64 = opt_parse(args, "--rate", 10_000.0)?;
-    let txns: u64 = opt_parse(args, "--txns", 20_000)?;
-    let util: f64 = opt_parse(args, "--util", 0.8)?;
+    let rate = opt_rate(args, "--rate", 10_000.0)?;
+    let txns: u64 = opt_count(args, "--txns", 20_000)?;
+    let util = opt_util(args)?;
     let (mut store, driver) = scaled_tpca(util)?;
     let r = run_timed(&mut store, &driver, rate, txns / 10, txns, 42).map_err(|e| e.to_string())?;
     let mut t = Table::new(&["metric", "value"]);
@@ -319,9 +349,9 @@ fn cmd_tpca(args: &[String]) -> Result<(), String> {
 /// Shared timed run behind `stats` and `trace`: build the scaled TPC-A
 /// system, enable the requested observability, run, return the store.
 fn instrumented_run(args: &[String], trace_capacity: Option<usize>) -> Result<EnvyStore, String> {
-    let rate: f64 = opt_parse(args, "--rate", 10_000.0)?;
-    let txns: u64 = opt_parse(args, "--txns", 20_000)?;
-    let util: f64 = opt_parse(args, "--util", 0.8)?;
+    let rate = opt_rate(args, "--rate", 10_000.0)?;
+    let txns: u64 = opt_count(args, "--txns", 20_000)?;
+    let util = opt_util(args)?;
     let (mut store, driver) = scaled_tpca(util)?;
     if let Some(capacity) = trace_capacity {
         store.enable_trace(capacity);
@@ -457,11 +487,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 
 /// Parse `--shards` / `--scale` into a [`ServeConfig`].
 fn serve_config(args: &[String]) -> Result<ServeConfig, String> {
-    let shards: u32 = opt_parse(args, "--shards", 4)?;
-    let slots: u32 = opt_parse(args, "--txn-slots", 1)?;
-    if slots == 0 {
-        return Err("--txn-slots must be at least 1".into());
-    }
+    let shards: u32 = opt_count(args, "--shards", 4)?;
+    let slots: u32 = opt_count(args, "--txn-slots", 1)?;
     let config = match opt(args, "--scale").unwrap_or("scaled") {
         "small" => ServeConfig::small(shards),
         "scaled" => ServeConfig::scaled(shards),
@@ -472,8 +499,8 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, String> {
 
 fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
     let config = serve_config(args)?;
-    let clients: u32 = opt_parse(args, "--clients", 4)?;
-    let txns: u64 = opt_parse(args, "--txns", 2_000)?;
+    let clients: u32 = opt_count(args, "--clients", 4)?;
+    let txns: u64 = opt_count(args, "--txns", 2_000)?;
     let seed: u64 = opt_parse(args, "--seed", 24_301)?;
     let mut spec = LoadSpec::closed(clients, txns).with_seed(seed);
     if let Some(f) = opt(args, "--atomic") {
